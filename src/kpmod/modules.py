@@ -34,8 +34,18 @@ class ModuleTooLargeError(RuntimeError):
 
 
 def max_dim() -> int:
-    """Basis-size cap for constructed modules (env KP_MAX_DIM, default 5000)."""
-    return int(os.environ.get("KP_MAX_DIM", "5000"))
+    """Basis-size cap for constructed modules (env KP_MAX_DIM, default 5000).
+
+    Raises ValueError unless the variable is a positive integer.
+    """
+    raw = os.environ.get("KP_MAX_DIM", "5000")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"KP_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_dim(d: int) -> None:
@@ -343,7 +353,12 @@ def symmetric_power(M: WeightModule, k: int) -> WeightModule:
 
 def dual_twist(M: WeightModule) -> WeightModule:
     """The twisted dual M* (x) K_rho: dual basis, weight of the dual of a
-    weight-mu vector is rho - mu, action the negated transpose."""
+    weight-mu vector is rho - mu, action the negated transpose.
+
+    Public as part of the reference route for the character criterion:
+    ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` is what
+    ``char_criterion`` computes from the annihilator presentation, and the
+    tests compare the two."""
     r = rho(M.n)
     weights = [tuple(a - b for a, b in zip(r, w)) for w in M.weights]
     columns: dict = {}
@@ -563,7 +578,11 @@ def hom_space(M: WeightModule, N: WeightModule) -> list:
 
     A map is weight-preserving and commutes with the simple raising
     operators; that forces commutation with every e_ij, since those are
-    iterated brackets of simple ones.
+    iterated brackets of simple ones.  Raises RuntimeError if a solution
+    fails the composite-pair cross-check, which would mean a bug.
+
+    Together with ``dual_twist`` this is the reference route the tests hold
+    ``char_criterion`` against.
     """
     if M.n != N.n:
         raise ValueError("modules over different ranks")
@@ -598,12 +617,17 @@ def hom_space(M: WeightModule, N: WeightModule) -> list:
         maps.append(ModuleMap(M, N, cols))
     # imposing the simple pairs must already give full equivariance;
     # cross-check one composite raising pair as a guard
-    if maps and M.n >= 3:
-        assert all(T.commutes_with((1, M.n)) for T in maps)
+    if maps and M.n >= 3 and not all(T.commutes_with((1, M.n)) for T in maps):
+        raise RuntimeError(
+            f"hom solution does not commute with e_1{M.n}: "
+            "the simple-pair equations lost equivariance"
+        )
     return maps
 
 
 def hom_dim(M: WeightModule, N: WeightModule) -> int:
+    """dim Hom(M, N); the reference route for ``char_criterion`` (see
+    ``dual_twist``)."""
     return len(hom_space(M, N))
 
 
@@ -656,7 +680,10 @@ def kp_module(lam) -> WeightModule:
     >>> kp_module((1, 0, 1, 0)).dim
     3
     """
-    return _kp_cached(tuple(int(x) for x in lam))
+    lam = tuple(int(x) for x in lam)
+    if not lam:
+        raise ValueError("kp_module needs a nonempty code, got ()")
+    return _kp_cached(lam)
 
 
 def character(M: WeightModule) -> LaurentPoly:

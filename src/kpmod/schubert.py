@@ -178,7 +178,11 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
             if not any(nu != mu and dominates(mu, nu) for nu in supp):
                 pick = mu
                 break
-        assert pick is not None
+        if pick is None:
+            # a finite support always has a dominance-minimal element
+            raise RuntimeError(
+                f"no dominance-minimal exponent among {len(supp)} terms"
+            )
         c = work.terms[pick]
         res[pick] = res.get(pick, 0) + c
         work = work - schubert_poly(pick) * c

@@ -115,6 +115,11 @@ class TestFiltrationCommands:
         data = json.loads(out)
         assert data["ok"] and data["factors_match"] and data["consistent"]
 
+    def test_tensor_exp_n5_pair_at_default_cap(self, capsys):
+        rc, out = run(capsys, "tensor-exp", "--pair", "0,0,2,1,0:0,1,1,0,0")
+        assert rc == 0
+        assert json.loads(out)["ok"] is True
+
     def test_plethysm_exp(self, capsys):
         rc, out = run(capsys, "plethysm-exp", "--sigma", "2", "--code", "0,1")
         assert rc == 0

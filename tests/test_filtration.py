@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from kpmod import filtration
 from kpmod.filtration import (
     MixedDegreeError,
+    _twisted_dual_hom_dim,
     char_criterion,
     degree_components,
     kp_filtration_extract,
@@ -18,12 +21,14 @@ from kpmod.modules import (
     WeightModule,
     cyclic_submodule,
     dual_twist,
+    hom_dim,
     kp_module,
     one_dim,
+    tensor_many,
     tensor_product,
     vector_rep,
 )
-from kpmod.permutations import all_permutations, code
+from kpmod.permutations import all_permutations, code, rho
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 
 
@@ -110,6 +115,57 @@ class TestCriterion:
         assert rep.lhs == x(2, 2)
         assert rep.rhs == x(2, 1) + x(2, 2)
 
+    def test_violated_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(filtration, "_twisted_dual_hom_dim", lambda M, nu: 0)
+        with pytest.raises(RuntimeError, match="exceeds the hom-multiplicity bound"):
+            char_criterion(kp_module((1, 0, 1)))
+
+    def test_n5_pair_at_default_cap(self):
+        # kp(rho - nu) for some weights here has an ambient above the default
+        # KP_MAX_DIM; the criterion must not build it
+        lam, mu = (0, 0, 2, 1, 0), (0, 1, 1, 0, 0)
+        rep = char_criterion(tensor_many([kp_module(lam), kp_module(mu)]))
+        assert rep.equal
+        assert dict(rep.hom_multiplicities) == expand_in_schubert(
+            schubert_poly(lam) * schubert_poly(mu)
+        )
+
+
+def _criterion_corpus():
+    rng = random.Random(2024)
+    corpus = []
+    for n in (2, 3):
+        codes = [code(w, n) for w in all_permutations(n)]
+        for a, b in itertools.product(codes, repeat=2):
+            corpus.append(tensor_product(kp_module(a), kp_module(b)))
+    codes4 = [code(w, 4) for w in all_permutations(4)]
+    for _ in range(10):
+        M = tensor_product(kp_module(rng.choice(codes4)), kp_module(rng.choice(codes4)))
+        corpus.append(M)
+        corpus.append(dual_twist(M))
+    for lam in rng.sample(codes4, 4):
+        for sigma in ((2,), (1, 1)):
+            corpus.append(young_symmetrizer_image(kp_module(lam), sigma))
+    corpus.append(one_dim((0, 1)))
+    return corpus
+
+
+class TestCriterionAgainstHomSpace:
+    def test_annihilator_route_matches_hom_route_weight_by_weight(self, monkeypatch):
+        # the reference route builds kp(rho - nu) inside an eager ambient,
+        # which for the twisted duals can exceed the default cap
+        monkeypatch.setenv("KP_MAX_DIM", "20000")
+        checked = positive = 0
+        for M in _criterion_corpus():
+            for nu in sort_weights(M):
+                lam = tuple(a - b for a, b in zip(rho(M.n), nu))
+                expected = hom_dim(M, dual_twist(kp_module(lam)))
+                assert _twisted_dual_hom_dim(M, nu) == expected, (M, nu)
+                checked += 1
+                positive += expected > 0
+        # both zero and nonzero multiplicities are exercised
+        assert 0 < positive < checked
+
 
 class TestEquivalence:
     def test_extractor_matches_criterion_on_corpus(self):
@@ -190,6 +246,12 @@ class TestSchurFunctors:
         assert rep.ok
         assert rep.extract.factors == ()
         assert rep.plethysm.is_zero()
+
+    def test_hook_at_default_cap(self):
+        # kp(rho - nu) for some weights of this image has a 6,144-vector
+        # ambient, above the default KP_MAX_DIM
+        rep = schur_functor_experiment((2, 1), (0, 2, 1, 0))
+        assert rep.consistent
 
     def test_hook_shape_character(self):
         rep = schur_functor_experiment((2, 1), (0, 1, 0))

@@ -6,6 +6,7 @@ import pytest
 from kpmod.laurent import LaurentPoly
 from kpmod.linalg import ONE, axpy
 from kpmod.modules import (
+    ModuleMap,
     ModuleTooLargeError,
     annihilator_check,
     cyclic_submodule,
@@ -273,6 +274,12 @@ class TestHom:
             for pair in S.raising_pairs():
                 assert T.commutes_with(pair)
 
+    def test_equivariance_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(ModuleMap, "commutes_with", lambda self, pair: False)
+        S = kp_module((1, 0, 1, 0))
+        with pytest.raises(RuntimeError, match="does not commute with e_14"):
+            hom_space(S, S)
+
     def test_kp_duality_delta_s3(self):
         r = rho(3)
         codes = [code(w, 3) for w in all_permutations(3)]
@@ -418,6 +425,16 @@ class TestLimitsAndSerialization:
         monkeypatch.setenv("KP_MAX_DIM", "5")
         with pytest.raises(ModuleTooLargeError, match="KP_MAX_DIM"):
             tensor_power(vector_rep(3), 3)
+
+    @pytest.mark.parametrize("raw", ["many", "2.5", "0", "-3", ""])
+    def test_max_dim_rejects_bad_values(self, monkeypatch, raw):
+        monkeypatch.setenv("KP_MAX_DIM", raw)
+        with pytest.raises(ValueError, match=f"KP_MAX_DIM must be a positive integer, got '{raw}'"):
+            tensor_power(vector_rep(2), 2)
+
+    def test_empty_code_rejected(self):
+        with pytest.raises(ValueError, match=r"nonempty code, got \(\)"):
+            kp_module(())
 
     def test_json_export(self):
         S = kp_module((0, 1))

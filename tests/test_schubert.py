@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kpmod import schubert
 from kpmod.laurent import LaurentPoly
 from kpmod.permutations import all_permutations, code, dominates, perm_of, rho, transition
 from kpmod.schubert import (
@@ -162,6 +163,11 @@ class TestExpand:
 
     def test_negative_coefficients(self):
         assert expand_in_schubert(x(2, 2)) == {(0, 1): 1, (1, 0): -1}
+
+    def test_missing_minimal_exponent_raises(self, monkeypatch):
+        monkeypatch.setattr(schubert, "dominates", lambda a, b: True)
+        with pytest.raises(RuntimeError, match="dominance-minimal"):
+            expand_in_schubert(x(2, 1) + x(2, 2))
 
     def test_reconstruction_random(self):
         rng = random.Random(6)
