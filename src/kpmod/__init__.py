@@ -7,6 +7,7 @@ and decides/extracts KP filtrations of weight modules (tensor products and
 Schur-functor images included).
 """
 
+from . import modules, schubert
 from .filtration import (
     CriterionReport,
     FiltrationReport,
@@ -28,6 +29,7 @@ from .modules import (
     character,
     cyclic_submodule,
     demazure_module,
+    diagram_module,
     dual_twist,
     exterior_power,
     hom_dim,
@@ -71,3 +73,17 @@ from .schubert import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty the process-wide memos (KP modules, wedge factors, Schubert
+    polynomials, Vandermonde products, dual elements); results stay equal."""
+    for memo in (
+        modules._kp_cached,
+        modules._wedge_factor,
+        schubert._schubert_staircase,
+        schubert.vandermonde,
+        schubert._dual_element,
+    ):
+        memo.cache_clear()
+    schubert._transition_memo.clear()

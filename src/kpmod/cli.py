@@ -3,7 +3,8 @@
 Every subcommand prints deterministic output (JSON with sorted keys, or
 plain text) and exits 0 on success, 1 on a mathematical failure (a failing
 verification, or a filtration that was required to succeed via --expect-ok),
-and 2 on a usage error.
+2 on a usage error, and 3 when the KP_MAX_DIM cap stops it: a construction
+outgrew the cap, or the variable is not a positive integer.
 
 Weight vectors are comma-separated integers, permutations comma-separated
 one-line images, and ``:`` separates the members of a pair.
@@ -26,6 +27,7 @@ from .modules import (
     annihilator_check,
     demazure_module,
     kp_module,
+    max_dim,
     one_dim,
     sl3_identity_check,
     sl3_presentation_check,
@@ -43,7 +45,6 @@ from .schubert import (
     cauchy_window_check,
     dual_pairing,
     expand_in_schubert,
-    plethysm_eval,
     schubert_poly,
 )
 from .verify import run_suites
@@ -418,8 +419,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed a usage message
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        max_dim()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    try:
         return args.func(args)
-    except (ValueError, KeyError, ModuleTooLargeError) as exc:
+    except ModuleTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'kp {args.command} --help' for usage", file=sys.stderr)
         return 2

@@ -1,14 +1,14 @@
 """Finite-dimensional weight modules over the upper-triangular matrices.
 
 A module is a list of basis weights together with sparse exact-rational
-column maps for the stored matrix units e_ij (raising for i < j, optionally
-the transposed lowering maps for full gl builds).  Product-type constructors
-build their columns lazily, so large ambient spaces cost only what is
-actually touched.  On top of the plain constructors this module provides
-cyclic and spanned submodules, quotients by weight sets, Hom spaces,
-Kraskiewicz-Pragacz modules, Demazure modules, annihilator verification for
-the diagram generator, and the rank-3 operator-identity checks used by the
-verification suites.
+column maps for the raising matrix units e_ij (i < j); product-type
+constructors build their columns lazily.  On top of the plain constructors
+this module provides cyclic and spanned submodules, quotients by weight
+sets, Hom spaces, annihilator verification for the diagram generator, and
+the rank-3 operator-identity checks used by the verification suites.
+Kraskiewicz-Pragacz and Demazure (key) modules both come from
+``diagram_module``: the cyclic closure of a column-wedge vector inside a
+tensor of exterior powers that is never enumerated.
 
 Modules are immutable once constructed (lazy column caches only fill in);
 every operation is a pure function, safe for data-parallel sweeps.
@@ -30,11 +30,12 @@ from .schubert import schubert_poly
 
 
 class ModuleTooLargeError(RuntimeError):
-    pass
+    """A construction outgrew KP_MAX_DIM (named with its code or weight)."""
 
 
 def max_dim() -> int:
-    """Basis-size cap for constructed modules (env KP_MAX_DIM, default 5000).
+    """Size cap (env KP_MAX_DIM, default 5000) on eager bases, closure ranks
+    and the ambient keys a closure touches.
 
     Raises ValueError unless the variable is a positive integer.
     """
@@ -48,68 +49,24 @@ def max_dim() -> int:
     return cap
 
 
-def _check_dim(d: int) -> None:
+def _too_large(what: str, measure: str, size: int, cap: int) -> ModuleTooLargeError:
+    return ModuleTooLargeError(f"{what}: {measure} {size} exceeds the KP_MAX_DIM cap {cap}")
+
+
+def _check_dim(size: int, what: str) -> None:
     cap = max_dim()
-    if d > cap:
-        raise ModuleTooLargeError(
-            f"construction needs {d} basis vectors, above the KP_MAX_DIM cap {cap}"
-        )
+    if size > cap:
+        raise _too_large(what, "basis size", size, cap)
 
 
 def _raising(n: int) -> tuple:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def _all_pairs(n: int) -> tuple:
-    return tuple(
-        (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
-    )
+class _Action:
+    """Operator application on top of ``column(pair, idx)``."""
 
-
-class WeightModule:
-    """Weight module given by basis weights and sparse action columns.
-
-    ``column(pair, idx)`` is the image of the idx-th basis vector under the
-    matrix unit ``e_pair``; vectors are dicts {basis index: Fraction}.
-    """
-
-    __slots__ = ("n", "weights", "pairs", "labels", "generator", "_cols", "_builder", "_wspaces")
-
-    def __init__(self, n, weights, pairs, columns=None, builder=None, labels=None, generator=None):
-        self.n = int(n)
-        self.weights = tuple(tuple(int(x) for x in w) for w in weights)
-        self.pairs = tuple(sorted(pairs))
-        self._cols = {
-            p: (dict(columns[p]) if columns and p in columns else {}) for p in self.pairs
-        }
-        self._builder = builder
-        self.labels = tuple(labels) if labels is not None else None
-        self.generator = dict(generator) if generator is not None else None
-        self._wspaces = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def raising_pairs(self) -> tuple:
-        return tuple(p for p in self.pairs if p[0] < p[1])
-
-    def simple_pairs(self) -> tuple:
-        return tuple((i, i + 1) for i in range(1, self.n))
-
-    def basis_vector(self, t: int) -> dict:
-        return {t: ONE}
-
-    def column(self, pair, idx) -> dict:
-        try:
-            col = self._cols[pair]
-        except KeyError:
-            raise KeyError(f"operator {pair} is not stored on this module") from None
-        if idx not in col:
-            if self._builder is None:
-                return {}
-            col[idx] = self._builder(pair, idx)
-        return col[idx]
+    __slots__ = ()
 
     def apply(self, pair, vec: dict) -> dict:
         """Image of a sparse vector under e_pair."""
@@ -124,6 +81,48 @@ class WeightModule:
                 return vec
             vec = self.apply(pair, vec)
         return vec
+
+    def simple_pairs(self) -> tuple:
+        return tuple((i, i + 1) for i in range(1, self.n))
+
+
+class WeightModule(_Action):
+    """Weight module given by basis weights and sparse action columns.
+
+    ``column(pair, idx)`` is the image of the idx-th basis vector under the
+    matrix unit ``e_pair``; vectors are dicts {basis index: Fraction}.
+    """
+
+    __slots__ = ("n", "weights", "pairs", "generator", "_cols", "_builder", "_wspaces")
+
+    def __init__(self, n, weights, pairs, columns=None, builder=None, generator=None):
+        self.n = int(n)
+        self.weights = tuple(tuple(int(x) for x in w) for w in weights)
+        self.pairs = tuple(sorted(pairs))
+        self._cols = {
+            p: (dict(columns[p]) if columns and p in columns else {}) for p in self.pairs
+        }
+        self._builder = builder
+        self.generator = dict(generator) if generator is not None else None
+        self._wspaces = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    def raising_pairs(self) -> tuple:
+        return tuple(p for p in self.pairs if p[0] < p[1])
+
+    def column(self, pair, idx) -> dict:
+        try:
+            col = self._cols[pair]
+        except KeyError:
+            raise KeyError(f"operator {pair} is not stored on this module") from None
+        if idx not in col:
+            if self._builder is None:
+                return {}
+            col[idx] = self._builder(pair, idx)
+        return col[idx]
 
     def weight_spaces(self) -> dict:
         if self._wspaces is None:
@@ -188,33 +187,20 @@ def one_dim(lam) -> WeightModule:
     return WeightModule(len(lam), [lam], _raising(len(lam)), generator={0: ONE})
 
 
-def vector_rep(n: int, lowering: bool = False) -> WeightModule:
-    """K^n with e_ab u_k = delta_bk u_a; pass lowering=True for the full
-    gl_n set of matrix units."""
-    pairs = _all_pairs(n) if lowering else _raising(n)
+def vector_rep(n: int) -> WeightModule:
+    """K^n with e_ab u_k = delta_bk u_a."""
+    pairs = _raising(n)
     columns = {(a, b): {b - 1: {a - 1: ONE}} for (a, b) in pairs}
-    weights = []
-    for k in range(n):
-        w = [0] * n
-        w[k] = 1
-        weights.append(tuple(w))
-    return WeightModule(n, weights, pairs, columns=columns, labels=range(n))
+    weights = [tuple(int(a == k) for a in range(n)) for k in range(n)]
+    return WeightModule(n, weights, pairs, columns=columns)
 
 
-def _digits(idx: int, dims) -> list:
-    out = []
-    for d in reversed(dims):
-        idx, r = divmod(idx, d)
-        out.append(r)
-    out.reverse()
-    return out
-
-
-def _fold(digits, dims) -> int:
-    idx = 0
-    for g, d in zip(digits, dims):
-        idx = idx * d + g
-    return idx
+def _weight_sum(n: int, weights) -> tuple:
+    acc = [0] * n
+    for w in weights:
+        for p, x in enumerate(w):
+            acc[p] += x
+    return tuple(acc)
 
 
 def tensor_many(factors, n=None) -> WeightModule:
@@ -235,36 +221,39 @@ def tensor_many(factors, n=None) -> WeightModule:
         pairs &= set(F.pairs)
     pairs = tuple(sorted(pairs))
     dims = [F.dim for F in factors]
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if total == 0:
         return WeightModule(n0, [], pairs)
-    _check_dim(total)
-    weights = []
-    for combo in itertools.product(*(range(d) for d in dims)):
-        acc = [0] * n0
-        for F, t in zip(factors, combo):
-            for p, x in enumerate(F.weights[t]):
-                acc[p] += x
-        weights.append(tuple(acc))
+    _check_dim(total, f"tensor_many of dimensions {dims}")
+    weights = [
+        _weight_sum(n0, (F.weights[t] for F, t in zip(factors, combo)))
+        for combo in itertools.product(*(range(d) for d in dims))
+    ]
+    return WeightModule(n0, weights, pairs, builder=_Tensor(factors, n0).column)
 
-    def builder(pair, idx):
-        digits = _digits(idx, dims)
+
+class _Tensor(_Action):
+    """Action of a tensor product of modules on mixed-radix keys: the digit
+    of factor s has stride prod(dims[s+1:]), and e_ij acts by Leibniz, one
+    factor at a time."""
+
+    def __init__(self, factors, n: int):
+        self.n = n
+        dims = [F.dim for F in factors]
+        self.slots = [(F, d, math.prod(dims[s + 1:])) for s, (F, d) in enumerate(zip(factors, dims))]
+
+    def column(self, pair, idx: int) -> dict:
         out: dict = {}
-        for s, F in enumerate(factors):
-            for r, c in F.column(pair, digits[s]).items():
-                nd = list(digits)
-                nd[s] = r
-                key = _fold(nd, dims)
+        for F, d, stride in self.slots:
+            digit = idx // stride % d
+            for r, c in F.column(pair, digit).items():
+                key = idx + (r - digit) * stride
                 acc = out.get(key, 0) + c
                 if acc:
                     out[key] = acc
                 else:
                     del out[key]
         return out
-
-    return WeightModule(n0, weights, pairs, builder=builder)
 
 
 def tensor_product(M: WeightModule, N: WeightModule) -> WeightModule:
@@ -277,6 +266,39 @@ def tensor_power(M: WeightModule, k: int) -> WeightModule:
     return tensor_many([M] * k, M.n)
 
 
+def _power(M: WeightModule, combos: list, place) -> WeightModule:
+    """A power of M on the index tuples ``combos``: ``place(others, r, t)``
+    is the tuple and sign once slot t becomes r, or None if that vanishes."""
+    index = {c: t for t, c in enumerate(combos)}
+    weights = [_weight_sum(M.n, (M.weights[b] for b in combo)) for combo in combos]
+
+    def builder(pair, idx):
+        combo = combos[idx]
+        out: dict = {}
+        for t, b in enumerate(combo):
+            others = combo[:t] + combo[t + 1:]
+            for r, c in M.column(pair, b).items():
+                placed = place(others, r, t)
+                if placed is None:
+                    continue
+                key = index[placed[0]]
+                acc = out.get(key, 0) + placed[1] * c
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return out
+
+    return WeightModule(M.n, weights, M.pairs, builder=builder)
+
+
+def _wedge_place(others, r, t):
+    if r in others:
+        return None
+    m = sum(1 for o in others if o < r)
+    return others[:m] + (r,) + others[m:], -1 if (t - m) % 2 else 1
+
+
 def exterior_power(M: WeightModule, k: int) -> WeightModule:
     """Lambda^k M; k > dim gives the zero module."""
     if k < 0:
@@ -286,36 +308,8 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
     if k > M.dim:
         return WeightModule(M.n, [], M.pairs)
     combos = list(itertools.combinations(range(M.dim), k))
-    _check_dim(len(combos))
-    index = {c: t for t, c in enumerate(combos)}
-    weights = []
-    for combo in combos:
-        acc = [0] * M.n
-        for b in combo:
-            for p, x in enumerate(M.weights[b]):
-                acc[p] += x
-        weights.append(tuple(acc))
-
-    def builder(pair, idx):
-        combo = combos[idx]
-        out: dict = {}
-        for t, b in enumerate(combo):
-            others = combo[:t] + combo[t + 1:]
-            for r, c in M.column(pair, b).items():
-                if r in others:
-                    continue
-                m = sum(1 for o in others if o < r)
-                new = others[:m] + (r,) + others[m:]
-                val = c if (t - m) % 2 == 0 else -c
-                key = index[new]
-                acc = out.get(key, 0) + val
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return out
-
-    return WeightModule(M.n, weights, M.pairs, builder=builder, labels=combos)
+    _check_dim(len(combos), f"exterior_power {k} of a {M.dim}-dim module")
+    return _power(M, combos, _wedge_place)
 
 
 def symmetric_power(M: WeightModule, k: int) -> WeightModule:
@@ -323,32 +317,8 @@ def symmetric_power(M: WeightModule, k: int) -> WeightModule:
     if k < 0:
         raise ValueError("negative symmetric power")
     combos = list(itertools.combinations_with_replacement(range(M.dim), k))
-    _check_dim(len(combos))
-    index = {c: t for t, c in enumerate(combos)}
-    weights = []
-    for combo in combos:
-        acc = [0] * M.n
-        for b in combo:
-            for p, x in enumerate(M.weights[b]):
-                acc[p] += x
-        weights.append(tuple(acc))
-
-    def builder(pair, idx):
-        combo = combos[idx]
-        out: dict = {}
-        for t, b in enumerate(combo):
-            others = combo[:t] + combo[t + 1:]
-            for r, c in M.column(pair, b).items():
-                new = tuple(sorted(others + (r,)))
-                key = index[new]
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return out
-
-    return WeightModule(M.n, weights, M.pairs, builder=builder, labels=combos)
+    _check_dim(len(combos), f"symmetric_power {k} of a {M.dim}-dim module")
+    return _power(M, combos, lambda others, r, t: (tuple(sorted(others + (r,))), 1))
 
 
 def dual_twist(M: WeightModule) -> WeightModule:
@@ -381,7 +351,6 @@ def shift_weights(M: WeightModule, delta) -> WeightModule:
         [tuple(a + b for a, b in zip(w, delta)) for w in M.weights],
         M.pairs,
         columns=cols,
-        labels=M.labels,
         generator=M.generator,
     )
 
@@ -393,18 +362,21 @@ class SubmoduleCloser:
     """Incrementally grown subspace closed under a fixed operator set,
     held as one reduced echelon basis per weight."""
 
-    def __init__(self, M: WeightModule, pairs=None):
+    def __init__(self, M, pairs=None, what: str = "submodule closure"):
         self.module = M
         self.pairs = tuple(pairs) if pairs is not None else M.raising_pairs()
         self.echelons: dict = {}
         self.rank = 0
+        self.what = what
+        self.cap = max_dim()
 
     def _insert(self, vec: dict, queue: list) -> None:
         for wt, comp in _components(self.module, vec):
             ech = self.echelons.setdefault(wt, Echelon())
             if ech.insert(comp) is not None:
                 self.rank += 1
-                _check_dim(self.rank)
+                if self.rank > self.cap:
+                    raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
                 queue.append(comp)
 
     def add(self, vecs) -> None:
@@ -435,62 +407,43 @@ class SubmoduleCloser:
 
 
 def _submodule_from_closure(M, closer, out_pairs, generator_vec=None) -> WeightModule:
-    basis = []
-    for wt in sorted(closer.echelons):
-        for p in sorted(closer.echelons[wt].rows):
-            basis.append((wt, p))
+    """The closed subspace on its echelon rows, sorted by weight and pivot;
+    columns are expressed on demand (ValueError if one leaves it)."""
+    basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
     pos = {key: t for t, key in enumerate(basis)}
 
     def express(vec):
         out = {}
         for wt, comp in _components(M, vec):
-            ech = closer.echelons.get(wt)
-            if ech is None:
-                raise ValueError("subspace is not stable under the module action")
             try:
-                coords = ech.express(comp)
-            except ValueError:
-                raise ValueError(
-                    "subspace is not stable under the module action"
-                ) from None
+                coords = closer.echelons[wt].express(comp)
+            except (KeyError, ValueError):
+                raise ValueError("subspace is not stable under the module action") from None
             for p, c in coords.items():
                 out[pos[(wt, p)]] = c
         return out
 
-    columns = {}
-    for pair in out_pairs:
-        col = {}
-        for t, (wt, p) in enumerate(basis):
-            img = M.apply(pair, closer.echelons[wt].rows[p])
-            if img:
-                col[t] = express(img)
-        columns[pair] = col
+    rows = [closer.echelons[wt].rows[p] for wt, p in basis]
+
+    def builder(pair, t):
+        return express(M.apply(pair, rows[t]))
+
     gen = express(generator_vec) if generator_vec else None
     return WeightModule(
-        M.n, [wt for wt, _ in basis], out_pairs, columns=columns, generator=gen
+        M.n, [wt for wt, _ in basis], out_pairs, builder=builder, generator=gen
     )
 
 
-def cyclic_submodule(M: WeightModule, vec: dict, generators: str = "simple") -> WeightModule:
-    """Smallest subspace containing vec closed under the selected operators,
+def cyclic_submodule(M: WeightModule, vec: dict, *, what: str = "cyclic_submodule") -> WeightModule:
+    """Smallest subspace containing vec closed under the raising operators,
     as a module with induced actions (basis in reduced echelon form per
-    weight space).
-
-    ``simple`` closes under the e_{i,i+1} only, which suffices for closure
-    under all raising operators; ``all`` additionally closes under every
-    stored pair (for gl builds with lowering maps).
+    weight space).  Closing under the simple e_{i,i+1} suffices, since the
+    other e_ij are their iterated brackets.  ``what`` names the construction
+    if the closure rank exceeds KP_MAX_DIM.
     """
-    if generators == "simple":
-        close_pairs = M.simple_pairs()
-        out_pairs = M.raising_pairs()
-    elif generators == "all":
-        close_pairs = M.pairs
-        out_pairs = M.pairs
-    else:
-        raise ValueError(f"unknown generator set {generators!r}")
-    closer = SubmoduleCloser(M, close_pairs)
+    closer = SubmoduleCloser(M, M.simple_pairs(), what)
     closer.add([vec])
-    return _submodule_from_closure(M, closer, out_pairs, generator_vec=vec)
+    return _submodule_from_closure(M, closer, M.raising_pairs(), generator_vec=vec)
 
 
 def span_submodule(M: WeightModule, vecs, out_pairs=None) -> WeightModule:
@@ -498,9 +451,11 @@ def span_submodule(M: WeightModule, vecs, out_pairs=None) -> WeightModule:
     stable under the requested operators (verified; raises otherwise)."""
     closer = SubmoduleCloser(M, ())
     closer.add(vecs)
-    return _submodule_from_closure(
+    S = _submodule_from_closure(
         M, closer, M.raising_pairs() if out_pairs is None else tuple(out_pairs)
     )
+    _materialized_columns(S)
+    return S
 
 
 @dataclass
@@ -632,31 +587,74 @@ def hom_dim(M: WeightModule, N: WeightModule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Kraskiewicz-Pragacz modules
+# Diagram modules: KP and Demazure
 
-def _kp_ambient(lam: tuple):
-    """Ambient wedge tensor and diagram generator for a nonnegative code.
+@lru_cache(maxsize=None)
+def _wedge_factor(n: int, k: int) -> WeightModule:
+    """Lambda^k K^n; at most C(n, n/2) vectors, so outside KP_MAX_DIM."""
+    return _power(vector_rep(n), list(itertools.combinations(range(n), k)), _wedge_place)
 
-    One exterior power Lambda^{l_j}(K^n) per nonempty column j of the
-    inversion diagram; the generator wedges the column members.
+
+class _WedgeAmbient(_Tensor):
+    """The tensor of Lambda^{|c|} K^n over the columns c of a diagram, with
+    the column wedge as ``generator``.  Keys are those of ``tensor_many``
+    over the same factors, but nothing is enumerated: ``weights`` computes
+    the weight of a key when a closure first looks it up."""
+
+    def __init__(self, columns, n: int, what: str):
+        super().__init__([_wedge_factor(n, len(c)) for c in columns], n)
+        self.weights = _KeyWeights(self.key_weight, what)
+        key = 0
+        for (F, _, stride), rows in zip(self.slots, columns):
+            if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
+                raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
+            key += F.weights.index(tuple(int(r in rows) for r in range(1, n + 1))) * stride
+        self.generator = {key: ONE}
+
+    def raising_pairs(self) -> tuple:
+        return _raising(self.n)
+
+    def key_weight(self, key: int) -> tuple:
+        return _weight_sum(self.n, (F.weights[key // stride % d] for F, d, stride in self.slots))
+
+
+class _KeyWeights(dict):
+    """Weights of the ambient keys looked up so far; their number counts
+    against KP_MAX_DIM."""
+
+    def __init__(self, weight_of, what: str):
+        self.weight_of = weight_of
+        self.what = what
+        self.cap = max_dim()
+
+    def __missing__(self, key: int) -> tuple:
+        if len(self) >= self.cap:
+            raise _too_large(self.what, "ambient keys touched", len(self) + 1, self.cap)
+        wt = self[key] = self.weight_of(key)
+        return wt
+
+
+def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightModule:
+    """Cyclic U(n+)-module generated by the column-wedge vector of a diagram:
+    ``columns`` lists one set of rows (1..n) per column, and the generator
+    is the tensor of the wedges of their rows, in a ``_WedgeAmbient``.
+    KP_MAX_DIM caps the closure rank and the ambient keys touched; ``what``
+    names the construction in that error.
+
+    >>> diagram_module([[1], [3]], 4).dim     # kp_module((1, 0, 1, 0))
+    3
+    >>> diagram_module([[1, 3]], 4).dim       # demazure_module((1, 0, 1, 0))
+    2
     """
-    n = len(lam)
-    w = perm_of(lam)
-    data = inversion_data(w)
+    amb = _WedgeAmbient(columns, n, what)
+    return cyclic_submodule(amb, amb.generator, what=what)
+
+
+def _kp_columns(lam: tuple) -> list:
+    """Row sets of the nonempty columns of the inversion diagram of perm(lam)."""
+    data = inversion_data(perm_of(lam))
     cols = sorted(j for j, l in data.column_sizes.items() if l > 0)
-    if not cols:
-        return one_dim((0,) * n), {0: ONE}, w
-    base = vector_rep(n)
-    factors = []
-    gdigits = []
-    for j in cols:
-        members = sorted(i for (i, jj) in data.inversions if jj == j)
-        E = exterior_power(base, len(members))
-        gdigits.append(E.labels.index(tuple(i - 1 for i in members)))
-        factors.append(E)
-    amb = tensor_many(factors)
-    idx = _fold(gdigits, [F.dim for F in factors])
-    return amb, {idx: ONE}, w
+    return [sorted(i for (i, jj) in data.inversions if jj == j) for j in cols]
 
 
 @lru_cache(maxsize=None)
@@ -664,8 +662,7 @@ def _kp_cached(lam: tuple) -> WeightModule:
     n = len(lam)
     k = max(0, -min(lam))
     core = tuple(x + k for x in lam)
-    amb, gen, _ = _kp_ambient(core)
-    sub = cyclic_submodule(amb, gen, "simple")
+    sub = diagram_module(_kp_columns(core), n, what=f"kp_module{lam}")
     if k:
         sub = shift_weights(sub, (-k,) * n)
     return sub
@@ -757,7 +754,8 @@ class AnnihilatorReport:
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     lam = code(w, n)
     table = m_table(w, n)
-    amb, gen, _ = _kp_ambient(lam)
+    amb = _WedgeAmbient(_kp_columns(lam), n, f"annihilator_check{lam}")
+    gen = amb.generator
     failed = []
     non_sharp = []
     for (i, j), m in sorted(table.entries.items()):
@@ -778,41 +776,21 @@ def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
 # ---------------------------------------------------------------------------
 # Demazure modules
 
-def _conjugate(parts: tuple) -> tuple:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
-
-
 def demazure_module(lam) -> WeightModule:
-    """U(b)-closure of the weight-lam extremal vector inside the irreducible
-    gl_n module whose highest weight is the decreasing sort of lam.
-
-    The irreducible is realized as the gl-cyclic closure of the column-wedge
-    highest vector in a tensor of exterior powers; the lam-weight space it
-    contains is one-dimensional (extremal), which is checked.
+    """The Demazure (key) module of a nonnegative weight lam: the U(b)-closure
+    of the extremal weight-lam vector in the irreducible gl_n module of
+    highest weight lam+, the decreasing sort of lam.  That vector is the
+    column wedge of the key diagram, whose column c is {i : lam_i >= c}, so
+    this is ``diagram_module`` of that diagram, closed under raising
+    operators only.  Its character is the key polynomial pi_w x^{lam+}.
     """
     lam = tuple(int(x) for x in lam)
     if any(x < 0 for x in lam):
         raise ValueError("Demazure construction needs a nonnegative weight")
-    n = len(lam)
-    parts = tuple(sorted((x for x in lam if x), reverse=True))
-    if not parts:
-        return one_dim((0,) * n)
-    heights = _conjugate(parts)
-    base = vector_rep(n, lowering=True)
-    factors = [exterior_power(base, h) for h in heights]
-    amb = tensor_many(factors, n)
-    gdigits = [F.labels.index(tuple(range(h))) for F, h in zip(factors, heights)]
-    idx = _fold(gdigits, [F.dim for F in factors])
-    irreducible = cyclic_submodule(amb, {idx: ONE}, "all")
-    hits = [t for t, wt in enumerate(irreducible.weights) if wt == lam]
-    if len(hits) != 1:
-        raise RuntimeError(
-            f"extremal weight space for {lam} has dimension {len(hits)}; "
-            "the irreducible construction is broken"
-        )
-    return cyclic_submodule(irreducible, {hits[0]: ONE}, "simple")
+    columns = [
+        [i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam, default=0) + 1)
+    ]
+    return diagram_module(columns, len(lam), what=f"demazure_module{lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -839,16 +817,11 @@ class Sl3Report:
 
 def _sl3_module(a: int, b: int):
     """S^a(Lambda^2 K^3) (x) S^b(K^3) and its generator
-    (u_2 ^ u_3)^a (x) u_3^b."""
+    (u_2 ^ u_3)^a (x) u_3^b, which is the last basis vector: u_2 ^ u_3 and
+    u_3 are the last basis vectors of their factors."""
     base = vector_rep(3)
-    wedge = exterior_power(base, 2)
-    Sa = symmetric_power(wedge, a)
-    Sb = symmetric_power(base, b)
-    M = tensor_many([Sa, Sb], 3)
-    i23 = wedge.labels.index((1, 2))
-    ga = Sa.labels.index((i23,) * a)
-    gb = Sb.labels.index((2,) * b)
-    return M, {ga * Sb.dim + gb: ONE}
+    M = tensor_many([symmetric_power(exterior_power(base, 2), a), symmetric_power(base, b)], 3)
+    return M, {M.dim - 1: ONE}
 
 
 E12, E13, E23 = (1, 2), (1, 3), (2, 3)
@@ -870,7 +843,7 @@ def sl3_presentation_check(a: int, b: int, bound: int = 10) -> Sl3Report:
         checks.append((f"e12^{a} does not annihilate", bool(M.apply_power(E12, g, a))))
     if b:
         checks.append((f"e23^{b} does not annihilate", bool(M.apply_power(E23, g, b))))
-    d = cyclic_submodule(M, g, "simple").dim
+    d = cyclic_submodule(M, g).dim
     weyl = (a + 1) * (b + 1) * (a + b + 2) // 2
     checks.append((f"cyclic closure dimension {d} equals {weyl}", d == weyl))
     return Sl3Report("presentation", {"a": a, "b": b}, tuple(checks))

@@ -12,7 +12,6 @@ plethysm of a nonnegative polynomial.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 

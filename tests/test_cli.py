@@ -1,5 +1,6 @@
 import json
 
+import kpmod
 from kpmod.cli import main
 
 
@@ -165,3 +166,29 @@ class TestProtocol:
     def test_contradictory_n_exits_2(self, capsys):
         rc = main(["schubert", "--code", "1,0", "-n", "3"])
         assert rc == 2
+
+
+class TestSizeCap:
+    def test_size_error_exits_3_without_usage_hint(self, capsys, monkeypatch):
+        monkeypatch.setenv("KP_MAX_DIM", "5")
+        kpmod.clear_caches()  # a cached module would not be rebuilt
+        assert main(["kp-dim", "--code", "0,2,1,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "error: kp_module(0, 2, 1, 0): ambient keys touched 6 exceeds the KP_MAX_DIM cap 5"
+        )
+
+    def test_bad_max_dim_exits_3_without_usage_hint(self, capsys, monkeypatch):
+        monkeypatch.setenv("KP_MAX_DIM", "abc")
+        assert main(["kp-dim", "--code", "1,0,1"]) == 3
+        err = capsys.readouterr().err
+        assert "KP_MAX_DIM must be a positive integer, got 'abc'" in err
+        assert "--help" not in err
+
+    def test_code_with_large_ambient_at_default_cap(self, capsys, monkeypatch):
+        # its eager ambient would have 720,000 vectors; the module is a line
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        rc, out = run(capsys, "kp-dim", "--code", "5,4,3,0,0,0")
+        assert rc == 0
+        assert json.loads(out) == {"dim": 1}

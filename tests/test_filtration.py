@@ -151,10 +151,7 @@ def _criterion_corpus():
 
 
 class TestCriterionAgainstHomSpace:
-    def test_annihilator_route_matches_hom_route_weight_by_weight(self, monkeypatch):
-        # the reference route builds kp(rho - nu) inside an eager ambient,
-        # which for the twisted duals can exceed the default cap
-        monkeypatch.setenv("KP_MAX_DIM", "20000")
+    def test_annihilator_route_matches_hom_route_weight_by_weight(self):
         checked = positive = 0
         for M in _criterion_corpus():
             for nu in sort_weights(M):

@@ -1,16 +1,22 @@
+import itertools
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import kpmod
 from kpmod.laurent import LaurentPoly
 from kpmod.linalg import ONE, axpy
 from kpmod.modules import (
     ModuleMap,
     ModuleTooLargeError,
+    _WedgeAmbient,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
+    diagram_module,
     dual_twist,
     exterior_power,
     hom_dim,
@@ -34,9 +40,11 @@ from kpmod.permutations import (
     code,
     compare,
     contains_2143,
+    inversion_data,
+    perm_of,
     rho,
 )
-from kpmod.schubert import schubert_poly
+from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
 
 
 def x(n, i):
@@ -109,12 +117,6 @@ class TestConstructors:
             B = kp_module(rng.choice(codes))
             assert tensor_product(A, B).character() == A.character() * B.character()
 
-    def test_bracket_identity_gl(self):
-        V = vector_rep(3, lowering=True)
-        for p1 in V.pairs:
-            for p2 in V.pairs:
-                assert bracket_ok(V, p1, p2)
-
     def test_bracket_identity_on_products(self):
         M = tensor_product(exterior_power(vector_rep(3), 2), vector_rep(3))
         for p1 in M.raising_pairs():
@@ -139,9 +141,9 @@ class TestConstructors:
                 expected = plethysm_eval((1,) * k, ch)
                 assert exterior_power(M, k).character() == expected
 
-    def test_bracket_identity_with_lowering_on_powers(self):
-        V = vector_rep(3, lowering=True)
-        for M in (exterior_power(V, 2), symmetric_power(V, 2)):
+    def test_bracket_identity_on_powers(self):
+        V = vector_rep(3)
+        for M in (exterior_power(V, 2), symmetric_power(V, 2), symmetric_power(V, 3)):
             for p1 in M.pairs:
                 for p2 in M.pairs:
                     assert bracket_ok(M, p1, p2)
@@ -391,6 +393,105 @@ class TestDemazure:
         assert D.character() == kp_module((0, 1, 2)).character()
 
 
+def inversion_columns(lam):
+    """Row sets of the nonempty columns of the inversion diagram of perm(lam)."""
+    data = inversion_data(perm_of(lam))
+    cols = sorted(j for j, size in data.column_sizes.items() if size > 0)
+    return [[i for (i, jj) in sorted(data.inversions) if jj == j] for j in cols]
+
+
+def eager_kp(lam):
+    """Reference route for a nonnegative code: the whole tensor_many of the
+    column exterior powers, then cyclic_submodule of the diagram wedge."""
+    n = len(lam)
+    columns = inversion_columns(lam)
+    factors = [exterior_power(vector_rep(n), len(rows)) for rows in columns]
+    key = 0
+    for F, rows in zip(factors, columns):
+        subsets = list(itertools.combinations(range(n), len(rows)))
+        key = key * F.dim + subsets.index(tuple(r - 1 for r in rows))
+    return cyclic_submodule(tensor_many(factors, n), {key: ONE})
+
+
+@lru_cache(maxsize=None)
+def key_polynomial(lam: tuple):
+    """pi_w x^{lam+}: x^lam when lam is weakly decreasing, otherwise
+    pi_i of the key polynomial of lam with an ascent at i swapped, where
+    pi_i f = d_i(x_i f)."""
+    n = len(lam)
+    i = next((i for i in range(1, n) if lam[i - 1] < lam[i]), None)
+    if i is None:
+        return LaurentPoly.monomial(n, lam)
+    up = lam[: i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
+    return divided_difference(i, key_polynomial(up) * x(n, i))
+
+
+def dumps(M):
+    return json.dumps(M.to_json(), sort_keys=True)
+
+
+class TestDiagramEngine:
+    """The lazily keyed engine against the eager tensor_many route."""
+
+    def test_kp_matches_eager_route_on_all_s4_codes(self):
+        for w in all_permutations(4):
+            lam = code(w, 4)
+            S, R = kp_module(lam), eager_kp(lam)
+            assert dumps(S) == dumps(R)
+            assert S.generator == R.generator
+
+    def test_kp_matches_eager_route_on_s5_sample(self):
+        codes = [code(w, 5) for w in all_permutations(5)]
+        for lam in random.Random(5).sample(codes, 30):
+            S, R = kp_module(lam), eager_kp(lam)
+            assert dumps(S) == dumps(R)
+            assert S.generator == R.generator
+
+    def test_ambient_columns_match_eager_tensor(self):
+        n = 4
+        for lam in [(1, 0, 1, 0), (0, 2, 1, 0), (2, 0, 1, 0), (3, 2, 0, 0)]:
+            columns = inversion_columns(lam)
+            amb = _WedgeAmbient(columns, n, "test")
+            eager = tensor_many([exterior_power(vector_rep(n), len(c)) for c in columns], n)
+            frontier = list(amb.generator)
+            seen = set(frontier)
+            while frontier:
+                key = frontier.pop()
+                assert amb.weights[key] == eager.weights[key]
+                for pair in amb.raising_pairs():
+                    col = amb.column(pair, key)
+                    assert col == eager.column(pair, key)
+                    frontier.extend(k for k in col if k not in seen)
+                    seen.update(col)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_demazure_character_is_key_polynomial(self, m):
+        for w in all_permutations(m):
+            lam = code(w, m)
+            assert demazure_module(lam).character() == key_polynomial(lam)
+
+    def test_key_diagram_generator(self):
+        D = demazure_module((0, 2, 1))
+        assert D.weight_of(D.generator) == (0, 2, 1)
+        assert D.weights.count((0, 2, 1)) == 1
+
+    def test_rejects_columns_outside_the_rows(self):
+        with pytest.raises(ValueError, match="not a set of rows in 1..3"):
+            diagram_module([[1, 4]], 3)
+        with pytest.raises(ValueError, match="not a set of rows"):
+            diagram_module([[2, 2]], 3)
+
+    def test_empty_diagram_is_the_trivial_module(self):
+        assert dumps(diagram_module([], 3)) == dumps(one_dim((0, 0, 0)))
+
+    def test_annihilators_on_s6_sample_at_default_cap(self, monkeypatch):
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        perms = list(all_permutations(6))
+        for w in random.Random(6).sample(perms, 40):
+            rep = annihilator_check(w, 6)
+            assert rep.ok and rep.all_sharp
+
+
 class TestSl3:
     def test_presentation_adjoint_case(self):
         rep = sl3_presentation_check(1, 1)
@@ -426,6 +527,25 @@ class TestLimitsAndSerialization:
         with pytest.raises(ModuleTooLargeError, match="KP_MAX_DIM"):
             tensor_power(vector_rep(3), 3)
 
+    def test_size_error_names_construction_code_size_and_cap(self, monkeypatch):
+        monkeypatch.setenv("KP_MAX_DIM", "5")
+        kpmod.clear_caches()  # a cached module would not be rebuilt
+        with pytest.raises(ModuleTooLargeError) as err:
+            kp_module((0, 2, 1, 0))
+        msg = str(err.value)
+        assert "kp_module(0, 2, 1, 0)" in msg and "KP_MAX_DIM cap 5" in msg
+        assert "ambient keys touched 6" in msg
+        with pytest.raises(ModuleTooLargeError, match="demazure_module.0, 1, 2.: ambient keys"):
+            demazure_module((0, 1, 2))
+
+    def test_closure_rank_error_names_the_weight(self, monkeypatch):
+        T = tensor_power(vector_rep(3), 2)
+        monkeypatch.setenv("KP_MAX_DIM", "5")
+        # u_3 (x) u_3 generates the 6-dimensional symmetric square
+        with pytest.raises(ModuleTooLargeError, match=r"cyclic_submodule at weight \(\d, \d, \d\): "
+                           "closure rank 6 exceeds the KP_MAX_DIM cap 5"):
+            cyclic_submodule(T, {8: ONE})
+
     @pytest.mark.parametrize("raw", ["many", "2.5", "0", "-3", ""])
     def test_max_dim_rejects_bad_values(self, monkeypatch, raw):
         monkeypatch.setenv("KP_MAX_DIM", raw)
@@ -449,3 +569,24 @@ class TestLimitsAndSerialization:
         with pytest.raises(ValueError):
             tensor_many([])
         assert tensor_many([], n=2).dim == 1
+
+
+class TestClearCaches:
+    def test_results_identical_after_clear(self):
+        from kpmod import schubert
+
+        def snapshot():
+            return (
+                [dumps(kp_module(lam)) for lam in [(1, 0, 1, 0), (-1, 0, 1), (0, 2, 1, 0)]],
+                [schubert_poly((1, 3, 0, 1), m).to_json() for m in ("transition", "staircase")],
+                dual_pairing(schubert_poly((0, 1, 2)), (0, 1, 2)),
+                demazure_module((0, 2, 1)).character(),
+            )
+
+        before = snapshot()
+        kpmod.clear_caches()
+        assert kpmod.modules._kp_cached.cache_info().currsize == 0
+        assert not schubert._transition_memo
+        for memo in (schubert._schubert_staircase, schubert.vandermonde, schubert._dual_element):
+            assert memo.cache_info().currsize == 0
+        assert snapshot() == before
