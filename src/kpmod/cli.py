@@ -102,8 +102,6 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    if args.n is None:
-        raise ValueError("--perm needs -n")
     lam = code(args.perm, args.n)
     _emit(args, {"code": list(lam)}, ",".join(map(str, lam)))
     return 0

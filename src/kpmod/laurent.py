@@ -245,4 +245,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data) -> "LaurentPoly":
+        """Inverse of ``to_json``; ValueError says what is malformed."""
+        if not (isinstance(data, dict) and "n" in data and isinstance(data.get("terms"), list)):
+            raise ValueError(
+                f"expected a polynomial object with 'n' and a list of 'terms', got {data!r}"
+            )
+        for t in data["terms"]:
+            if not (isinstance(t, dict) and "exp" in t and "coeff" in t):
+                raise ValueError(f"expected a term object with 'exp' and 'coeff', got {t!r}")
         return cls(data["n"], [(t["exp"], t["coeff"]) for t in data["terms"]])

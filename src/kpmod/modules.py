@@ -1,11 +1,14 @@
 """Finite-dimensional weight modules over the upper-triangular matrices.
 
-A module is a list of basis weights together with sparse exact-rational
-column maps for the raising matrix units e_ij (i < j); product-type
-constructors build their columns lazily.  On top of the plain constructors
-this module provides cyclic and spanned submodules, quotients by weight
-sets, Hom spaces, annihilator verification for the diagram generator, and
-the rank-3 operator-identity checks used by the verification suites.
+A module is a list of basis weights together with the action of the
+raising matrix units e_ij (i < j) of n, the strict upper triangle: one
+builder per module computes the image of a basis vector under e_ij as a
+sparse exact-rational column, the first time it is asked for, and the
+module caches it.  Submodules are closed under the simple e_{i,i+1} alone,
+which generate U(n+).  On top of the plain constructors this module
+provides cyclic and spanned submodules, quotients by weight sets, Hom
+spaces, annihilator verification for the diagram generator, and the rank-3
+operator-identity checks used by the verification suites.
 Kraskiewicz-Pragacz and Demazure (key) modules both come from
 ``diagram_module``: the cyclic closure of a column-wedge vector inside a
 tensor of exterior powers that is never enumerated.
@@ -59,10 +62,6 @@ def _check_dim(size: int, what: str) -> None:
         raise _too_large(what, "basis size", size, cap)
 
 
-def _raising(n: int) -> tuple:
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
 class _Action:
     """Operator application on top of ``column(pair, idx)``."""
 
@@ -85,23 +84,25 @@ class _Action:
     def simple_pairs(self) -> tuple:
         return tuple((i, i + 1) for i in range(1, self.n))
 
+    def raising_pairs(self) -> tuple:
+        return tuple((i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1))
+
 
 class WeightModule(_Action):
-    """Weight module given by basis weights and sparse action columns.
+    """Weight module given by basis weights and a column builder.
 
     ``column(pair, idx)`` is the image of the idx-th basis vector under the
-    matrix unit ``e_pair``; vectors are dicts {basis index: Fraction}.
+    raising matrix unit ``e_pair``; vectors are dicts {basis index: Fraction}.
+    ``builder(pair, idx)`` computes it once and the module caches it; without
+    a builder every e_ij acts by zero.
     """
 
-    __slots__ = ("n", "weights", "pairs", "generator", "_cols", "_builder", "_wspaces")
+    __slots__ = ("n", "weights", "generator", "_cols", "_builder", "_wspaces")
 
-    def __init__(self, n, weights, pairs, columns=None, builder=None, generator=None):
+    def __init__(self, n, weights, builder=None, generator=None):
         self.n = int(n)
         self.weights = tuple(tuple(int(x) for x in w) for w in weights)
-        self.pairs = tuple(sorted(pairs))
-        self._cols = {
-            p: (dict(columns[p]) if columns and p in columns else {}) for p in self.pairs
-        }
+        self._cols = {p: {} for p in self.raising_pairs()}
         self._builder = builder
         self.generator = dict(generator) if generator is not None else None
         self._wspaces = None
@@ -110,14 +111,11 @@ class WeightModule(_Action):
     def dim(self) -> int:
         return len(self.weights)
 
-    def raising_pairs(self) -> tuple:
-        return tuple(p for p in self.pairs if p[0] < p[1])
-
     def column(self, pair, idx) -> dict:
         try:
             col = self._cols[pair]
         except KeyError:
-            raise KeyError(f"operator {pair} is not stored on this module") from None
+            raise KeyError(f"operator {pair} is not a raising pair of n = {self.n}") from None
         if idx not in col:
             if self._builder is None:
                 return {}
@@ -146,7 +144,7 @@ class WeightModule(_Action):
 
     def to_json(self) -> dict:
         actions = {}
-        for pair in self.pairs:
+        for pair in self.raising_pairs():
             entries = []
             for cidx in range(self.dim):
                 for ridx, c in self.column(pair, cidx).items():
@@ -170,29 +168,19 @@ def _components(M: WeightModule, vec: dict):
     return comp.items()
 
 
-def _materialized_columns(M: WeightModule) -> dict:
-    if M._builder is not None:
-        for pair in M.pairs:
-            for idx in range(M.dim):
-                M.column(pair, idx)
-    return M._cols
-
-
 # ---------------------------------------------------------------------------
 # Plain constructors
 
 def one_dim(lam) -> WeightModule:
     """The one-dimensional module of weight lam (every e_ij acts by zero)."""
     lam = tuple(int(x) for x in lam)
-    return WeightModule(len(lam), [lam], _raising(len(lam)), generator={0: ONE})
+    return WeightModule(len(lam), [lam], generator={0: ONE})
 
 
 def vector_rep(n: int) -> WeightModule:
     """K^n with e_ab u_k = delta_bk u_a."""
-    pairs = _raising(n)
-    columns = {(a, b): {b - 1: {a - 1: ONE}} for (a, b) in pairs}
     weights = [tuple(int(a == k) for a in range(n)) for k in range(n)]
-    return WeightModule(n, weights, pairs, columns=columns)
+    return WeightModule(n, weights, lambda pair, k: {pair[0] - 1: ONE} if k == pair[1] - 1 else {})
 
 
 def _weight_sum(n: int, weights) -> tuple:
@@ -216,20 +204,16 @@ def tensor_many(factors, n=None) -> WeightModule:
     n0 = factors[0].n
     if any(F.n != n0 for F in factors):
         raise ValueError("mixed ranks in a tensor product")
-    pairs = set(factors[0].pairs)
-    for F in factors[1:]:
-        pairs &= set(F.pairs)
-    pairs = tuple(sorted(pairs))
     dims = [F.dim for F in factors]
     total = math.prod(dims)
     if total == 0:
-        return WeightModule(n0, [], pairs)
+        return WeightModule(n0, [])
     _check_dim(total, f"tensor_many of dimensions {dims}")
     weights = [
         _weight_sum(n0, (F.weights[t] for F, t in zip(factors, combo)))
         for combo in itertools.product(*(range(d) for d in dims))
     ]
-    return WeightModule(n0, weights, pairs, builder=_Tensor(factors, n0).column)
+    return WeightModule(n0, weights, _Tensor(factors, n0).column)
 
 
 class _Tensor(_Action):
@@ -289,7 +273,7 @@ def _power(M: WeightModule, combos: list, place) -> WeightModule:
                     del out[key]
         return out
 
-    return WeightModule(M.n, weights, M.pairs, builder=builder)
+    return WeightModule(M.n, weights, builder)
 
 
 def _wedge_place(others, r, t):
@@ -306,7 +290,7 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
     if k == 0:
         return one_dim((0,) * M.n)
     if k > M.dim:
-        return WeightModule(M.n, [], M.pairs)
+        return WeightModule(M.n, [])
     combos = list(itertools.combinations(range(M.dim), k))
     _check_dim(len(combos), f"exterior_power {k} of a {M.dim}-dim module")
     return _power(M, combos, _wedge_place)
@@ -331,26 +315,32 @@ def dual_twist(M: WeightModule) -> WeightModule:
     tests compare the two."""
     r = rho(M.n)
     weights = [tuple(a - b for a, b in zip(r, w)) for w in M.weights]
-    columns: dict = {}
-    for pair in M.pairs:
-        col: dict = {}
-        for q in range(M.dim):
-            for p, c in M.column(pair, q).items():
-                col.setdefault(p, {})[q] = -c
-        columns[pair] = col
-    return WeightModule(M.n, weights, M.pairs, columns=columns)
+    spaces = M.weight_spaces()
+
+    def builder(pair, p):
+        # e_ij f_p = -f_p o e_ij has f_q-coefficient -<u_p, e_ij u_q>, with
+        # u_q of weight wt(u_p) - (eps_i - eps_j)
+        src = list(M.weights[p])
+        src[pair[0] - 1] -= 1
+        src[pair[1] - 1] += 1
+        col = {}
+        for q in spaces.get(tuple(src), ()):
+            c = M.column(pair, q).get(p)
+            if c:
+                col[q] = -c
+        return col
+
+    return WeightModule(M.n, weights, builder)
 
 
 def shift_weights(M: WeightModule, delta) -> WeightModule:
     """Tensor with the one-dimensional module of weight delta (same actions,
     all weights shifted)."""
     delta = tuple(int(x) for x in delta)
-    cols = _materialized_columns(M)
     return WeightModule(
         M.n,
         [tuple(a + b for a, b in zip(w, delta)) for w in M.weights],
-        M.pairs,
-        columns=cols,
+        M.column,
         generator=M.generator,
     )
 
@@ -359,12 +349,13 @@ def shift_weights(M: WeightModule, delta) -> WeightModule:
 # Submodules and quotients
 
 class SubmoduleCloser:
-    """Incrementally grown subspace closed under a fixed operator set,
-    held as one reduced echelon basis per weight."""
+    """Incrementally grown submodule, held as one reduced echelon basis per
+    weight.  It is closed under the simple e_{i,i+1} only: every other e_ij
+    is an iterated bracket of simple ones, so that is the same subspace, and
+    a reduced echelon basis is unique."""
 
-    def __init__(self, M, pairs=None, what: str = "submodule closure"):
+    def __init__(self, M, what: str = "submodule closure"):
         self.module = M
-        self.pairs = tuple(pairs) if pairs is not None else M.raising_pairs()
         self.echelons: dict = {}
         self.rank = 0
         self.what = what
@@ -379,16 +370,21 @@ class SubmoduleCloser:
                     raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
                 queue.append(comp)
 
-    def add(self, vecs) -> None:
+    def add(self, vecs) -> int:
+        """Close the span of the weight components of vecs together with the
+        current subspace; returns the rank closing added beyond that span."""
         queue: list = []
         for v in vecs:
             self._insert(v, queue)
+        spanned = self.rank
+        pairs = self.module.simple_pairs()
         while queue:
             v = queue.pop()
-            for pair in self.pairs:
+            for pair in pairs:
                 img = self.module.apply(pair, v)
                 if img:
                     self._insert(img, queue)
+        return self.rank - spanned
 
     def dim_of(self, wt) -> int:
         ech = self.echelons.get(tuple(wt))
@@ -406,7 +402,7 @@ class SubmoduleCloser:
         return out
 
 
-def _submodule_from_closure(M, closer, out_pairs, generator_vec=None) -> WeightModule:
+def _submodule_from_closure(M, closer, generator_vec=None) -> WeightModule:
     """The closed subspace on its echelon rows, sorted by weight and pivot;
     columns are expressed on demand (ValueError if one leaves it)."""
     basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
@@ -429,33 +425,29 @@ def _submodule_from_closure(M, closer, out_pairs, generator_vec=None) -> WeightM
         return express(M.apply(pair, rows[t]))
 
     gen = express(generator_vec) if generator_vec else None
-    return WeightModule(
-        M.n, [wt for wt, _ in basis], out_pairs, builder=builder, generator=gen
-    )
+    return WeightModule(M.n, [wt for wt, _ in basis], builder, generator=gen)
 
 
 def cyclic_submodule(M: WeightModule, vec: dict, *, what: str = "cyclic_submodule") -> WeightModule:
     """Smallest subspace containing vec closed under the raising operators,
     as a module with induced actions (basis in reduced echelon form per
-    weight space).  Closing under the simple e_{i,i+1} suffices, since the
-    other e_ij are their iterated brackets.  ``what`` names the construction
-    if the closure rank exceeds KP_MAX_DIM.
+    weight space).  ``what`` names the construction if the closure rank
+    exceeds KP_MAX_DIM.
     """
-    closer = SubmoduleCloser(M, M.simple_pairs(), what)
+    closer = SubmoduleCloser(M, what)
     closer.add([vec])
-    return _submodule_from_closure(M, closer, M.raising_pairs(), generator_vec=vec)
+    return _submodule_from_closure(M, closer, generator_vec=vec)
 
 
-def span_submodule(M: WeightModule, vecs, out_pairs=None) -> WeightModule:
-    """Submodule on an explicitly spanned subspace, which must already be
-    stable under the requested operators (verified; raises otherwise)."""
-    closer = SubmoduleCloser(M, ())
-    closer.add(vecs)
-    S = _submodule_from_closure(
-        M, closer, M.raising_pairs() if out_pairs is None else tuple(out_pairs)
-    )
-    _materialized_columns(S)
-    return S
+def span_submodule(M: WeightModule, vecs) -> WeightModule:
+    """Submodule on the span of the weight components of vecs, which must
+    already be stable under the module action: closing it under the simple
+    e_{i,i+1} must add nothing (ValueError otherwise), and then every e_ij
+    keeps it."""
+    closer = SubmoduleCloser(M)
+    if closer.add(vecs):
+        raise ValueError("subspace is not stable under the module action")
+    return _submodule_from_closure(M, closer)
 
 
 @dataclass
@@ -510,16 +502,10 @@ def largest_quotient(M: WeightModule, allowed) -> tuple:
                     del out[pos[i]]
         return out
 
-    columns = {}
-    for pair in M.raising_pairs():
-        col = {}
-        for t, i in enumerate(reps):
-            img = project(M.apply(pair, {i: ONE}))
-            if img:
-                col[t] = img
-        columns[pair] = col
     Q = WeightModule(
-        M.n, [M.weights[i] for i in reps], M.raising_pairs(), columns=columns
+        M.n,
+        [M.weights[i] for i in reps],
+        lambda pair, t: project(M.apply(pair, {reps[t]: ONE})),
     )
     qmap = ModuleMap(M, Q, {c: project({c: ONE}) for c in range(M.dim)})
     return Q, qmap
@@ -611,9 +597,6 @@ class _WedgeAmbient(_Tensor):
             key += F.weights.index(tuple(int(r in rows) for r in range(1, n + 1))) * stride
         self.generator = {key: ONE}
 
-    def raising_pairs(self) -> tuple:
-        return _raising(self.n)
-
     def key_weight(self, key: int) -> tuple:
         return _weight_sum(self.n, (F.weights[key // stride % d] for F, d, stride in self.slots))
 
@@ -657,7 +640,12 @@ def _kp_columns(lam: tuple) -> list:
     return [sorted(i for (i, jj) in data.inversions if jj == j) for j in cols]
 
 
-@lru_cache(maxsize=None)
+#: Most KP modules kept: above the distinct codes of one S_6 sweep (720),
+#: while a longer sweep (S_7 has 5,040) no longer holds every module.
+_KP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_KP_CACHE_SIZE)
 def _kp_cached(lam: tuple) -> WeightModule:
     n = len(lam)
     k = max(0, -min(lam))

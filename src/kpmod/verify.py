@@ -243,35 +243,32 @@ def suite_orders(upto: int = 5, seed: int = 0, trials: int = 1000) -> list:
     ]
 
 
+#: name -> (suite, smallest bound at which the suite checks something)
 SUITES = {
-    "transition-all": suite_transition_all,
-    "duality": suite_duality,
-    "cauchy": suite_cauchy,
-    "u3": suite_u3,
-    "kp-char": suite_kp_char,
-    "annihilators": suite_annihilators,
-    "filtrations": suite_filtrations,
-    "orders": suite_orders,
-}
-
-#: Default --upto per suite (None = the suite's own default).
-DEFAULT_UPTO = {
-    "transition-all": 5,
-    "duality": 4,
-    "cauchy": 2,
-    "u3": 3,
-    "kp-char": 5,
-    "annihilators": 5,
-    "filtrations": 3,
-    "orders": 5,
+    "transition-all": (suite_transition_all, 2),
+    "duality": (suite_duality, 0),
+    "cauchy": (suite_cauchy, 0),
+    "u3": (suite_u3, 1),
+    "kp-char": (suite_kp_char, 1),
+    "annihilators": (suite_annihilators, 1),
+    "filtrations": (suite_filtrations, 1),
+    "orders": (suite_orders, 2),
 }
 
 
 def run_suite(name: str, upto=None, seed: int = 0) -> list:
+    """Rows of one suite, at its own default bound when upto is None.
+
+    Raises ValueError for an unknown suite, or for a bound at which the
+    suite would check nothing."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    return fn(upto if upto is not None else DEFAULT_UPTO[name], seed)
+    fn, least = SUITES[name]
+    if upto is None:
+        return fn(seed=seed)
+    if upto < least:
+        raise ValueError(f"suite {name!r} checks nothing at upto={upto}; it needs upto >= {least}")
+    return fn(upto, seed)
 
 
 def run_suites(name: str, upto=None, seed: int = 0) -> list:

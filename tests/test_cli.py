@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 import kpmod
 from kpmod.cli import main
+from kpmod.verify import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -147,6 +150,24 @@ class TestVerify:
         rc = main(["verify", "--suite", "nope"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "suite, upto", [("kp-char", "0"), ("transition-all", "1"), ("orders", "1")]
+    )
+    def test_bound_that_checks_nothing_is_usage_error(self, capsys, suite, upto):
+        rc = main(["verify", "--suite", suite, "--upto", upto])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"suite {suite!r} checks nothing at upto={upto}" in captured.err
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_smallest_bound_checks_something(self, suite):
+        least = SUITES[suite][1]
+        with pytest.raises(ValueError, match=f"suite {suite!r} checks nothing"):
+            run_suite(suite, least - 1)
+        rows = run_suite(suite, least)
+        assert rows and all(r.ok for r in rows)
+
 
 class TestProtocol:
     def test_byte_identical_reruns(self, capsys):
@@ -161,6 +182,9 @@ class TestProtocol:
     def test_malformed_payload_exits_2(self, capsys):
         assert main(["schubert", "--code", "1,a,0"]) == 2
         assert main(["perm", "--code", "1,-1"]) == 2
+        assert main(["expand", "--poly", "[1]"]) == 2
+        assert main(["expand", "--poly", "{}"]) == 2
+        assert main(["pairing", "--poly", "null", "--mu", "0"]) == 2
         capsys.readouterr()
 
     def test_contradictory_n_exits_2(self, capsys):

@@ -49,7 +49,7 @@ class TestSortWeights:
         assert sort_weights(M) == [(1, 1, 0), (2, 0, 0), (1, 0, 1)]
 
     def test_mixed_degrees_rejected(self):
-        M = WeightModule(2, [(0, 0), (1, 0)], [(1, 2)])
+        M = WeightModule(2, [(0, 0), (1, 0)])
         with pytest.raises(MixedDegreeError, match="degree"):
             sort_weights(M)
         assert degree_components(M) == [0, 1]
@@ -80,7 +80,7 @@ class TestExtractor:
         assert rep.witness.actual == x(2, 2)
 
     def test_empty_module(self):
-        Z = WeightModule(2, [], [(1, 2)])
+        Z = WeightModule(2, [])
         rep = kp_filtration_extract(Z)
         assert rep.ok
         assert rep.factors == ()

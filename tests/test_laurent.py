@@ -103,3 +103,18 @@ class TestRendering:
         p = x(2, 2) + x(2, 1)
         exps = [t["exp"] for t in p.to_json()["terms"]]
         assert exps == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "polynomial object with 'n'"),
+            (None, "polynomial object with 'n'"),
+            ({}, "polynomial object with 'n'"),
+            ({"n": 2, "terms": 5}, "list of 'terms'"),
+            ({"n": 2, "terms": [[1]]}, "term object with 'exp' and 'coeff'"),
+            ({"n": 2, "terms": [{"exp": [1, 0]}]}, "term object with 'exp' and 'coeff'"),
+        ],
+    )
+    def test_from_json_rejects_malformed_payloads(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly.from_json(data)

@@ -26,6 +26,7 @@ from kpmod.modules import (
     one_dim,
     sl3_identity_check,
     sl3_presentation_check,
+    span_submodule,
     symmetric_power,
     tensor_many,
     tensor_power,
@@ -85,7 +86,7 @@ class TestConstructors:
         K = one_dim((2, 1, 0))
         assert K.dim == 1
         assert K.character() == LaurentPoly.monomial(3, (2, 1, 0))
-        for pair in K.pairs:
+        for pair in K.raising_pairs():
             assert K.apply(pair, {0: ONE}) == {}
 
     def test_exterior_square_of_plane(self):
@@ -125,8 +126,8 @@ class TestConstructors:
 
     def test_bracket_identity_on_kp_induced_actions(self):
         S = kp_module((1, 0, 1, 0))
-        for p1 in S.pairs:
-            for p2 in S.pairs:
+        for p1 in S.raising_pairs():
+            for p2 in S.raising_pairs():
                 assert bracket_ok(S, p1, p2)
 
     def test_power_characters_are_plethysms(self):
@@ -144,9 +145,15 @@ class TestConstructors:
     def test_bracket_identity_on_powers(self):
         V = vector_rep(3)
         for M in (exterior_power(V, 2), symmetric_power(V, 2), symmetric_power(V, 3)):
-            for p1 in M.pairs:
-                for p2 in M.pairs:
+            for p1 in M.raising_pairs():
+                for p2 in M.raising_pairs():
                     assert bracket_ok(M, p1, p2)
+
+    def test_non_raising_pair_is_a_key_error(self):
+        V = vector_rep(3)
+        for pair in [(2, 1), (1, 4), (2, 2)]:
+            with pytest.raises(KeyError, match=r"not a raising pair of n = 3"):
+                V.column(pair, 0)
 
 
 class TestDualTwist:
@@ -167,8 +174,8 @@ class TestDualTwist:
 
     def test_dual_is_a_module(self):
         D = dual_twist(kp_module((1, 0, 1)))
-        for p1 in D.pairs:
-            for p2 in D.pairs:
+        for p1 in D.raising_pairs():
+            for p2 in D.raising_pairs():
                 assert bracket_ok(D, p1, p2)
 
 
@@ -195,6 +202,20 @@ class TestCyclicSubmodule:
     def test_zero_vector_gives_zero_module(self):
         S = cyclic_submodule(vector_rep(2), {})
         assert S.dim == 0
+
+
+class TestSpanSubmodule:
+    def test_stable_span(self):
+        T = tensor_product(vector_rep(2), vector_rep(2))
+        # u_1 (x) u_2 - u_2 (x) u_1 spans the exterior square
+        S = span_submodule(T, [{1: ONE, 2: -ONE}])
+        assert S.dim == 1
+        assert S.character() == x(2, 1) * x(2, 2)
+
+    def test_unstable_span_is_rejected(self):
+        # e_12 u_2 = u_1 leaves the span of u_2
+        with pytest.raises(ValueError, match="not stable under the module action"):
+            span_submodule(vector_rep(2), [{1: ONE}])
 
 
 class TestKPModule:
