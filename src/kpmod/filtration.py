@@ -31,7 +31,7 @@ from .modules import (
     tensor_many,
     tensor_power,
 )
-from .permutations import m_table, perm_of, rho, sort_key
+from .permutations import m_table, perm_of, rho, standard_key
 from .schubert import expand_in_schubert, plethysm_eval, schubert_poly
 
 
@@ -47,13 +47,15 @@ def degree_components(M: WeightModule):
 
 def sort_weights(M: WeightModule) -> list:
     """Distinct weights of M, strictly increasing in the standard total
-    order.  Requires a single total degree."""
-    ws = sorted(set(M.weights))
+    order: sorted descending by ``standard_key`` at one shift shared by all
+    of them.  Requires a single total degree."""
+    ws = set(M.weights)
     if len({sum(w) for w in ws}) > 1:
         raise MixedDegreeError(
             "module mixes total degrees; split into degree components first"
         )
-    return sorted(ws, key=sort_key())
+    shift = max(0, -min((x for w in ws for x in w), default=0))
+    return sorted(ws, key=lambda w: standard_key(w, shift), reverse=True)
 
 
 @dataclass(frozen=True)

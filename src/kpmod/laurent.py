@@ -250,7 +250,19 @@ class LaurentPoly:
             raise ValueError(
                 f"expected a polynomial object with 'n' and a list of 'terms', got {data!r}"
             )
+        _require_int(data["n"], "'n'")
         for t in data["terms"]:
             if not (isinstance(t, dict) and "exp" in t and "coeff" in t):
                 raise ValueError(f"expected a term object with 'exp' and 'coeff', got {t!r}")
+            if not isinstance(t["exp"], list):
+                raise ValueError(f"'exp' must be a list of integers, got {t['exp']!r}")
+            for e in t["exp"]:
+                _require_int(e, "'exp' entry")
+            _require_int(t["coeff"], "'coeff'")
         return cls(data["n"], [(t["exp"], t["coeff"]) for t in data["terms"]])
+
+
+def _require_int(value, field: str) -> None:
+    # JSON numbers arrive as int, float or bool; only an int is exact here.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")

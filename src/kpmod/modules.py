@@ -695,19 +695,6 @@ class AnnihilatorReport:
     schubert_value: int
 
     @property
-    def generators(self) -> tuple:
-        """(i, j, exponent) triples e_ij^{m_ij+1} presenting the annihilator."""
-        return tuple(
-            (i, j, m + 1) for (i, j), m in sorted(self.table.entries.items())
-        )
-
-    @property
-    def pruned_generators(self) -> tuple:
-        return tuple(
-            (i, j, self.table.entries[(i, j)] + 1) for (i, j) in self.table.pruned
-        )
-
-    @property
     def annihilated(self) -> bool:
         return not self.failed_annihilation
 

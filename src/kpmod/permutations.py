@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 LESS = "less"
 EQUAL = "equal"
 GREATER = "greater"
 INCOMPARABLE = "incomparable"
-
-#: Recognized order names for :func:`compare`.
-ORDERS = ("standard", "prime", "dominance")
 
 
 class Permutation:
@@ -114,11 +110,6 @@ def transposition(i: int, j: int) -> Permutation:
     images = list(range(1, j + 1))
     images[i - 1], images[j - 1] = j, i
     return Permutation(images)
-
-
-def adjacent(i: int) -> Permutation:
-    """The simple transposition s_i."""
-    return transposition(i, i + 1)
 
 
 def longest_element(m: int) -> Permutation:
@@ -299,13 +290,26 @@ def dominates(mu, lam) -> bool:
     return total == 0
 
 
+def standard_key(lam, shift: int) -> tuple:
+    """Sort key of the standard order: the inverse one-line window of
+    perm(lam + shift*1), with one shift >= -min(entries) shared by all the
+    weights compared.  A larger key is a smaller weight.  Unpadded windows
+    compare like identity-padded ones: a prefix continues with the identity
+    tail, the smallest continuation.
+
+    >>> sorted([(0, 2), (1, 1), (2, 0)], key=lambda w: standard_key(w, 0), reverse=True)
+    [(1, 1), (2, 0), (0, 2)]
+    """
+    return perm_of(tuple(x + shift for x in lam)).inverse().window
+
+
 def compare(lam, mu, order: str = "standard") -> str:
     """Four-valued comparison of two weight vectors of the same length.
 
-    ``standard``/``prime`` are the total orders on each degree slice defined
-    by lex / reverse-lex comparison of the inverses of perm(lam + k*1) and
-    perm(mu + k*1); they return ``incomparable`` exactly when the total
-    degrees differ, and the result does not depend on the shift k.
+    ``standard`` orders each degree slice by :func:`standard_key` at the
+    pair's shift, a larger key being a smaller weight; ``prime`` compares the
+    same windows, padded to a common width, in reverse-lex order.  Both return
+    ``incomparable`` exactly when the total degrees differ.
     ``dominance`` is the usual (partial) dominance order.
     """
     lam = tuple(lam)
@@ -327,39 +331,20 @@ def compare(lam, mu, order: str = "standard") -> str:
     if sum(lam) != sum(mu):
         return INCOMPARABLE
     shift = max(0, -min(min(lam), min(mu)))
-    wi = perm_of(tuple(x + shift for x in lam)).inverse()
-    vi = perm_of(tuple(x + shift for x in mu)).inverse()
-    width = max(wi.size, vi.size)
-    a = wi.one_line(width)
-    b = vi.one_line(width)
-    # lam >= mu  iff  a <= b in the respective (r)lex sense
-    if order == "standard":
-        return GREATER if a < b else LESS
-    diff = max(t for t in range(width) if a[t] != b[t])
-    return GREATER if a[diff] < b[diff] else LESS
-
-
-def weight_cmp(lam, mu, order: str = "standard") -> int:
-    """Three-valued comparator (raises on incomparable inputs)."""
-    r = compare(lam, mu, order)
-    if r == LESS:
-        return -1
-    if r == GREATER:
-        return 1
-    if r == EQUAL:
-        return 0
-    raise ValueError(f"{lam} and {mu} are incomparable under {order}")
-
-
-def sort_key(order: str = "standard"):
-    return cmp_to_key(lambda a, b: weight_cmp(a, b, order))
+    a = standard_key(lam, shift)
+    b = standard_key(mu, shift)
+    if order == "prime":
+        width = max(len(a), len(b))
+        a = Permutation(a).one_line(width)[::-1]
+        b = Permutation(b).one_line(width)[::-1]
+    return GREATER if a < b else LESS
 
 
 def weight_window(lam) -> list:
     """All nu <= lam under the standard order, sorted increasingly.
 
     Within a degree slice the order is total, and every nu <= lam satisfies
-    |nu| = |lam| and min(nu) >= min(lam); the search box follows.
+    |nu| = |lam| and min(nu) >= min(lam); the search box and the shift follow.
 
     >>> weight_window((0, 1))
     [(1, 0), (0, 1)]
@@ -371,11 +356,13 @@ def weight_window(lam) -> list:
     lo = min(lam)
     total = sum(lam)
     hi = total - (n - 1) * lo
+    shift = max(0, -lo)
+    top = standard_key(lam, shift)
     out = []
     for nu in itertools.product(range(lo, hi + 1), repeat=n):
-        if sum(nu) == total and compare(nu, lam) in (LESS, EQUAL):
+        if sum(nu) == total and standard_key(nu, shift) >= top:
             out.append(nu)
-    return sorted(out, key=sort_key())
+    return sorted(out, key=lambda nu: standard_key(nu, shift), reverse=True)
 
 
 def rho(n: int) -> tuple:

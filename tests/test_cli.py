@@ -184,6 +184,8 @@ class TestProtocol:
         assert main(["perm", "--code", "1,-1"]) == 2
         assert main(["expand", "--poly", "[1]"]) == 2
         assert main(["expand", "--poly", "{}"]) == 2
+        fractional = '{"n":2,"terms":[{"exp":[1,0],"coeff":1.5}]}'
+        assert main(["expand", "--poly", fractional]) == 2
         assert main(["pairing", "--poly", "null", "--mu", "0"]) == 2
         capsys.readouterr()
 

@@ -113,6 +113,11 @@ class TestRendering:
             ({"n": 2, "terms": 5}, "list of 'terms'"),
             ({"n": 2, "terms": [[1]]}, "term object with 'exp' and 'coeff'"),
             ({"n": 2, "terms": [{"exp": [1, 0]}]}, "term object with 'exp' and 'coeff'"),
+            ({"n": 2, "terms": [{"exp": [1, 0], "coeff": 1.5}]}, "'coeff' must be an integer"),
+            ({"n": 2, "terms": [{"exp": [1, 0], "coeff": True}]}, "'coeff' must be an integer"),
+            ({"n": 2, "terms": [{"exp": [1.5, 0], "coeff": 1}]}, "'exp' entry must be an integer"),
+            ({"n": 2, "terms": [{"exp": "10", "coeff": 1}]}, "'exp' must be a list"),
+            ({"n": True, "terms": []}, "'n' must be an integer"),
         ],
     )
     def test_from_json_rejects_malformed_payloads(self, data, message):

@@ -1,7 +1,10 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
+from kpmod.filtration import sort_weights
+from kpmod.modules import WeightModule
 from kpmod.permutations import (
     EQUAL,
     GREATER,
@@ -251,6 +254,58 @@ class TestOrders:
         assert compare((1, 0, 0, 1), (0, 1, 1, 0), "dominance") == INCOMPARABLE
         assert dominates((1, 0), (0, 1)) is True
         assert dominates((0, 1), (1, 0)) is False
+
+
+def reference_cmp(lam, mu, order="standard"):
+    """The pairwise definition of the two total orders: inverse windows of
+    perm(lam + k) and perm(mu + k) at the pair's own shift k, padded to a
+    common width, compared lex (standard) or reverse-lex (prime)."""
+    if lam == mu:
+        return 0
+    k = max(0, -min(min(lam), min(mu)))
+    a = perm_of(tuple(x + k for x in lam)).inverse()
+    b = perm_of(tuple(x + k for x in mu)).inverse()
+    width = max(a.size, b.size)
+    a, b = a.one_line(width), b.one_line(width)
+    if order == "prime":
+        a, b = a[::-1], b[::-1]
+    return 1 if a < b else -1  # lam > mu iff its window is smaller
+
+
+def random_slice(rng):
+    """A set of distinct weights of one length and one total degree."""
+    n = rng.randint(1, 6)
+    total = rng.randint(-3, 6)
+    ws = set()
+    for _ in range(rng.randint(1, 10)):
+        w = [rng.randint(-3, 3) for _ in range(n - 1)]
+        last = total - sum(w)
+        if last >= -3:
+            ws.add(tuple(w) + (last,))
+    return sorted(ws)
+
+
+class TestReferenceOrder:
+    TO_INT = {LESS: -1, EQUAL: 0, GREATER: 1}
+
+    def test_sorts_match_the_pairwise_definition(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 2000:
+            ws = random_slice(rng)
+            if not ws:
+                continue
+            checked += 1
+            for order in ("standard", "prime"):
+                expected = sorted(ws, key=cmp_to_key(lambda a, b: reference_cmp(a, b, order)))
+                got = sorted(ws, key=cmp_to_key(lambda a, b: self.TO_INT[compare(a, b, order)]))
+                assert got == expected, (ws, order)
+                if order == "standard":
+                    assert sort_weights(WeightModule(len(ws[0]), ws)) == expected, ws
+                    shifted = [tuple(x + 3 for x in w) for w in ws]
+                    assert sort_weights(WeightModule(len(ws[0]), shifted)) == [
+                        tuple(x + 3 for x in w) for w in expected
+                    ], ws
 
 
 class TestWeightWindow:
