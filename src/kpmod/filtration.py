@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .linalg import ONE, Echelon
@@ -153,6 +154,15 @@ class CriterionReport:
         }
 
 
+@lru_cache(maxsize=4096)
+def _annihilator_exponents(core: tuple) -> tuple:
+    """The m_ij + 1 of kp(core), m = m_table(perm(core)), for a nonnegative
+    code, over the pairs (i, j) in ``raising_pairs`` order; the criterion
+    asks for the same shifted rho - nu once per weight of every module it
+    tests."""
+    return tuple(m + 1 for m in m_table(perm_of(core), len(core)).entries.values())
+
+
 def _twisted_dual_hom_dim(M: WeightModule, nu: tuple) -> int:
     """dim Hom(M, kp(rho - nu)^* (x) K_rho), read off inside M.
 
@@ -166,11 +176,10 @@ def _twisted_dual_hom_dim(M: WeightModule, nu: tuple) -> int:
     n = M.n
     lam = [a - b for a, b in zip(rho(n), nu)]
     k = max(0, -min(lam))
-    table = m_table(perm_of([x + k for x in lam]), n)
     spaces = M.weight_spaces()
     images = Echelon()
-    for (i, j), m in table.entries.items():
-        e = m + 1
+    exponents = _annihilator_exponents(tuple(x + k for x in lam))
+    for (i, j), e in zip(M.raising_pairs(), exponents):
         src = list(nu)
         src[i - 1] -= e
         src[j - 1] += e
@@ -314,7 +323,7 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
             for digit in img:
                 idx = idx * M.dim + digit
             acc[idx] = acc.get(idx, 0) + sign
-        vec = {i: ONE * c for i, c in acc.items() if c}
+        vec = {i: c for i, c in acc.items() if c}
         if vec:
             vectors.append(vec)
     return span_submodule(T, vectors)

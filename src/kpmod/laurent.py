@@ -266,3 +266,19 @@ def _require_int(value, field: str) -> None:
     # JSON numbers arrive as int, float or bool; only an int is exact here.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def int_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple whose entries pass ``_require_int``: a float or
+    a bool is a ValueError naming ``what`` and the input, never truncated.
+
+    >>> int_tuple([1, 0, 1], "code")
+    (1, 0, 1)
+    """
+    values = tuple(values)
+    try:
+        for x in values:
+            _require_int(x, "entry")
+    except ValueError as err:
+        raise ValueError(f"{what} {values!r}: {err}") from None
+    return values

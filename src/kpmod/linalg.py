@@ -1,7 +1,9 @@
 """Sparse exact-rational linear algebra.
 
-Vectors are dicts mapping basis indices to nonzero Fractions.  The Echelon
-class maintains an incrementally grown reduced row-echelon basis (pivot =
+Vectors are dicts mapping basis indices to nonzero exact rationals: int, or
+Fraction where not integral.  Module actions have integer coefficients, so
+a Fraction enters only where an echelon pivot divides.  The Echelon class
+maintains an incrementally grown reduced row-echelon basis (pivot =
 smallest nonzero index, pivot entries normalized to 1 and eliminated from
 all other rows), which makes spans, membership tests, and coordinates
 deterministic.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ONE = Fraction(1)
+ONE = 1
 
 
 def axpy(acc: dict, c, v: dict) -> None:
@@ -60,8 +62,14 @@ class Echelon:
         if not v:
             return None
         p = min(v)
-        inv = ONE / v[p]
-        row = {i: c * inv for i, c in v.items()}
+        if v[p] == 1:
+            row = v
+        else:
+            inv = Fraction(1) / v[p]
+            row = {}
+            for i, c in v.items():
+                c *= inv
+                row[i] = c.numerator if c.denominator == 1 else c
         for other in self.rows.values():
             c = other.get(p)
             if c:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled, solve_nullspace
 from .permutations import Permutation, code, inversion_data, m_table, perm_of, rho
 from .schubert import schubert_poly
@@ -92,7 +92,8 @@ class WeightModule(_Action):
     """Weight module given by basis weights and a column builder.
 
     ``column(pair, idx)`` is the image of the idx-th basis vector under the
-    raising matrix unit ``e_pair``; vectors are dicts {basis index: Fraction}.
+    raising matrix unit ``e_pair``; vectors are dicts {basis index: int, or
+    Fraction where not integral}.
     ``builder(pair, idx)`` computes it once and the module caches it; without
     a builder every e_ij acts by zero.
     """
@@ -456,7 +457,7 @@ class ModuleMap:
 
     source: WeightModule
     target: WeightModule
-    columns: dict  # source index -> {target index: Fraction}
+    columns: dict  # source index -> {target index: int, or Fraction where not integral}
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
@@ -665,7 +666,7 @@ def kp_module(lam) -> WeightModule:
     >>> kp_module((1, 0, 1, 0)).dim
     3
     """
-    lam = tuple(int(x) for x in lam)
+    lam = int_tuple(lam, "kp_module code")
     if not lam:
         raise ValueError("kp_module needs a nonempty code, got ()")
     return _kp_cached(lam)
@@ -759,7 +760,7 @@ def demazure_module(lam) -> WeightModule:
     this is ``diagram_module`` of that diagram, closed under raising
     operators only.  Its character is the key polynomial pi_w x^{lam+}.
     """
-    lam = tuple(int(x) for x in lam)
+    lam = int_tuple(lam, "demazure_module weight")
     if any(x < 0 for x in lam):
         raise ValueError("Demazure construction needs a nonnegative weight")
     columns = [
@@ -833,7 +834,7 @@ def _proportional(u: dict, v: dict) -> bool:
     k = min(u)
     if k not in v:
         return False
-    r = u[k] / v[k]
+    r = Fraction(u[k]) / v[k]
     return u == scaled(v, r)
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .laurent import int_tuple
+
 LESS = "less"
 EQUAL = "equal"
 GREATER = "greater"
@@ -156,7 +158,7 @@ def perm_of(lam) -> Permutation:
     >>> perm_of((1, 0, 1))
     Permutation([2, 1, 4, 3])
     """
-    lam = tuple(int(x) for x in lam)
+    lam = int_tuple(lam, "perm_of code")
     if any(c < 0 for c in lam):
         raise ValueError(f"code entries must be nonnegative: {lam}")
     n = len(lam)

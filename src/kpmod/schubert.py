@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, int_tuple
 from .permutations import (
     Permutation,
     code,
@@ -76,7 +76,7 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
     >>> schubert_poly((1, 0, 1, 0)).text()
     'x1^2 + x1*x2 + x1*x3'
     """
-    lam = tuple(int(x) for x in lam)
+    lam = int_tuple(lam, "schubert_poly weight")
     if not lam:
         raise ValueError("empty weight vector")
     k = max(0, -min(lam))

@@ -8,10 +8,11 @@ import pytest
 
 import kpmod
 from kpmod.laurent import LaurentPoly
-from kpmod.linalg import ONE, axpy
+from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
     ModuleMap,
     ModuleTooLargeError,
+    _proportional,
     _WedgeAmbient,
     annihilator_check,
     cyclic_submodule,
@@ -406,6 +407,11 @@ class TestDemazure:
         with pytest.raises(ValueError):
             demazure_module((1, -1))
 
+    @pytest.mark.parametrize("lam", [(1.0, 0), (0, 1.5), (True, 0)])
+    def test_rejects_non_integer_entries(self, lam):
+        with pytest.raises(ValueError, match=r"demazure_module weight .*must be an integer"):
+            demazure_module(lam)
+
     def test_antidominant_weight_fills_the_irreducible(self):
         # a weakly increasing weight is the lowest weight of the irreducible,
         # so the closure is everything: dim V(2,1,0) = 8
@@ -573,6 +579,12 @@ class TestLimitsAndSerialization:
         with pytest.raises(ValueError, match=f"KP_MAX_DIM must be a positive integer, got '{raw}'"):
             tensor_power(vector_rep(2), 2)
 
+    @pytest.mark.parametrize("lam", [(1.5, 0, 1, 0), (1.0, 0), (True, 0), (0, False)])
+    def test_non_integer_code_rejected(self, lam):
+        # a float was truncated and a bool read as 0 or 1 before
+        with pytest.raises(ValueError, match=r"kp_module code .*must be an integer"):
+            kp_module(lam)
+
     def test_empty_code_rejected(self):
         with pytest.raises(ValueError, match=r"nonempty code, got \(\)"):
             kp_module(())
@@ -594,7 +606,7 @@ class TestLimitsAndSerialization:
 
 class TestClearCaches:
     def test_results_identical_after_clear(self):
-        from kpmod import schubert
+        from kpmod import filtration, schubert
 
         def snapshot():
             return (
@@ -602,12 +614,57 @@ class TestClearCaches:
                 [schubert_poly((1, 3, 0, 1), m).to_json() for m in ("transition", "staircase")],
                 dual_pairing(schubert_poly((0, 1, 2)), (0, 1, 2)),
                 demazure_module((0, 2, 1)).character(),
+                filtration.char_criterion(
+                    tensor_product(kp_module((1, 0, 1)), kp_module((0, 1, 0)))
+                ).to_json(),
             )
 
         before = snapshot()
+        assert filtration._annihilator_exponents.cache_info().currsize > 0
         kpmod.clear_caches()
         assert kpmod.modules._kp_cached.cache_info().currsize == 0
+        assert filtration._annihilator_exponents.cache_info().currsize == 0
         assert not schubert._transition_memo
         for memo in (schubert._schubert_staircase, schubert.vandermonde, schubert._dual_element):
             assert memo.cache_info().currsize == 0
         assert snapshot() == before
+
+
+class TestIntegerEntries:
+    """Ambient actions have integer coefficients, so module entries stay
+    ints; a Fraction appears only where an echelon pivot divides."""
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_kp_columns_are_ints(self, m):
+        for w in all_permutations(m):
+            S = kp_module(code(w, m))
+            assert all(type(c) is int for c in S.generator.values())
+            for pair in S.raising_pairs():
+                for idx in range(S.dim):
+                    for c in S.column(pair, idx).values():
+                        assert type(c) is int, (code(w, m), pair, idx, c)
+
+    def test_non_unit_pivot_stays_exact(self):
+        ech = Echelon()
+        assert ech.insert({0: 2, 1: 1}) == 0
+        row = ech.rows[0]
+        assert row == {0: 1, 1: Fraction(1, 2)}
+        assert type(row[0]) is int and type(row[1]) is Fraction
+
+    def test_unit_pivot_row_keeps_ints(self):
+        ech = Echelon()
+        ech.insert({1: 1, 2: -3})
+        ech.insert({0: -1, 1: 2})
+        assert ech.rows == {0: {0: 1, 2: -6}, 1: {1: 1, 2: -3}}
+        assert all(type(c) is int for row in ech.rows.values() for c in row.values())
+
+    def test_proportional_with_a_fraction_ratio(self):
+        # as a float, the ratio 1/3 would make 7 * r differ from Fraction(7, 3)
+        assert _proportional({0: 1, 1: Fraction(7, 3)}, {0: 3, 1: 7})
+        assert not _proportional({0: 1, 1: 2}, {0: 3, 1: 7})
+
+    @pytest.mark.parametrize("case", [3, 4])
+    def test_factorial_identity_cases(self, case):
+        for N in range(4):
+            for M in range(4):
+                assert sl3_identity_check(case, N, M).ok, (case, N, M)

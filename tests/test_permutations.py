@@ -69,6 +69,12 @@ class TestCodes:
         with pytest.raises(ValueError):
             perm_of((1, -1))
 
+    @pytest.mark.parametrize("lam", [(1.9, 0, 1), (1.0, 0), (True, 0)])
+    def test_rejects_non_integer_code(self, lam):
+        # (1.9, 0, 1) was truncated to the code of [2, 1, 4, 3] before
+        with pytest.raises(ValueError, match=r"perm_of code .*must be an integer"):
+            perm_of(lam)
+
 
 class TestPermutation:
     def test_window_is_minimal(self):

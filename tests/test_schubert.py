@@ -82,6 +82,13 @@ class TestDividedDifference:
             divided_difference(2, x(2, 1))
 
 
+@pytest.mark.parametrize("lam", [(1.5, 0), (1.0, 0), (0, True)])
+def test_schubert_poly_rejects_non_integer_weight(lam):
+    for method in ("transition", "staircase"):
+        with pytest.raises(ValueError, match=r"schubert_poly weight .*must be an integer"):
+            schubert_poly(lam, method)
+
+
 class TestSchubertPoly:
     def test_simple_transpositions(self):
         for i in range(1, 4):
