@@ -31,6 +31,7 @@ from .modules import (
     one_dim,
     sl3_identity_check,
     sl3_presentation_check,
+    tensor_many,
 )
 from .permutations import (
     Permutation,
@@ -218,7 +219,7 @@ def _cmd_filtration(args) -> int:
         lam, mu = args.tensor
         if args.n is not None and args.n != len(lam):
             raise ValueError(f"-n {args.n} contradicts length-{len(lam)} weights")
-        rep = tensor_experiment(lam, mu).extract
+        rep = kp_filtration_extract(tensor_many([kp_module(lam), kp_module(mu)]))
     elif args.kp is not None:
         rep = kp_filtration_extract(kp_module(args.kp))
     elif args.one_dim is not None:

@@ -22,18 +22,20 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, int_tuple
 from .linalg import ONE, Echelon
 from .modules import (
     SubmoduleCloser,
     WeightModule,
+    _submodule_from_closure,
+    _too_large,
     kp_module,
-    span_submodule,
+    max_dim,
     tensor_many,
     tensor_power,
 )
-from .permutations import m_table, perm_of, rho, standard_key
-from .schubert import expand_in_schubert, plethysm_eval, schubert_poly
+from .permutations import Permutation, m_table, perm_of, rho, standard_key
+from .schubert import _check_partition, expand_in_schubert, plethysm_eval, schubert_poly
 
 
 class MixedDegreeError(ValueError):
@@ -262,8 +264,8 @@ class TensorExperimentReport:
 def tensor_experiment(lam, mu) -> TensorExperimentReport:
     """Filter the tensor product of two KP modules and cross-check the layer
     multiplicities against the Schubert expansion of the character product."""
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    lam = int_tuple(lam, "tensor_experiment lam")
+    mu = int_tuple(mu, "tensor_experiment mu")
     M = tensor_many([kp_module(lam), kp_module(mu)])
     ext = kp_filtration_extract(M)
     crit = char_criterion(M)
@@ -286,47 +288,54 @@ def _block_perms(blocks, k):
     return perms
 
 
-def _perm_sign(p) -> int:
-    inv = sum(
-        1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b]
-    )
-    return -1 if inv % 2 else 1
-
-
 def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
-    """Image of the Young symmetrizer of sigma (row symmetrizer times column
-    antisymmetrizer, unnormalized) acting on M^{(x) |sigma|} by permuting
-    tensor factors; realizes the Schur functor applied to M."""
-    sigma = tuple(int(p) for p in sigma)
+    """Image of the Young symmetrizer c_sigma (row symmetrizer times column
+    antisymmetrizer, unnormalized) of the partition sigma acting on M^{(x) k},
+    k = |sigma|, by permuting tensor factors: the Schur functor S^sigma(M).
+
+    If M = U(n+) g, then g (x) M^{(x) (k-1)} generates M^{(x) k}: the x in M
+    with x (x) M^{(x) (k-1)} inside the submodule it generates form a submodule
+    containing g.  c_sigma commutes with the action, so the image is the
+    closure of c_sigma of the basis tuples whose first index lies in the
+    support of ``M.generator`` (any index when M has none).  Raises ValueError
+    unless sigma is a partition, and ModuleTooLargeError when M^{(x) k} or the
+    terms of c_sigma (row times column length factorials) exceed KP_MAX_DIM.
+    """
+    sigma = _check_partition(sigma)
+    cap = max_dim()
+    size = 1
+    col_lengths = (sum(1 for p in sigma if p > c) for c in range(sigma[0] if sigma else 0))
+    for length in itertools.chain(sigma, col_lengths):
+        for f in range(2, length + 1):
+            size *= f
+            if size > cap:
+                raise _too_large(f"young_symmetrizer_image of sigma {sigma}", "symmetrizer terms >=", size, cap)
     k = sum(sigma)
     T = tensor_power(M, k)
-    rows = []
-    start = 0
-    for part in sigma:
-        rows.append(list(range(start, start + part)))
-        start += part
-    ncols = sigma[0] if sigma else 0
-    cols = [[rows[r][c] for r in range(len(sigma)) if sigma[r] > c] for c in range(ncols)]
+    starts = [sum(sigma[:r]) for r in range(len(sigma))]
+    rows = [range(a, a + part) for a, part in zip(starts, sigma)]
+    cols = [[row[c] for row in rows if len(row) > c] for c in range(sigma[0] if sigma else 0)]
+    # factor t lands in slot p(q(t)), of mixed-radix stride dim^(k-1-slot)
+    strides = [M.dim ** (k - 1 - t) for t in range(k)]
     terms = [
-        (tuple(p[q[t]] for t in range(k)), _perm_sign(q))
+        ([strides[p[q[t]]] for t in range(k)], Permutation([t + 1 for t in q]).sign())
         for p in _block_perms(rows, k)
         for q in _block_perms(cols, k)
     ]
-    vectors = []
-    for combo in itertools.product(range(M.dim), repeat=k):
+    slots = [range(M.dim)] * k
+    if slots and M.generator:
+        slots[0] = sorted(M.generator)
+
+    def symmetrized(combo):
         acc: dict = {}
-        for g, sign in terms:
-            img = [0] * k
-            for t in range(k):
-                img[g[t]] = combo[t]
-            idx = 0
-            for digit in img:
-                idx = idx * M.dim + digit
+        for place, sign in terms:
+            idx = sum(b * s for b, s in zip(combo, place))
             acc[idx] = acc.get(idx, 0) + sign
-        vec = {i: c for i, c in acc.items() if c}
-        if vec:
-            vectors.append(vec)
-    return span_submodule(T, vectors)
+        return {i: c for i, c in acc.items() if c}
+
+    closer = SubmoduleCloser(T)
+    closer.add(symmetrized(combo) for combo in itertools.product(*slots))
+    return _submodule_from_closure(T, closer)
 
 
 @dataclass(frozen=True)
@@ -359,13 +368,14 @@ class SchurExperimentReport:
         }
 
 
-def schur_functor_experiment(sigma, lam, bound: int = 3) -> SchurExperimentReport:
+def schur_functor_experiment(sigma, lam) -> SchurExperimentReport:
     """Filter the Schur-functor image of a KP module and cross-check its
-    character against the plethysm of the Schubert polynomial."""
-    sigma = tuple(int(p) for p in sigma)
-    if sum(sigma) > bound:
-        raise ValueError(f"partition size {sum(sigma)} exceeds the bound {bound}")
-    lam = tuple(int(x) for x in lam)
+    character against the plethysm of the Schubert polynomial.  |sigma| is
+    not bounded: a Young symmetrizer or an ambient kp(lam)^{(x) |sigma|}
+    above KP_MAX_DIM raises ModuleTooLargeError (exit 3 at the command line).
+    """
+    sigma = _check_partition(sigma)
+    lam = int_tuple(lam, "schur_functor_experiment code")
     S = kp_module(lam)
     img = young_symmetrizer_image(S, sigma)
     ext = kp_filtration_extract(img)

@@ -6,9 +6,9 @@ builder per module computes the image of a basis vector under e_ij as a
 sparse exact-rational column, the first time it is asked for, and the
 module caches it.  Submodules are closed under the simple e_{i,i+1} alone,
 which generate U(n+).  On top of the plain constructors this module
-provides cyclic and spanned submodules, quotients by weight sets, Hom
-spaces, annihilator verification for the diagram generator, and the rank-3
-operator-identity checks used by the verification suites.
+provides cyclic submodules and closures of vector sets, quotients by weight
+sets, Hom spaces, annihilator verification for the diagram generator, and
+the rank-3 operator-identity checks used by the verification suites.
 Kraskiewicz-Pragacz and Demazure (key) modules both come from
 ``diagram_module``: the cyclic closure of a column-wedge vector inside a
 tensor of exterior powers that is never enumerated.
@@ -95,7 +95,8 @@ class WeightModule(_Action):
     raising matrix unit ``e_pair``; vectors are dicts {basis index: int, or
     Fraction where not integral}.
     ``builder(pair, idx)`` computes it once and the module caches it; without
-    a builder every e_ij acts by zero.
+    a builder every e_ij acts by zero.  ``generator``, when set, generates the
+    module (M = U(n+) generator); ``young_symmetrizer_image`` relies on that.
     """
 
     __slots__ = ("n", "weights", "generator", "_cols", "_builder", "_wspaces")
@@ -174,7 +175,7 @@ def _components(M: WeightModule, vec: dict):
 
 def one_dim(lam) -> WeightModule:
     """The one-dimensional module of weight lam (every e_ij acts by zero)."""
-    lam = tuple(int(x) for x in lam)
+    lam = int_tuple(lam, "one_dim weight")
     return WeightModule(len(lam), [lam], generator={0: ONE})
 
 
@@ -337,7 +338,7 @@ def dual_twist(M: WeightModule) -> WeightModule:
 def shift_weights(M: WeightModule, delta) -> WeightModule:
     """Tensor with the one-dimensional module of weight delta (same actions,
     all weights shifted)."""
-    delta = tuple(int(x) for x in delta)
+    delta = int_tuple(delta, "shift_weights delta")
     return WeightModule(
         M.n,
         [tuple(a + b for a, b in zip(w, delta)) for w in M.weights],
@@ -371,13 +372,12 @@ class SubmoduleCloser:
                     raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
                 queue.append(comp)
 
-    def add(self, vecs) -> int:
+    def add(self, vecs) -> None:
         """Close the span of the weight components of vecs together with the
-        current subspace; returns the rank closing added beyond that span."""
+        current subspace."""
         queue: list = []
         for v in vecs:
             self._insert(v, queue)
-        spanned = self.rank
         pairs = self.module.simple_pairs()
         while queue:
             v = queue.pop()
@@ -385,7 +385,6 @@ class SubmoduleCloser:
                 img = self.module.apply(pair, v)
                 if img:
                     self._insert(img, queue)
-        return self.rank - spanned
 
     def dim_of(self, wt) -> int:
         ech = self.echelons.get(tuple(wt))
@@ -438,17 +437,6 @@ def cyclic_submodule(M: WeightModule, vec: dict, *, what: str = "cyclic_submodul
     closer = SubmoduleCloser(M, what)
     closer.add([vec])
     return _submodule_from_closure(M, closer, generator_vec=vec)
-
-
-def span_submodule(M: WeightModule, vecs) -> WeightModule:
-    """Submodule on the span of the weight components of vecs, which must
-    already be stable under the module action: closing it under the simple
-    e_{i,i+1} must add nothing (ValueError otherwise), and then every e_ij
-    keeps it."""
-    closer = SubmoduleCloser(M)
-    if closer.add(vecs):
-        raise ValueError("subspace is not stable under the module action")
-    return _submodule_from_closure(M, closer)
 
 
 @dataclass

@@ -345,7 +345,7 @@ def cauchy_window_check(mu, nu, window=None) -> CauchyReport:
 # Plethysm
 
 def _check_partition(sigma) -> tuple:
-    sigma = tuple(int(p) for p in sigma)
+    sigma = int_tuple(sigma, "partition")
     if any(p <= 0 for p in sigma):
         raise ValueError(f"partition parts must be positive: {sigma}")
     if any(sigma[t] < sigma[t + 1] for t in range(len(sigma) - 1)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -130,6 +131,35 @@ class TestFiltrationCommands:
         data = json.loads(out)
         assert data["ok"] and data["char_matches"]
 
+    def test_plethysm_exp_size_four(self, capsys, monkeypatch):
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        rc, out = run(capsys, "plethysm-exp", "--sigma", "2,1,1", "--code", "0,1,0")
+        assert rc == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_plethysm_exp_ambient_above_the_cap_exits_3(self, capsys, monkeypatch):
+        # kp(0,1,0) has dimension 2, so the ambient has 2^4 = 16 vectors;
+        # c_(2,1,1) has 2! * 3! = 12 terms, which fit
+        monkeypatch.setenv("KP_MAX_DIM", "15")
+        assert main(["plethysm-exp", "--sigma", "2,1,1", "--code", "0,1,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "error: tensor_many of dimensions [2, 2, 2, 2]: basis size 16 exceeds the KP_MAX_DIM cap 15"
+        )
+
+    @pytest.mark.parametrize("sigma, code", [("12", "0,1,0"), ("11", "0,0")])
+    def test_plethysm_exp_symmetrizer_above_the_cap_exits_3(self, capsys, monkeypatch, sigma, code):
+        # the ambients (4,096 and 1 vectors) fit the default cap; 11! and 12!
+        # symmetrizer terms do not, and are refused before any is built
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        assert main(["plethysm-exp", "--sigma", sigma, "--code", code]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"error: young_symmetrizer_image of sigma ({sigma},): symmetrizer terms >= 5040 exceeds the KP_MAX_DIM cap 5000"
+        )
+
 
 class TestVerify:
     def test_transition_suite(self, capsys):
@@ -159,6 +189,15 @@ class TestVerify:
         assert rc == 2
         assert captured.out == ""
         assert f"suite {suite!r} checks nothing at upto={upto}" in captured.err
+
+    def test_suite_all_output_is_pinned(self, capsys, monkeypatch):
+        # the SHA-256 of this stdout is recorded in CHANGES.md; refactors keep it
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        rc, out = run(capsys, "verify", "--suite", "all")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a0242be3a0bbcad036afc77c6d97cd63241b8b22edbb8879562904692bfc3c2e"
+        )
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_smallest_bound_checks_something(self, suite):

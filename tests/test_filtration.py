@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -16,19 +17,24 @@ from kpmod.filtration import (
     young_symmetrizer_image,
 )
 from kpmod.laurent import LaurentPoly
-from kpmod.linalg import ONE
+from kpmod.linalg import ONE, Echelon
 from kpmod.modules import (
+    ModuleTooLargeError,
+    SubmoduleCloser,
     WeightModule,
+    _components,
+    _submodule_from_closure,
     cyclic_submodule,
     dual_twist,
     hom_dim,
     kp_module,
     one_dim,
     tensor_many,
+    tensor_power,
     tensor_product,
     vector_rep,
 )
-from kpmod.permutations import all_permutations, code, rho
+from kpmod.permutations import Permutation, all_permutations, code, rho
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 
 
@@ -220,6 +226,11 @@ class TestTensorExperiment:
         product = schubert_poly((0, 1, 0)) * schubert_poly((1, 0, 1))
         assert dict(rep.expansion) == expand_in_schubert(product)
 
+    @pytest.mark.parametrize("lam, mu", [((1.5, 0), (0, 1)), ((0, 1), (True, 0))])
+    def test_rejects_non_integer_weights(self, lam, mu):
+        with pytest.raises(ValueError, match="must be an integer"):
+            tensor_experiment(lam, mu)
+
 
 class TestSchurFunctors:
     def test_symmetric_square_of_plane(self):
@@ -256,9 +267,35 @@ class TestSchurFunctors:
         assert rep.char_matches
         assert rep.plethysm == plethysm_eval((2, 1), schubert_poly((0, 1, 0)))
 
-    def test_size_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            schur_functor_experiment((2, 1, 1), (0, 1))
+    def test_size_four_on_all_s4_codes(self):
+        shapes = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        for w in all_permutations(4):
+            for sigma in shapes:
+                assert schur_functor_experiment(sigma, code(w, 4)).ok, (sigma, w)
+
+    def test_ambient_above_the_cap_is_a_size_error(self, monkeypatch):
+        # kp(1,0,1,0) has dimension 3, so its fourth tensor power has 81 vectors
+        monkeypatch.setenv("KP_MAX_DIM", "80")
+        with pytest.raises(ModuleTooLargeError, match="basis size 81 exceeds the KP_MAX_DIM cap 80"):
+            schur_functor_experiment((2, 1, 1), (1, 0, 1, 0))
+
+    @pytest.mark.parametrize(
+        "sigma, lam, terms",
+        # kp(0,0) has dimension 1 and kp(0,1,0) dimension 2: the ambients
+        # (1 and 4,096 vectors) fit the cap, the symmetrizers do not
+        [((11,), (0, 0), 5040), ((12,), (0, 1, 0), 5040), ((3, 3, 3), (0, 0), 7776)],
+    )
+    def test_symmetrizer_above_the_cap_is_a_size_error(self, sigma, lam, terms):
+        with pytest.raises(ModuleTooLargeError, match=f"symmetrizer terms >= {terms} exceeds the KP_MAX_DIM cap 5000"):
+            schur_functor_experiment(sigma, lam)
+
+    @pytest.mark.parametrize(
+        "sigma, lam",
+        [((1, 2), (0, 1)), ((2, 1.5), (0, 1)), ((True,), (0, 1)), ((2,), (0.5, 1))],
+    )
+    def test_rejects_non_partitions_and_non_integer_codes(self, sigma, lam):
+        with pytest.raises(ValueError):
+            schur_functor_experiment(sigma, lam)
 
 
 class TestYoungSymmetrizerImage:
@@ -274,3 +311,85 @@ class TestYoungSymmetrizerImage:
         V = vector_rep(2)
         hook = young_symmetrizer_image(V, (2, 1))
         assert hook.dim == 2
+
+    @pytest.mark.parametrize("sigma", [(10**9,), (1,) * 10**5, (8, 8)])
+    def test_symmetrizer_is_counted_before_it_is_built(self, sigma):
+        # each of these would take hours or all memory to build
+        with pytest.raises(ModuleTooLargeError, match="symmetrizer terms"):
+            young_symmetrizer_image(one_dim((0, 0)), sigma)
+
+    @pytest.mark.parametrize("sigma", [(1, 2), (1.9,), (2, False), (0,)])
+    def test_rejects_non_partitions(self, sigma):
+        with pytest.raises(ValueError, match="partition"):
+            young_symmetrizer_image(vector_rep(2), sigma)
+
+
+def reference_young_symmetrizer_image(M, sigma):
+    """The route before generator seeding, kept as a reference: c_sigma of
+    every one of the dim^k basis tuples, whose span must already be stable
+    under the action."""
+    k = sum(sigma)
+    T = tensor_power(M, k)
+    rows = []
+    start = 0
+    for part in sigma:
+        rows.append(list(range(start, start + part)))
+        start += part
+    ncols = sigma[0] if sigma else 0
+    cols = [[rows[r][c] for r in range(len(sigma)) if sigma[r] > c] for c in range(ncols)]
+    terms = [
+        (tuple(p[q[t]] for t in range(k)), Permutation([t + 1 for t in q]).sign())
+        for p in filtration._block_perms(rows, k)
+        for q in filtration._block_perms(cols, k)
+    ]
+    vectors = []
+    for combo in itertools.product(range(M.dim), repeat=k):
+        acc = {}
+        for g, sign in terms:
+            img = [0] * k
+            for t in range(k):
+                img[g[t]] = combo[t]
+            idx = 0
+            for digit in img:
+                idx = idx * M.dim + digit
+            acc[idx] = acc.get(idx, 0) + sign
+        vec = {i: c for i, c in acc.items() if c}
+        if vec:
+            vectors.append(vec)
+    span = {}
+    for v in vectors:
+        for wt, comp in _components(T, v):
+            span.setdefault(wt, Echelon()).insert(comp)
+    closer = SubmoduleCloser(T)
+    closer.add(vectors)
+    assert closer.rank == sum(e.rank for e in span.values()), "span is not a submodule"
+    return _submodule_from_closure(T, closer)
+
+
+def dumps(M):
+    return json.dumps(M.to_json(), sort_keys=True)
+
+
+class TestYoungSymmetrizerReference:
+    SHAPES = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+    def test_matches_reference_on_small_modules(self):
+        modules = [vector_rep(2), vector_rep(3)]
+        modules += [kp_module(code(w, m)) for m in (2, 3, 4) for w in all_permutations(m)]
+        assert len(modules) * len(self.SHAPES) == 204
+        for M in modules:
+            for sigma in self.SHAPES:
+                new = young_symmetrizer_image(M, sigma)
+                assert dumps(new) == dumps(reference_young_symmetrizer_image(M, sigma))
+
+    @pytest.mark.parametrize("lam", [(0, 1, 0, 1, 0), (2, 0, 2, 1, 0), (0, 3, 1, 1, 0)])
+    def test_matches_reference_on_s5_codes(self, lam):
+        M = kp_module(lam)
+        for sigma in [(3,), (2, 1), (1, 1, 1)]:
+            new = young_symmetrizer_image(M, sigma)
+            assert dumps(new) == dumps(reference_young_symmetrizer_image(M, sigma))
+
+    def test_empty_partition_is_the_trivial_module(self):
+        M = kp_module((1, 0, 1))
+        assert dumps(young_symmetrizer_image(M, ())) == dumps(reference_young_symmetrizer_image(M, ()))
+        assert young_symmetrizer_image(M, ()).dim == 1

@@ -25,9 +25,9 @@ from kpmod.modules import (
     kp_module,
     largest_quotient,
     one_dim,
+    shift_weights,
     sl3_identity_check,
     sl3_presentation_check,
-    span_submodule,
     symmetric_power,
     tensor_many,
     tensor_power,
@@ -89,6 +89,15 @@ class TestConstructors:
         assert K.character() == LaurentPoly.monomial(3, (2, 1, 0))
         for pair in K.raising_pairs():
             assert K.apply(pair, {0: ONE}) == {}
+
+    def test_one_dim_rejects_non_integer_weights(self):
+        # (0.7, True) was read as the weight (0, 1)
+        with pytest.raises(ValueError, match=r"one_dim weight .*must be an integer"):
+            one_dim((0.7, True))
+
+    def test_shift_weights_rejects_non_integer_delta(self):
+        with pytest.raises(ValueError, match=r"shift_weights delta .*must be an integer"):
+            shift_weights(vector_rep(2), (1.5, 0))
 
     def test_exterior_square_of_plane(self):
         E = exterior_power(vector_rep(2), 2)
@@ -203,20 +212,6 @@ class TestCyclicSubmodule:
     def test_zero_vector_gives_zero_module(self):
         S = cyclic_submodule(vector_rep(2), {})
         assert S.dim == 0
-
-
-class TestSpanSubmodule:
-    def test_stable_span(self):
-        T = tensor_product(vector_rep(2), vector_rep(2))
-        # u_1 (x) u_2 - u_2 (x) u_1 spans the exterior square
-        S = span_submodule(T, [{1: ONE, 2: -ONE}])
-        assert S.dim == 1
-        assert S.character() == x(2, 1) * x(2, 2)
-
-    def test_unstable_span_is_rejected(self):
-        # e_12 u_2 = u_1 leaves the span of u_2
-        with pytest.raises(ValueError, match="not stable under the module action"):
-            span_submodule(vector_rep(2), [{1: ONE}])
 
 
 class TestKPModule:

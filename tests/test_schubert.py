@@ -336,6 +336,12 @@ class TestPlethysm:
         with pytest.raises(ValueError, match="nonnegative"):
             plethysm_eval((2,), x(2, 1) - x(2, 2))
 
+    @pytest.mark.parametrize("sigma", [(1.9,), (True,), (2, 1.0), (1, 2)])
+    def test_rejects_non_partitions(self, sigma):
+        # (1.9,) was read as (1,) and (True,) as (1,)
+        with pytest.raises(ValueError, match="partition"):
+            plethysm_eval(sigma, x(2, 1) + x(2, 2))
+
     def test_against_ssyt_oracle(self):
         shapes = [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
         polys = [
