@@ -2,25 +2,43 @@
 
 Terms map length-n integer exponent tuples (entries may be negative) to
 nonzero Python ints; all arithmetic is exact.  Instances are treated as
-immutable: every operation returns a fresh polynomial.
+immutable: every operation returns a fresh polynomial.  Exponents, the
+variable count and coefficients must be ints: a float or a bool is a
+ValueError naming the input, never truncated.
+
+A product of two polynomials with several terms each packs exponent vectors
+into single ints (Kronecker substitution; Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  Per variable i, every product exponent lies in [lo_i, hi_i], where
+lo_i and hi_i are the sums of the factors' least and greatest i-th exponents.
+With the mixed-radix weights R_{n-1} = 1 and R_{i-1} = R_i * (hi_i - lo_i + 1),
+e -> sum_i e_i R_i is additive, and on that box it is injective, because
+sum_i (e_i - lo_i) R_i writes e - lo in base R with every digit in range.
+Python ints are unbounded, so the packing stays exact for any exponents; the
+packed keys only replace the tuples that the double loop would build, and
+the terms come out as in that loop: same coefficients, same order.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 
 class LaurentPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        self.n = int(n)
+        _require_int(n, "variable count")
+        self.n = n
         clean: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != self.n:
-                    raise ValueError(f"exponent {exp} has length != {self.n}")
-                c = int(c)
+                exp = int_tuple(exp, "exponent")
+                if len(exp) != n:
+                    raise ValueError(f"exponent {exp} has length != {n}")
+                if type(c) is not int:
+                    _require_int(c, f"coefficient of x^{exp}")
                 if not c:
                     continue
                 acc = clean.get(exp, 0) + c
@@ -47,6 +65,7 @@ class LaurentPoly:
     @classmethod
     def variable(cls, n: int, i: int) -> "LaurentPoly":
         """The variable x_i (1-based)."""
+        _require_int(i, "variable index")
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range")
         exp = [0] * n
@@ -93,17 +112,54 @@ class LaurentPoly:
                 res.terms = {e: c * other for e, c in self.terms.items()}
             return res
         self._require_same(other)
+        res = LaurentPoly(self.n)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return res
+        # A single term c*x^e shifts and scales the other factor.  Products of
+        # nonzero ints are nonzero and the shifted exponents stay distinct, so
+        # this is the double loop below, in its order, without the dict work.
+        if len(a) == 1:
+            ((e, c),) = a.items()
+            res.terms = {tuple(map(add, e, f)): c * d for f, d in b.items()}
+            return res
+        if len(b) == 1:
+            ((f, d),) = b.items()
+            res.terms = {tuple(map(add, e, f)): c * d for e, c in a.items()}
+            return res
+        # Kronecker substitution, exact as the module docstring shows.  The
+        # double loop adds ints and deletes zero sums as they occur, so
+        # `terms` keeps the order of the plain A-outer, B-inner tuple loop.
+        cols = list(zip(zip(*a), zip(*b)))
+        lo = [min(ca) + min(cb) for ca, cb in cols]
+        radix = [1] * self.n
+        for i in range(self.n - 1, 0, -1):
+            ca, cb = cols[i]
+            radix[i - 1] = radix[i] * (max(ca) + max(cb) - lo[i] + 1)
+        packed_b = [(sum(map(mul, f, radix)), d) for f, d in b.items()]
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key, 0) + c1 * c2
+        get = out.get
+        for e, c in a.items():
+            ka = sum(map(mul, e, radix))
+            for kb, d in packed_b:
+                key = ka + kb
+                acc = get(key, 0) + c * d
                 if acc:
                     out[key] = acc
                 else:
                     del out[key]
-        res = LaurentPoly(self.n)
-        res.terms = out
+        # decode each product key once: its digits in base R are e_i - lo_i
+        base = sum(map(mul, lo, radix))
+        digits = list(zip(radix, lo))
+        terms = {}
+        for key, c in out.items():
+            key -= base
+            exp = []
+            for r, low in digits:
+                q, key = divmod(key, r)
+                exp.append(q + low)
+            terms[tuple(exp)] = c
+        res.terms = terms
         return res
 
     __rmul__ = __mul__
@@ -133,7 +189,7 @@ class LaurentPoly:
     # -- queries -----------------------------------------------------------
 
     def coeff(self, exp) -> int:
-        return self.terms.get(tuple(exp), 0)
+        return self.terms.get(int_tuple(exp, "exponent"), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -154,13 +210,11 @@ class LaurentPoly:
 
     def shift(self, delta) -> "LaurentPoly":
         """Multiply by the monomial x^delta."""
-        delta = tuple(int(d) for d in delta)
+        delta = int_tuple(delta, "shift vector")
         if len(delta) != self.n:
             raise ValueError("shift vector has wrong length")
         res = LaurentPoly(self.n)
-        res.terms = {
-            tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()
-        }
+        res.terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
         return res
 
     def invert_variables(self) -> "LaurentPoly":
@@ -264,7 +318,8 @@ class LaurentPoly:
 
 def _require_int(value, field: str) -> None:
     # JSON numbers arrive as int, float or bool; only an int is exact here.
-    if isinstance(value, bool) or not isinstance(value, int):
+    # The exact-type test comes first: it is the common case on hot paths.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
@@ -276,9 +331,10 @@ def int_tuple(values, what: str) -> tuple:
     (1, 0, 1)
     """
     values = tuple(values)
-    try:
-        for x in values:
-            _require_int(x, "entry")
-    except ValueError as err:
-        raise ValueError(f"{what} {values!r}: {err}") from None
+    for x in values:
+        if type(x) is not int:
+            try:
+                _require_int(x, "entry")
+            except ValueError as err:
+                raise ValueError(f"{what} {values!r}: {err}") from None
     return values

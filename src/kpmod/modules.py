@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly, int_tuple
+from .laurent import LaurentPoly, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled, solve_nullspace
 from .permutations import Permutation, code, inversion_data, m_table, perm_of, rho
 from .schubert import schubert_poly
@@ -102,8 +102,9 @@ class WeightModule(_Action):
     __slots__ = ("n", "weights", "generator", "_cols", "_builder", "_wspaces")
 
     def __init__(self, n, weights, builder=None, generator=None):
-        self.n = int(n)
-        self.weights = tuple(tuple(int(x) for x in w) for w in weights)
+        _require_int(n, "WeightModule n")
+        self.n = n
+        self.weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
         self._cols = {p: {} for p in self.raising_pairs()}
         self._builder = builder
         self.generator = dict(generator) if generator is not None else None

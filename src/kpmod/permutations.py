@@ -33,7 +33,7 @@ class Permutation:
     __slots__ = ("window",)
 
     def __init__(self, images=()):
-        window = tuple(int(x) for x in images)
+        window = int_tuple(images, "permutation window")
         if sorted(window) != list(range(1, len(window) + 1)):
             raise ValueError(f"not a one-line permutation window: {list(images)}")
         while window and window[-1] == len(window):

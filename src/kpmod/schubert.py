@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, int_tuple
+from .laurent import LaurentPoly, _require_int, int_tuple
 from .permutations import (
     Permutation,
     code,
@@ -37,6 +37,7 @@ def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
     >>> divided_difference(1, LaurentPoly.variable(2, 1)).text()
     '1'
     """
+    _require_int(i, "divided difference index")
     if not 1 <= i <= f.n - 1:
         raise ValueError(f"divided difference index {i} out of range for n={f.n}")
     out: dict = {}
@@ -212,7 +213,7 @@ def dual_pairing(f: LaurentPoly, mu) -> int:
     delta, which makes it an independent coefficient-extraction oracle for
     :func:`expand_in_schubert`.
     """
-    mu = tuple(int(x) for x in mu)
+    mu = int_tuple(mu, "dual_pairing weight")
     if len(mu) != f.n:
         raise ValueError("weight length must match the variable count")
     g = _dual_element(f.n, mu)
@@ -232,7 +233,7 @@ def kostant_dim(delta) -> int:
     >>> kostant_dim((1, 0, -1))
     2
     """
-    delta = tuple(int(x) for x in delta)
+    delta = int_tuple(delta, "kostant_dim weight")
     n = len(delta)
     if sum(delta) != 0:
         return 0
@@ -266,8 +267,8 @@ def kostant_dim(delta) -> int:
 def dominance_interval(mu, nu) -> list:
     """All kappa with nu >= kappa >= mu in dominance order (empty unless the
     total degrees agree)."""
-    mu = tuple(mu)
-    nu = tuple(nu)
+    mu = int_tuple(mu, "dominance_interval weight")
+    nu = int_tuple(nu, "dominance_interval weight")
     if len(mu) != len(nu):
         raise ValueError("weight vectors must share a length")
     n = len(mu)
@@ -312,8 +313,8 @@ def cauchy_window_check(mu, nu, window=None) -> CauchyReport:
     """Check that sum_kappa [x^{rho-mu}] S_{rho-kappa} * [y^nu] S_kappa equals
     the Kostant multiplicity of nu - mu, the sum running over a window that
     must contain every kappa with nu >= kappa >= mu in dominance order."""
-    mu = tuple(int(x) for x in mu)
-    nu = tuple(int(x) for x in nu)
+    mu = int_tuple(mu, "cauchy_window_check mu")
+    nu = int_tuple(nu, "cauchy_window_check nu")
     if len(mu) != len(nu):
         raise ValueError("weight vectors must share a length")
     n = len(mu)
@@ -321,7 +322,10 @@ def cauchy_window_check(mu, nu, window=None) -> CauchyReport:
     if window is None:
         window = needed
     else:
-        window = [tuple(int(x) for x in k) for k in window]
+        window = [int_tuple(k, "cauchy_window_check window weight") for k in window]
+        for k in window:
+            if len(k) != n:
+                raise ValueError(f"window weight {k} has length != {n}")
         have = set(window)
         missing = [k for k in needed if k not in have]
         if missing:

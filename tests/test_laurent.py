@@ -52,6 +52,72 @@ class TestArithmetic:
             x(2, 1) + x(3, 1)
 
 
+def naive_product_terms(f, g) -> dict:
+    """The product's terms by the plain double loop over exponent tuples:
+    the reference for the packed product in ``LaurentPoly.__mul__``."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            acc = out.get(key, 0) + c1 * c2
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
+
+
+def random_factor(rng, n):
+    """A factor with 0, 1 or several terms; exponents are small and negative
+    or near +-10^20 (big-int radices), coefficients small so terms cancel."""
+    nterms = rng.choice([0, 1, 1, 2, 3, 6, 12, 25])
+    big = rng.random() < 0.25
+
+    def pick():
+        return rng.choice([-1, 1]) * 10**20 + rng.randint(-2, 2) if big else rng.randint(-3, 3)
+
+    return LaurentPoly(
+        n,
+        [(tuple(pick() for _ in range(n)), rng.choice([-2, -1, 1, 2])) for _ in range(nterms)],
+    )
+
+
+class TestPackedProduct:
+    def test_matches_the_double_loop_in_terms_and_order(self):
+        rng = random.Random(9)
+        shapes = set()
+        for _ in range(2000):
+            n = rng.randint(0, 6)
+            f, g = random_factor(rng, n), random_factor(rng, n)
+            want = naive_product_terms(f, g)
+            got = (f * g).terms
+            assert got == want, (f, g)
+            assert list(got) == list(want), (f, g)
+            shapes.add((min(len(f.terms), 2), min(len(g.terms), 2)))
+        # empty, single-term and packed factors on either side all occurred
+        assert shapes == {(a, b) for a in range(3) for b in range(3)}
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        p = x(2, 1) + x(2, 2)
+        q = x(2, 1) - x(2, 2)
+        assert (p * q).terms == {(2, 0): 1, (0, 2): -1}
+        assert list((p * q).terms) == [(2, 0), (0, 2)]
+
+    def test_large_and_negative_exponents(self):
+        big = 10**20
+        p = LaurentPoly(2, {(big, -big): 3, (-1, 0): 1})
+        q = LaurentPoly(2, {(0, big): 2, (big, 1): -1})
+        assert (p * q).terms == naive_product_terms(p, q)
+        assert (p * q).coeff((big, 0)) == 6
+
+    def test_results_are_fresh(self):
+        p, q = x(2, 1) + 1, LaurentPoly.monomial(2, (1, 1), 3)
+        for r in (p * q, q * p, p * p):
+            assert r is not p and r is not q
+            assert r.terms is not p.terms and r.terms is not q.terms
+        assert p == x(2, 1) + 1 and q.terms == {(1, 1): 3}
+
+
 class TestTransforms:
     def test_shift_and_invert(self):
         p = x(2, 1) ** 2 * x(2, 2)
@@ -123,3 +189,49 @@ class TestRendering:
     def test_from_json_rejects_malformed_payloads(self, data, message):
         with pytest.raises(ValueError, match=message):
             LaurentPoly.from_json(data)
+
+
+class TestInputChecks:
+    """Floats and bools are refused, never truncated by ``int()``."""
+
+    @pytest.mark.parametrize(
+        "n, terms, message",
+        [
+            (1, {(1.5,): 2}, r"exponent \(1.5,\): entry must be an integer, got 1.5"),
+            (2, {(0, True): 1}, r"exponent \(0, True\): entry must be an integer"),
+            (1, {(1,): 2.7}, r"coefficient of x\^\(1,\) must be an integer, got 2.7"),
+            (1, {(1,): True}, r"coefficient of x\^\(1,\) must be an integer, got True"),
+            (2.0, None, r"variable count must be an integer, got 2.0"),
+            (True, None, r"variable count must be an integer, got True"),
+        ],
+    )
+    def test_constructor(self, n, terms, message):
+        # LaurentPoly(1, {(1.5,): 2.7}) was 2*x1
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly(n, terms)
+
+    @pytest.mark.parametrize("exp", [(0.5, True), (1, 1.0), (True, 0)])
+    def test_monomial(self, exp):
+        # LaurentPoly.monomial(2, (0.5, True)) was x2
+        with pytest.raises(ValueError, match=r"exponent .*must be an integer"):
+            LaurentPoly.monomial(2, exp)
+
+    def test_monomial_coefficient(self):
+        with pytest.raises(ValueError, match="coefficient .*must be an integer, got 0.5"):
+            LaurentPoly.monomial(2, (1, 0), 0.5)
+
+    @pytest.mark.parametrize("delta", [(0.9, 0), (True, 0)])
+    def test_shift(self, delta):
+        # (0.9, 0) did not shift
+        with pytest.raises(ValueError, match=r"shift vector .*must be an integer"):
+            (x(2, 1) + 1).shift(delta)
+
+    def test_variable(self):
+        with pytest.raises(ValueError, match="variable index must be an integer, got True"):
+            LaurentPoly.variable(2, True)
+
+    @pytest.mark.parametrize("exp", [(True, 0), (1.0, 0)])
+    def test_coeff(self, exp):
+        # a float or bool exponent hashes like an int and found x1's coefficient
+        with pytest.raises(ValueError, match=r"exponent .*must be an integer"):
+            (3 * x(2, 1)).coeff(exp)

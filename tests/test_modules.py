@@ -33,6 +33,7 @@ from kpmod.modules import (
     tensor_power,
     tensor_product,
     vector_rep,
+    WeightModule,
 )
 from kpmod.permutations import (
     LESS,
@@ -98,6 +99,20 @@ class TestConstructors:
     def test_shift_weights_rejects_non_integer_delta(self):
         with pytest.raises(ValueError, match=r"shift_weights delta .*must be an integer"):
             shift_weights(vector_rep(2), (1.5, 0))
+
+    @pytest.mark.parametrize(
+        "n, weights, message",
+        [
+            # WeightModule(2.7, [(0.5, True)]) was a module over n = 2 of weight (0, 1)
+            (2.7, [(0, 1)], "WeightModule n must be an integer, got 2.7"),
+            (True, [(0,)], "WeightModule n must be an integer, got True"),
+            (2, [(0.5, True)], r"WeightModule weight \(0.5, True\): entry must be an integer"),
+            (2, [(1, 0), (0, True)], r"WeightModule weight \(0, True\): entry must be an integer"),
+        ],
+    )
+    def test_weight_module_rejects_non_integers(self, n, weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightModule(n, weights)
 
     def test_exterior_square_of_plane(self):
         E = exterior_power(vector_rep(2), 2)

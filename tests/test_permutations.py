@@ -85,6 +85,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([1, 1, 2])
 
+    @pytest.mark.parametrize("images", [(2.5, 1), (2, True), (1.0,)])
+    def test_rejects_non_integer_images(self, images):
+        # (2.5, 1) was read as [2, 1]
+        with pytest.raises(ValueError, match=r"permutation window .*must be an integer"):
+            Permutation(images)
+
     def test_composition_and_inverse(self):
         w = Permutation([2, 1, 4, 3])
         assert (w * w.inverse()) == identity()

@@ -81,6 +81,11 @@ class TestDividedDifference:
         with pytest.raises(ValueError):
             divided_difference(2, x(2, 1))
 
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_rejects_non_integer_index(self, i):
+        with pytest.raises(ValueError, match="divided difference index must be an integer"):
+            divided_difference(i, x(2, 1))
+
 
 @pytest.mark.parametrize("lam", [(1.5, 0), (1.0, 0), (0, True)])
 def test_schubert_poly_rejects_non_integer_weight(lam):
@@ -225,6 +230,12 @@ class TestDualPairing:
     def test_off_diagonal(self):
         assert dual_pairing(schubert_poly((1, 0)), (0, 1)) == 0
 
+    @pytest.mark.parametrize("mu", [(1.5, 0, 0), (True, 0, 0), (1.0, 0, 0)])
+    def test_rejects_non_integer_weight(self, mu):
+        # (1.5, 0, 0) and (True, 0, 0) both paired to 1 with S_(1,0,0)
+        with pytest.raises(ValueError, match=r"dual_pairing weight .*must be an integer"):
+            dual_pairing(schubert_poly((1, 0, 0)), mu)
+
 
 class TestKostant:
     def brute(self, delta):
@@ -257,6 +268,12 @@ class TestKostant:
                 continue
             assert kostant_dim(delta) == self.brute(delta)
 
+    @pytest.mark.parametrize("delta", [(1.9, 0, -1), (True, 0, -1)])
+    def test_rejects_non_integer_weight(self, delta):
+        # (1.9, 0, -1) was counted as (1, 0, -1): 2
+        with pytest.raises(ValueError, match=r"kostant_dim weight .*must be an integer"):
+            kostant_dim(delta)
+
 
 class TestCauchyWindow:
     def test_trivial(self):
@@ -280,6 +297,30 @@ class TestCauchyWindow:
     def test_degree_mismatch_is_trivially_zero(self):
         rep = cauchy_window_check((0, 0, 0), (1, 0, 0))
         assert (rep.lhs, rep.rhs, rep.ok) == (0, 0, True)
+
+    @pytest.mark.parametrize(
+        "mu, nu, window, message",
+        [
+            # this was reported as mu = nu = (0, 0, 0) and ok
+            ((0.5, 0, 0), (0, 0, 0.2), None, r"cauchy_window_check mu .*must be an integer"),
+            ((0, 0, 0), (0, 0, True), None, r"cauchy_window_check nu .*must be an integer"),
+            ((0, 0, 0), (0, 0, 0), [(0, 0, 0.0)], r"window weight .*must be an integer"),
+        ],
+    )
+    def test_rejects_non_integer_weights(self, mu, nu, window, message):
+        with pytest.raises(ValueError, match=message):
+            cauchy_window_check(mu, nu, window)
+
+    @pytest.mark.parametrize("extra", [(0, 0), (1, 0, -1, 0)])
+    def test_rejects_window_weights_of_the_wrong_length(self, extra):
+        # an extra weight of another length was zipped short and added 0
+        window = dominance_interval((0, 0, 0), (1, 0, -1)) + [extra]
+        with pytest.raises(ValueError, match=r"window weight .* has length != 3"):
+            cauchy_window_check((0, 0, 0), (1, 0, -1), window)
+
+    def test_dominance_interval_rejects_non_integer_weights(self):
+        with pytest.raises(ValueError, match=r"dominance_interval weight .*must be an integer"):
+            dominance_interval((1.0, 0), (0, 1))
 
 
 def ssyt_schur(sigma, values):
