@@ -13,6 +13,7 @@ one-line images, and ``:`` separates the members of a pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -315,7 +316,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``kp`` parser, built on the first :func:`main` call and reused by
+    every later one: building it costs far more than a parse.  Reuse is safe
+    because each parse makes a fresh namespace and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="kp",
         description="Exact Schubert polynomial and Kraskiewicz-Pragacz module workbench",

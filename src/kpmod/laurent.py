@@ -165,6 +165,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        _require_int(k, "power")
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
         res = LaurentPoly.one(self.n)
@@ -225,6 +226,7 @@ class LaurentPoly:
 
     def swap_adjacent(self, i: int) -> "LaurentPoly":
         """Exchange x_i and x_{i+1}."""
+        _require_int(i, "swap index")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"index {i} out of range")
         res = LaurentPoly(self.n)
@@ -238,6 +240,7 @@ class LaurentPoly:
 
     def extend(self, m: int) -> "LaurentPoly":
         """View in m >= n variables (pad exponents with zeros)."""
+        _require_int(m, "variable count")
         if m < self.n:
             raise ValueError("extend cannot drop variables")
         pad = (0,) * (m - self.n)
@@ -247,6 +250,7 @@ class LaurentPoly:
 
     def restrict(self, m: int) -> "LaurentPoly":
         """Drop trailing variables, which must not occur."""
+        _require_int(m, "variable count")
         if m > self.n:
             return self.extend(m)
         out = {}

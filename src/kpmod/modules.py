@@ -470,7 +470,7 @@ class ModuleMap:
 def largest_quotient(M: WeightModule, allowed) -> tuple:
     """Quotient of M by the submodule generated by all weight spaces whose
     weight is outside ``allowed``; returns (quotient, projection map)."""
-    allowed = {tuple(int(x) for x in w) for w in allowed}
+    allowed = {int_tuple(w, "largest_quotient allowed weight") for w in allowed}
     closer = SubmoduleCloser(M)
     closer.add(
         [{i: ONE} for i in range(M.dim) if M.weights[i] not in allowed]

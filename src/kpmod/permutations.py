@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .laurent import int_tuple
+from .laurent import _require_int, int_tuple
 
 LESS = "less"
 EQUAL = "equal"
@@ -299,10 +299,27 @@ def standard_key(lam, shift: int) -> tuple:
     compare like identity-padded ones: a prefix continues with the identity
     tail, the smallest continuation.
 
+    Computed without building the permutation: the code entries are popped
+    from 1..N as in :func:`perm_of`, each pop written into the inverse, and
+    the fixed-point tail is dropped.
+
     >>> sorted([(0, 2), (1, 1), (2, 0)], key=lambda w: standard_key(w, 0), reverse=True)
     [(1, 1), (2, 0), (0, 2)]
     """
-    return perm_of(tuple(x + shift for x in lam)).inverse().window
+    _require_int(shift, "standard_key shift")
+    lam = tuple(x + shift for x in int_tuple(lam, "standard_key weight"))
+    if min(lam, default=0) < 0:
+        raise ValueError(f"code entries must be nonnegative: {lam}")
+    n = len(lam)
+    avail = list(range(1, n + max(lam, default=0) + 1))
+    inv = [0] * len(avail)
+    for i, c in enumerate(lam, start=1):
+        inv[avail.pop(c) - 1] = i
+    for i, v in enumerate(avail, start=n + 1):
+        inv[v - 1] = i
+    while inv and inv[-1] == len(inv):
+        inv.pop()
+    return tuple(inv)
 
 
 def compare(lam, mu, order: str = "standard") -> str:
@@ -337,8 +354,8 @@ def compare(lam, mu, order: str = "standard") -> str:
     b = standard_key(mu, shift)
     if order == "prime":
         width = max(len(a), len(b))
-        a = Permutation(a).one_line(width)[::-1]
-        b = Permutation(b).one_line(width)[::-1]
+        a = (a + tuple(range(len(a) + 1, width + 1)))[::-1]
+        b = (b + tuple(range(len(b) + 1, width + 1)))[::-1]
     return GREATER if a < b else LESS
 
 

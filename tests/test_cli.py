@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import kpmod
+from kpmod import cli
 from kpmod.cli import main
 from kpmod.verify import SUITES, run_suite
 
@@ -257,3 +262,63 @@ class TestSizeCap:
         rc, out = run(capsys, "kp-dim", "--code", "5,4,3,0,0,0")
         assert rc == 0
         assert json.loads(out) == {"dim": 1}
+
+
+class TestParserReuse:
+    """The parser is built on the first ``main`` call and reused: each call
+    must print what it prints when it runs alone."""
+
+    # (argv, KP_MAX_DIM or None) in the order they run; later defaults
+    # (--method, --expect-ok, --format) must not inherit an earlier value
+    CALLS = [
+        (["frobnicate"], None),
+        (["schubert", "--help"], None),
+        (["kp-dim", "--code", "0,2,1,0"], "5"),
+        (["schubert", "--code", "1,0,1,0", "--method", "staircase", "--format", "text"], None),
+        (["schubert", "--code", "1,0,1,0"], None),
+        (["filtration", "--one-dim", "0,1", "--expect-ok"], None),
+        (["filtration", "--one-dim", "0,1"], None),
+        (["code", "--perm", "2,1"], None),
+        (["perm", "--code", "1,-1"], None),
+        (["kp-dim", "--code", "0,2,1,0"], None),
+        (["verify", "--suite", "orders", "--upto", "3"], None),
+    ]
+
+    def call(self, capsys, monkeypatch, argv, cap):
+        with monkeypatch.context() as m:
+            if cap is None:
+                m.delenv("KP_MAX_DIM", raising=False)
+            else:
+                m.setenv("KP_MAX_DIM", cap)
+            kpmod.clear_caches()  # a cached module would not be rebuilt
+            rc = main(list(argv))
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_each_call_prints_what_it_prints_alone(self, capsys, monkeypatch):
+        alone = []
+        for argv, cap in self.CALLS:
+            cli._build_parser.cache_clear()
+            alone.append(self.call(capsys, monkeypatch, argv, cap))
+        assert [rc for rc, _, _ in alone] == [2, 0, 3, 0, 0, 1, 0, 2, 2, 0, 0]
+        cli._build_parser.cache_clear()
+        together = [self.call(capsys, monkeypatch, argv, cap) for argv, cap in self.CALLS]
+        assert cli._build_parser.cache_info().misses == 1
+        assert together == alone
+
+    def test_two_calls_build_the_parser_once(self, capsys):
+        cli._build_parser.cache_clear()
+        assert main(["perm", "--code", "1,0,1"]) == 0
+        assert main(["perm", "--code", "0,1"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert capsys.readouterr().out == '{"perm": [2, 1, 4, 3]}\n{"perm": [1, 3, 2]}\n'
+
+    def test_import_does_not_build_the_parser(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import kpmod, kpmod.cli; print(kpmod.cli._build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "0\n"

@@ -230,6 +230,28 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="variable index must be an integer, got True"):
             LaurentPoly.variable(2, True)
 
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_pow(self, k):
+        # (x1 + 1) ** True was x1 + 1
+        with pytest.raises(ValueError, match=f"power must be an integer, got {k}"):
+            (x(2, 1) + 1) ** k
+
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_swap_adjacent(self, i):
+        # swap_adjacent(True) swapped x1 and x2
+        with pytest.raises(ValueError, match=f"swap index must be an integer, got {i}"):
+            x(2, 1).swap_adjacent(i)
+
+    @pytest.mark.parametrize("m", [True, 3.0])
+    def test_extend(self, m):
+        with pytest.raises(ValueError, match=f"variable count must be an integer, got {m}"):
+            x(1, 1).extend(m)
+
+    @pytest.mark.parametrize("m", [True, 1.0])
+    def test_restrict(self, m):
+        with pytest.raises(ValueError, match=f"variable count must be an integer, got {m}"):
+            x(2, 1).restrict(m)
+
     @pytest.mark.parametrize("exp", [(True, 0), (1.0, 0)])
     def test_coeff(self, exp):
         # a float or bool exponent hashes like an int and found x1's coefficient

@@ -361,6 +361,12 @@ class TestLargestQuotient:
         for pair in T.raising_pairs():
             assert qmap.commutes_with(pair)
 
+    @pytest.mark.parametrize("allowed", [[(0.9, True)], [(0, 1.0)], [(True, 0)]])
+    def test_rejects_non_integer_weights(self, allowed):
+        # [(0.9, True)] was read as (0, 1) and gave a 1-dimensional quotient
+        with pytest.raises(ValueError, match=r"largest_quotient allowed weight .*must be an integer"):
+            largest_quotient(vector_rep(2), allowed)
+
 
 class TestAnnihilator:
     def test_2143_report(self):

@@ -21,6 +21,7 @@ from kpmod.permutations import (
     m_table,
     perm_of,
     rho,
+    standard_key,
     transition,
     transposition,
     weight_window,
@@ -318,6 +319,36 @@ class TestReferenceOrder:
                     assert sort_weights(WeightModule(len(ws[0]), shifted)) == [
                         tuple(x + 3 for x in w) for w in expected
                     ], ws
+
+
+class TestStandardKey:
+    def test_matches_the_inverse_of_perm_of(self):
+        # the key is computed without Permutation objects; the reference
+        # builds the permutation of the shifted code and inverts it
+        rng = random.Random(5)
+        for _ in range(6000):
+            n = rng.randint(0, 6)
+            lam = tuple(rng.randint(-4, 5) for _ in range(n))
+            shift = max(0, -min(lam, default=0)) + rng.randint(0, 3)
+            expected = perm_of(tuple(x + shift for x in lam)).inverse().window
+            assert standard_key(lam, shift) == expected, (lam, shift)
+
+    def test_negative_shifted_entry_is_rejected(self):
+        with pytest.raises(ValueError, match=r"code entries must be nonnegative: \(2, -1\)"):
+            standard_key((1, -2), 1)
+
+    @pytest.mark.parametrize(
+        "lam, shift, message",
+        [
+            ((1.5, 0), 0, r"standard_key weight \(1.5, 0\): entry must be an integer, got 1.5"),
+            ((True, 0), 0, r"standard_key weight \(True, 0\): entry must be an integer, got True"),
+            ((1, 0), 0.0, r"standard_key shift must be an integer, got 0.0"),
+            ((1, 0), True, r"standard_key shift must be an integer, got True"),
+        ],
+    )
+    def test_rejects_non_integers(self, lam, shift, message):
+        with pytest.raises(ValueError, match=message):
+            standard_key(lam, shift)
 
 
 class TestWeightWindow:
