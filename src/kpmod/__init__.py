@@ -77,13 +77,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the process-wide memos (KP modules, wedge factors, criterion
-    exponent tables, Schubert polynomials, Vandermonde products, dual
-    elements); results stay equal."""
+    """Empty the process-wide memos (KP modules, wedge factors, rank-3
+    modules, criterion exponent tables, Schubert polynomials, Vandermonde
+    products, dual elements); results stay equal."""
     for memo in (
         modules._kp_cached,
         filtration._annihilator_exponents,
         modules._wedge_factor,
+        modules._sl3_cached,
         schubert._schubert_staircase,
         schubert.vandermonde,
         schubert._dual_element,

@@ -783,10 +783,27 @@ class Sl3Report:
 def _sl3_module(a: int, b: int):
     """S^a(Lambda^2 K^3) (x) S^b(K^3) and its generator
     (u_2 ^ u_3)^a (x) u_3^b, which is the last basis vector: u_2 ^ u_3 and
-    u_3 are the last basis vectors of their factors."""
-    base = vector_rep(3)
-    M = tensor_many([symmetric_power(exterior_power(base, 2), a), symmetric_power(base, b)], 3)
+    u_3 are the last basis vectors of their factors.  The module is shared
+    between calls; the generator is a fresh dict each time."""
+    # checked before the cache, where 1.0 or True would find the entry of 1
+    _require_int(a, "rank-3 module a")
+    _require_int(b, "rank-3 module b")
+    # the cap is read on every call, as if the tensor product were rebuilt
+    dims = [math.comb(a + 2, 2), math.comb(b + 2, 2)]
+    _check_dim(math.prod(dims), f"tensor_many of dimensions {dims}")
+    M = _sl3_cached(a, b)
     return M, {M.dim - 1: ONE}
+
+
+#: Most rank-3 modules kept: the 16 with a, b <= 3 of the default ``u3``
+#: suite.  A larger grid evicts; each module holds its column caches.
+_SL3_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_SL3_CACHE_SIZE)
+def _sl3_cached(a: int, b: int) -> WeightModule:
+    base = vector_rep(3)
+    return tensor_many([symmetric_power(exterior_power(base, 2), a), symmetric_power(base, b)], 3)
 
 
 E12, E13, E23 = (1, 2), (1, 3), (2, 3)

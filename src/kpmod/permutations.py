@@ -7,7 +7,11 @@ an implicit identity tail.  Weight vectors are plain ``tuple[int, ...]`` of a
 fixed length ``n``; the vectors with nonnegative entries are exactly the
 Lehmer codes of permutations that are increasing beyond position ``n``.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  Lehmer codes,
+m-tables and the transition step are computed on the window tuples
+(``_window_code``, ``_transition_window``), so the Schubert transition
+recursion runs on windows and builds no ``Permutation``; the public
+functions wrap the same helpers.
 """
 
 from __future__ import annotations
@@ -54,7 +58,12 @@ class Permutation:
         return len(self.window)
 
     def one_line(self, n: int) -> tuple:
-        return tuple(self(i) for i in range(1, n + 1))
+        """(w(1), ..., w(n)): the window cut or extended by the identity tail."""
+        _require_int(n, "one_line n")
+        if n < 0:
+            raise ValueError(f"one_line n must be nonnegative, got {n}")
+        win = self.window
+        return win[:n] + tuple(range(len(win) + 1, n + 1))
 
     def is_identity(self) -> bool:
         return not self.window
@@ -115,6 +124,7 @@ def transposition(i: int, j: int) -> Permutation:
 
 
 def longest_element(m: int) -> Permutation:
+    _require_int(m, "longest_element m")
     return Permutation(range(m, 0, -1))
 
 
@@ -136,20 +146,38 @@ def code(w: Permutation, n: int) -> tuple:
     >>> code(Permutation([2, 1, 4, 3]), 4)
     (1, 0, 1, 0)
     """
+    _require_int(n, "code n")
     if n < 1:
         raise ValueError("n must be positive")
-    N = max(w.size, n)
-    win = w.one_line(N)
-    full = [
-        sum(1 for j in range(i + 1, N) if win[j] < win[i]) for i in range(N)
-    ]
-    for i in range(n, N):
-        if full[i]:
-            raise ValueError(
-                f"{w!r} is not increasing beyond position {n}: "
-                f"code entry {i + 1} equals {full[i]}"
-            )
-    return tuple(full[:n])
+    return _window_code(w.window, n)
+
+
+def _window_code(win, n: int) -> tuple:
+    """:func:`code` of the permutation with one-line window ``win`` (any
+    identity tail allowed).
+
+    The window holds 1..N, so c_i = w(i) - 1 - #{j < i : w(j) < w(i)} reads
+    only the prefix; entries past the window are 0, and those from n + 1 on
+    all vanish exactly when the window is increasing from position n + 1.
+    """
+    tail = list(win[n:])
+    if tail != sorted(tail):
+        for i, x in enumerate(tail, start=n):
+            c = len([y for y in win[i + 1:] if y < x])
+            if c:
+                raise ValueError(
+                    f"{Permutation(win)!r} is not increasing beyond position {n}: "
+                    f"code entry {i + 1} equals {c}"
+                )
+    out = []
+    for i, x in enumerate(win[:n]):
+        c = x - 1
+        for y in win[:i]:
+            if y < x:
+                c -= 1
+        out.append(c)
+    out.extend([0] * (n - len(out)))
+    return tuple(out)
 
 
 def perm_of(lam) -> Permutation:
@@ -215,15 +243,21 @@ class MTable:
 
 
 def m_table(w: Permutation, n: int) -> MTable:
+    _require_int(n, "m_table n")
     code(w, n)  # validates membership
-    N = max(w.size, n)
-    win = w.one_line(N)
+    win = w.one_line(max(w.size, n))
+    # the identity tail past the window never lies strictly between two images
     entries = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            entries[(i, j)] = sum(
-                1 for k in range(j + 1, N + 1) if win[i - 1] < win[k - 1] < win[j - 1]
-            )
+    for i in range(n):
+        wi = win[i]
+        for j in range(i + 1, n):
+            wj = win[j]
+            m = 0
+            if wi < wj:
+                for x in win[j + 1:]:
+                    if wi < x < wj:
+                        m += 1
+            entries[(i + 1, j + 1)] = m
     pruned = tuple(
         sorted(
             (i, j)
@@ -253,20 +287,44 @@ class TransitionData:
 
 
 def transition(w: Permutation) -> TransitionData:
-    if w.is_identity():
+    j, k, v, branches = _transition_window(w.window)
+    return TransitionData(
+        j, k, Permutation(v), tuple((i, Permutation(b)) for i, b in branches)
+    )
+
+
+def _transition_window(win) -> tuple:
+    """:func:`transition` on a one-line window (any identity tail allowed):
+    ``(j, k, window of v, ((i_a, window of w^(a)), ...))``, the windows as
+    tuples of the same length as ``win``.
+
+    The branches are the i < j with v(i) < v(j) and no v(r) strictly between
+    them for i < r < j: scanning i down from j - 1, that is v(i) above every
+    earlier hit below v(j).
+    """
+    j = len(win) - 1
+    while j > 0 and win[j - 1] < win[j]:
+        j -= 1
+    if j <= 0:
         raise ValueError("transition undefined at id")
-    descents = w.descents()
-    j = descents[-1]
-    N = w.size
-    k = max(p for p in range(j + 1, N + 1) if w(p) < w(j))
-    v = w * transposition(j, k)
+    wj = win[j - 1]
+    k = len(win)
+    while win[k - 1] > wj:
+        k -= 1
+    v = list(win)
+    v[j - 1], v[k - 1] = v[k - 1], wj
+    vj = v[j - 1]
     branches = []
-    vj = v(j)
-    for i in range(1, j):
-        vi = v(i)
-        if vi < vj and not any(vi < v(r) < vj for r in range(i + 1, j)):
-            branches.append((i, v * transposition(i, j)))
-    return TransitionData(j, k, v, tuple(branches))
+    best = 0
+    for i in range(j - 1, 0, -1):
+        vi = v[i - 1]
+        if best < vi < vj:
+            best = vi
+            b = v[:]
+            b[i - 1], b[j - 1] = vj, vi
+            branches.append((i, tuple(b)))
+    branches.reverse()
+    return j, k, tuple(v), tuple(branches)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +444,7 @@ def weight_window(lam) -> list:
 
 def rho(n: int) -> tuple:
     """The staircase weight (n-1, n-2, ..., 0)."""
+    _require_int(n, "rho n")
     return tuple(range(n - 1, -1, -1))
 
 

@@ -2,7 +2,8 @@
 
 Covers divided differences, the two constructions of Schubert polynomials
 (staircase descent and the transition recursion, extended to arbitrary
-integer weights by monomial shifts), expansion of a Laurent polynomial in the
+integer weights by monomial shifts; the recursion works on one-line window
+tuples and builds no ``Permutation``), expansion of a Laurent polynomial in the
 Schubert basis, the dual coefficient-extraction pairing, Kostant weight
 multiplicities of the strictly-upper-triangular enveloping algebra, the
 finite Cauchy-window identity relating the two, and Schur-polynomial
@@ -18,12 +19,13 @@ from functools import lru_cache
 from .laurent import LaurentPoly, _require_int, int_tuple
 from .permutations import (
     Permutation,
+    _transition_window,
+    _window_code,
     code,
     dominates,
     longest_element,
     perm_of,
     rho,
-    transition,
 )
 
 
@@ -140,15 +142,19 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
             _transition_memo[cur] = LaurentPoly.monomial(n, cur)
             stack.pop()
             continue
-        td = transition(perm_of(cur))
-        vcode = code(td.v, n)
-        bcodes = [code(wa, n) for _, wa in td.branches]
+        # the window of perm(cur): each code entry pops from 1..N
+        avail = list(range(1, n + max(cur) + 1))
+        win = [avail.pop(c) for c in cur]
+        win.extend(avail)
+        j, _, v, branches = _transition_window(win)
+        vcode = _window_code(v, n)
+        bcodes = [_window_code(b, n) for _, b in branches]
         pending = [c for c in [vcode, *bcodes] if c not in _transition_memo]
         if pending:
             stack.extend(pending)
             continue
         ej = [0] * n
-        ej[td.j - 1] = 1
+        ej[j - 1] = 1
         poly = _transition_memo[vcode].shift(tuple(ej))
         for c in bcodes:
             poly = poly + _transition_memo[c]

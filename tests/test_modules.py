@@ -563,6 +563,31 @@ class TestSl3:
         with pytest.raises(ValueError, match=r"lie in \[0, 10\]"):
             sl3_presentation_check(20, 0, bound=10)
 
+    def test_module_is_cached_and_generator_is_fresh(self):
+        from kpmod.modules import _sl3_cached, _sl3_module
+
+        kpmod.clear_caches()
+        M, g = _sl3_module(2, 1)
+        g[0] = ONE  # a caller that mutates its generator
+        M2, g2 = _sl3_module(2, 1)
+        assert M2 is M and g2 == {M.dim - 1: ONE}
+        assert sl3_presentation_check(2, 1).ok
+        kpmod.clear_caches()
+        assert _sl3_cached.cache_info().currsize == 0
+        assert _sl3_module(2, 1)[0] is not M
+
+    def test_cached_module_still_meets_a_lowered_cap(self, monkeypatch):
+        assert sl3_presentation_check(3, 3).ok
+        monkeypatch.setenv("KP_MAX_DIM", "50")
+        with pytest.raises(ModuleTooLargeError, match=r"tensor_many of dimensions \[10, 10\]"):
+            sl3_presentation_check(3, 3)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0), (True, 0), (0, 2.0)])
+    def test_rejects_non_integer_parameters(self, a, b):
+        sl3_presentation_check(1, 0)  # (1, 0) cached: 1.0 and True must not find it
+        with pytest.raises(ValueError, match="rank-3 module [ab] must be an integer"):
+            sl3_presentation_check(a, b)
+
 
 class TestLimitsAndSerialization:
     def test_max_dim_guard(self, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import cmp_to_key
 
@@ -17,7 +18,10 @@ from kpmod.permutations import (
     contains_2143,
     dominates,
     identity,
+    _transition_window,
+    _window_code,
     inversion_data,
+    longest_element,
     m_table,
     perm_of,
     rho,
@@ -26,6 +30,7 @@ from kpmod.permutations import (
     transposition,
     weight_window,
 )
+from kpmod.schubert import schubert_poly
 
 
 def brute_code(w, n):
@@ -388,3 +393,121 @@ class TestPattern:
         assert contains_2143(Permutation([3, 1, 2, 5, 4]))  # pattern at 1,2,4,5
         assert contains_2143(Permutation([1, 3, 2, 5, 4]))  # pattern at 2,3,4,5
         assert not contains_2143(Permutation([1, 4, 2, 3]))
+
+
+def reference_code(w, n):
+    """Lehmer code counted on Permutation calls over the whole width
+    max(size, n), as code() did before it read window tuples."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    N = max(w.size, n)
+    win = [w(i) for i in range(1, N + 1)]
+    full = [sum(1 for j in range(i + 1, N) if win[j] < win[i]) for i in range(N)]
+    for i in range(n, N):
+        if full[i]:
+            raise ValueError(
+                f"{w!r} is not increasing beyond position {n}: "
+                f"code entry {i + 1} equals {full[i]}"
+            )
+    return tuple(full[:n])
+
+
+def reference_transition(w):
+    """(j, k, v, branches) built from Permutation products with
+    transpositions, as transition() did before it read window tuples."""
+    j = w.descents()[-1]
+    k = max(p for p in range(j + 1, w.size + 1) if w(p) < w(j))
+    v = w * transposition(j, k)
+    vj = v(j)
+    branches = tuple(
+        (i, v * transposition(i, j))
+        for i in range(1, j)
+        if v(i) < vj and not any(v(i) < v(r) < vj for r in range(i + 1, j))
+    )
+    return j, k, v, branches
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def check_against_reference(w, widths):
+    # the recursion hands the helpers windows with an identity tail
+    padded = w.window + tuple(range(w.size + 1, w.size + 3))
+    for n in widths:
+        expected = outcome(reference_code, w, n)
+        assert outcome(code, w, n) == expected, (w, n)
+        if expected[0] != "ValueError":
+            assert _window_code(padded, n) == expected, (w, n)
+    if w.is_identity():
+        return
+    j, k, v, branches = reference_transition(w)
+    td = transition(w)
+    assert (td.j, td.k, td.v, td.branches) == (j, k, v, branches), w
+    pj, pk, pv, pbranches = _transition_window(padded)
+    assert (pj, pk, Permutation(pv)) == (j, k, v), w
+    assert [(i, Permutation(b)) for i, b in pbranches] == list(branches), w
+
+
+class TestWindowRoutes:
+    """code() and transition() read window tuples; they must agree with the
+    Permutation-level definitions, errors included."""
+
+    def test_every_permutation_of_s1_to_s6(self):
+        for m in range(1, 7):
+            for w in all_permutations(m):
+                check_against_reference(w, range(1, m + 3))
+
+    def test_seeded_permutations_of_s8(self):
+        rng = random.Random(8)
+        for _ in range(1000):
+            images = list(range(1, 9))
+            rng.shuffle(images)
+            w = Permutation(images)
+            check_against_reference(w, (rng.randint(1, 8), w.size + rng.randint(1, 3)))
+
+    def test_tail_not_increasing_message(self):
+        w = Permutation([1, 4, 3, 2])
+        expected = outcome(reference_code, w, 2)
+        assert expected == (
+            "ValueError",
+            "Permutation([1, 4, 3, 2]) is not increasing beyond position 2: "
+            "code entry 3 equals 1",
+        )
+        assert outcome(code, w, 2) == expected
+
+    def test_transition_recursion_matches_staircase(self):
+        for length in range(1, 7):
+            for lam in itertools.product(range(7), repeat=length):
+                if sum(lam) <= 6:
+                    assert schubert_poly(lam) == schubert_poly(lam, "staircase"), lam
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: code(Permutation([2, 1]), True), r"code n must be an integer, got True"),
+            (lambda: code(Permutation([2, 1]), 4.0), r"code n must be an integer, got 4.0"),
+            (lambda: m_table(Permutation([2, 1]), 2.0), r"m_table n must be an integer, got 2.0"),
+            (lambda: Permutation([2, 1]).one_line(True), r"one_line n must be an integer, got True"),
+            (lambda: rho(True), r"rho n must be an integer, got True"),
+            (lambda: longest_element(3.0), r"longest_element m must be an integer, got 3.0"),
+        ],
+    )
+    def test_rejects_float_and_bool(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_one_line_rejects_negative_width(self):
+        with pytest.raises(ValueError, match="one_line n must be nonnegative"):
+            Permutation([2, 1]).one_line(-1)
+
+    def test_one_line_cuts_and_extends(self):
+        w = Permutation([3, 1, 2])
+        assert w.one_line(0) == ()
+        assert w.one_line(2) == (3, 1)
+        assert w.one_line(5) == (3, 1, 2, 4, 5)
