@@ -27,6 +27,7 @@ from .linalg import ONE, Echelon
 from .modules import (
     SubmoduleCloser,
     WeightModule,
+    _raised,
     _submodule_from_closure,
     _too_large,
     kp_module,
@@ -103,36 +104,33 @@ class FiltrationReport:
 
 def kp_filtration_extract(M: WeightModule) -> FiltrationReport:
     """Decide whether M is filtered by KP modules, extracting the layer
-    multiplicities (failure is a result carrying the first bad level)."""
+    multiplicities (failure is a result carrying the first bad level).
+
+    From the largest weight down, one closure grows by the weight space
+    M_nu of the i-th weight nu, from N_i to N_{i-1}.  The ranks that step
+    adds are the character of N_{i-1} / N_i, the tower's kernel generated in
+    weight nu; the rank added at nu itself is the layer multiplicity d, and
+    that character must be d times the Schubert polynomial of nu."""
     levels = sort_weights(M)
-    ch_m = M.character()
-    if not levels:
-        zero = LaurentPoly.zero(M.n)
-        return FiltrationReport(True, (), None, zero, zero)
     spaces = M.weight_spaces()
     closer = SubmoduleCloser(M)
-    stages = []  # (nu, ch of the quotient by weights above nu, layer dim)
-    for nu in reversed(levels):
-        ch_quot = ch_m - closer.character()
-        d = len(spaces[nu]) - closer.dim_of(nu)
-        stages.append((nu, ch_quot, d))
-        closer.add([{i: ONE} for i in spaces[nu]])
     ok = True
     witness = None
     factors = []
-    rhs = LaurentPoly.zero(M.n)
-    zero = LaurentPoly.zero(M.n)
-    for t, (nu, ch_quot, d) in enumerate(stages):
-        below = stages[t + 1][1] if t + 1 < len(stages) else zero
-        actual = ch_quot - below
-        expected = schubert_poly(nu) * d
-        rhs = rhs + expected
+    zero = rhs = LaurentPoly.zero(M.n)
+    for t, nu in enumerate(reversed(levels)):
+        added = closer.add([(nu, {i: ONE}) for i in spaces[nu]])
+        d = added.get(nu, 0)
+        expected = zero
         if d:
+            expected = schubert_poly(nu) * d
+            rhs = rhs + expected
             factors.append((nu, d))
+        actual = LaurentPoly(M.n, added)
         if ok and actual != expected:
             ok = False
             witness = FiltrationWitness(len(levels) - t, nu, expected, actual)
-    return FiltrationReport(ok, tuple(factors), witness, ch_m, rhs)
+    return FiltrationReport(ok, tuple(factors), witness, M.character(), rhs)
 
 
 @dataclass(frozen=True)
@@ -181,12 +179,9 @@ def _twisted_dual_hom_dim(M: WeightModule, nu: tuple) -> int:
     spaces = M.weight_spaces()
     images = Echelon()
     exponents = _annihilator_exponents(tuple(x + k for x in lam))
-    for (i, j), e in zip(M.raising_pairs(), exponents):
-        src = list(nu)
-        src[i - 1] -= e
-        src[j - 1] += e
-        for t in spaces.get(tuple(src), ()):
-            v = M.apply_power((i, j), {t: ONE}, e)
+    for pair, e in zip(M.raising_pairs(), exponents):
+        for t in spaces.get(_raised(nu, pair, -e), ()):
+            v = M.apply_power(pair, {t: ONE}, e)
             if v:
                 images.insert(v)
     return len(spaces[nu]) - images.rank
@@ -333,8 +328,11 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
             acc[idx] = acc.get(idx, 0) + sign
         return {i: c for i, c in acc.items() if c}
 
+    # permuting factors keeps the weight, so each symmetrized vector is a
+    # weight vector, of the weight at any one of its keys
+    vecs = (v for v in map(symmetrized, itertools.product(*slots)) if v)
     closer = SubmoduleCloser(T)
-    closer.add(symmetrized(combo) for combo in itertools.product(*slots))
+    closer.add((T.weights[next(iter(v))], v) for v in vecs)
     return _submodule_from_closure(T, closer)
 
 

@@ -5,10 +5,13 @@ raising matrix units e_ij (i < j) of n, the strict upper triangle: one
 builder per module computes the image of a basis vector under e_ij as a
 sparse exact-rational column, the first time it is asked for, and the
 module caches it.  Submodules are closed under the simple e_{i,i+1} alone,
-which generate U(n+).  On top of the plain constructors this module
-provides cyclic submodules and closures of vector sets, quotients by weight
-sets, Hom spaces, annihilator verification for the diagram generator, and
-the rank-3 operator-identity checks used by the verification suites.
+which generate U(n+), starting from weight vectors that enter with their
+weights: e_ij sends weight wt to wt + eps_i - eps_j, so a closure follows
+its vectors' weights and never looks one up.  On top of the plain
+constructors this module provides cyclic submodules and closures of vector
+sets, quotients by weight sets, Hom spaces, annihilator verification for the
+diagram generator, and the rank-3 operator-identity checks used by the
+verification suites.
 Kraskiewicz-Pragacz and Demazure (key) modules both come from
 ``diagram_module``: the cyclic closure of a column-wedge vector inside a
 tensor of exterior powers that is never enumerated.
@@ -164,11 +167,13 @@ class WeightModule(_Action):
         return f"<WeightModule n={self.n} dim={self.dim}>"
 
 
-def _components(M: WeightModule, vec: dict):
-    comp: dict = {}
-    for i, c in vec.items():
-        comp.setdefault(M.weights[i], {})[i] = c
-    return comp.items()
+def _raised(wt: tuple, pair, k: int = 1) -> tuple:
+    """Weight of e_pair^k applied to a vector of weight wt: the weight
+    wt + k (eps_i - eps_j) for pair (i, j)."""
+    w = list(wt)
+    w[pair[0] - 1] += k
+    w[pair[1] - 1] -= k
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +328,8 @@ def dual_twist(M: WeightModule) -> WeightModule:
     def builder(pair, p):
         # e_ij f_p = -f_p o e_ij has f_q-coefficient -<u_p, e_ij u_q>, with
         # u_q of weight wt(u_p) - (eps_i - eps_j)
-        src = list(M.weights[p])
-        src[pair[0] - 1] -= 1
-        src[pair[1] - 1] += 1
         col = {}
-        for q in spaces.get(tuple(src), ()):
+        for q in spaces.get(_raised(M.weights[p], pair, -1), ()):
             c = M.column(pair, q).get(p)
             if c:
                 col[q] = -c
@@ -355,7 +357,13 @@ class SubmoduleCloser:
     """Incrementally grown submodule, held as one reduced echelon basis per
     weight.  It is closed under the simple e_{i,i+1} only: every other e_ij
     is an iterated bracket of simple ones, so that is the same subspace, and
-    a reduced echelon basis is unique."""
+    a reduced echelon basis is unique.  Vectors enter with their weights and
+    the image of a weight-wt vector under e_ij has weight wt + eps_i - eps_j,
+    so the closure never looks up the weight of a basis key.
+
+    KP_MAX_DIM caps the closure rank and, in the lazily keyed
+    ``_WedgeAmbient``, the distinct ambient keys of the vectors that enter;
+    an enumerated module was checked when its basis was built."""
 
     def __init__(self, M, what: str = "submodule closure"):
         self.module = M
@@ -363,38 +371,41 @@ class SubmoduleCloser:
         self.rank = 0
         self.what = what
         self.cap = max_dim()
+        self.touched = set() if isinstance(M, _WedgeAmbient) else None
 
-    def _insert(self, vec: dict, queue: list) -> None:
-        for wt, comp in _components(self.module, vec):
-            ech = self.echelons.setdefault(wt, Echelon())
-            if ech.insert(comp) is not None:
-                self.rank += 1
-                if self.rank > self.cap:
-                    raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
-                queue.append(comp)
+    def _insert(self, wt: tuple, vec: dict, queue: list, added: dict) -> None:
+        if self.touched is not None:
+            self.touched.update(vec)
+            if len(self.touched) > self.cap:
+                # at most cap keys were touched before vec, so the key that
+                # crossed the cap is key cap + 1
+                raise _too_large(self.what, "ambient keys touched", self.cap + 1, self.cap)
+        ech = self.echelons.setdefault(wt, Echelon())
+        if ech.insert(vec) is not None:
+            self.rank += 1
+            if self.rank > self.cap:
+                raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
+            added[wt] = added.get(wt, 0) + 1
+            queue.append((wt, vec))
 
-    def add(self, vecs) -> None:
-        """Close the span of the weight components of vecs together with the
-        current subspace."""
+    def add(self, vecs) -> dict:
+        """Close the span of vecs together with the current subspace.
+
+        ``vecs`` yields nonzero (weight, vector) pairs, each vector lying in
+        the weight space of its weight.  Returns {weight: rank added there};
+        summed over calls, these ranks are the character of the closure."""
+        added: dict = {}
         queue: list = []
-        for v in vecs:
-            self._insert(v, queue)
+        for wt, v in vecs:
+            self._insert(wt, v, queue, added)
         pairs = self.module.simple_pairs()
         while queue:
-            v = queue.pop()
+            wt, v = queue.pop()
             for pair in pairs:
                 img = self.module.apply(pair, v)
                 if img:
-                    self._insert(img, queue)
-
-    def dim_of(self, wt) -> int:
-        ech = self.echelons.get(tuple(wt))
-        return ech.rank if ech else 0
-
-    def character(self) -> LaurentPoly:
-        return LaurentPoly(
-            self.module.n, {wt: e.rank for wt, e in self.echelons.items()}
-        )
+                    self._insert(_raised(wt, pair), img, queue, added)
+        return added
 
     def pivots(self) -> set:
         out: set = set()
@@ -403,41 +414,44 @@ class SubmoduleCloser:
         return out
 
 
-def _submodule_from_closure(M, closer, generator_vec=None) -> WeightModule:
-    """The closed subspace on its echelon rows, sorted by weight and pivot;
-    columns are expressed on demand (ValueError if one leaves it)."""
+def _submodule_from_closure(M, closer, generator=None) -> WeightModule:
+    """The closed subspace on its echelon rows, sorted by weight and pivot.
+    A column, the image of a row of weight wt under e_ij, lies in the weight
+    space of wt + eps_i - eps_j and is expressed there on demand (ValueError
+    if it leaves the subspace).  ``generator``, a (weight, vector) pair in
+    the subspace, becomes the module's generator."""
     basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
     pos = {key: t for t, key in enumerate(basis)}
 
-    def express(vec):
-        out = {}
-        for wt, comp in _components(M, vec):
-            try:
-                coords = closer.echelons[wt].express(comp)
-            except (KeyError, ValueError):
-                raise ValueError("subspace is not stable under the module action") from None
-            for p, c in coords.items():
-                out[pos[(wt, p)]] = c
-        return out
+    def express(wt, vec):
+        if not vec:
+            return {}
+        try:
+            coords = closer.echelons[wt].express(vec)
+        except (KeyError, ValueError):
+            raise ValueError("subspace is not stable under the module action") from None
+        return {pos[(wt, p)]: c for p, c in coords.items()}
 
     rows = [closer.echelons[wt].rows[p] for wt, p in basis]
 
     def builder(pair, t):
-        return express(M.apply(pair, rows[t]))
+        return express(_raised(basis[t][0], pair), M.apply(pair, rows[t]))
 
-    gen = express(generator_vec) if generator_vec else None
+    gen = express(*generator) if generator else None
     return WeightModule(M.n, [wt for wt, _ in basis], builder, generator=gen)
 
 
 def cyclic_submodule(M: WeightModule, vec: dict, *, what: str = "cyclic_submodule") -> WeightModule:
     """Smallest subspace containing vec closed under the raising operators,
     as a module with induced actions (basis in reduced echelon form per
-    weight space).  ``what`` names the construction if the closure rank
-    exceeds KP_MAX_DIM.
+    weight space).  vec must be a weight vector, or zero: ValueError("not a
+    homogeneous weight vector") otherwise.  ``what`` names the construction
+    if the closure rank exceeds KP_MAX_DIM.
     """
+    gen = [(M.weight_of(vec), vec)] if vec else []
     closer = SubmoduleCloser(M, what)
-    closer.add([vec])
-    return _submodule_from_closure(M, closer, generator_vec=vec)
+    closer.add(gen)
+    return _submodule_from_closure(M, closer, *gen)
 
 
 @dataclass
@@ -473,31 +487,24 @@ def largest_quotient(M: WeightModule, allowed) -> tuple:
     allowed = {int_tuple(w, "largest_quotient allowed weight") for w in allowed}
     closer = SubmoduleCloser(M)
     closer.add(
-        [{i: ONE} for i in range(M.dim) if M.weights[i] not in allowed]
+        [(wt, {i: ONE}) for i, wt in enumerate(M.weights) if wt not in allowed]
     )
     pivots = closer.pivots()
     reps = [i for i in range(M.dim) if i not in pivots]
     pos = {i: t for t, i in enumerate(reps)}
 
-    def project(vec):
-        out: dict = {}
-        for wt, comp in _components(M, vec):
-            ech = closer.echelons.get(wt)
-            red = ech.reduce(comp) if ech else comp
-            for i, c in red.items():
-                acc = out.get(pos[i], 0) + c
-                if acc:
-                    out[pos[i]] = acc
-                else:
-                    del out[pos[i]]
-        return out
+    def project(wt, vec):
+        # vec lies in the weight space of wt, where the residual is unique
+        ech = closer.echelons.get(wt)
+        red = ech.reduce(vec) if ech else vec
+        return {pos[i]: c for i, c in red.items()}
 
     Q = WeightModule(
         M.n,
         [M.weights[i] for i in reps],
-        lambda pair, t: project(M.apply(pair, {reps[t]: ONE})),
+        lambda pair, t: project(_raised(M.weights[reps[t]], pair), M.apply(pair, {reps[t]: ONE})),
     )
-    qmap = ModuleMap(M, Q, {c: project({c: ONE}) for c in range(M.dim)})
+    qmap = ModuleMap(M, Q, {c: project(M.weights[c], {c: ONE}) for c in range(M.dim)})
     return Q, qmap
 
 
@@ -574,45 +581,29 @@ def _wedge_factor(n: int, k: int) -> WeightModule:
 class _WedgeAmbient(_Tensor):
     """The tensor of Lambda^{|c|} K^n over the columns c of a diagram, with
     the column wedge as ``generator``.  Keys are those of ``tensor_many``
-    over the same factors, but nothing is enumerated: ``weights`` computes
-    the weight of a key when a closure first looks it up."""
+    over the same factors, but nothing is enumerated and no key has a stored
+    weight: only ``generator_weight``, the sum of the column indicator
+    vectors, is known, and a closure derives every other weight from it."""
 
     def __init__(self, columns, n: int, what: str):
         super().__init__([_wedge_factor(n, len(c)) for c in columns], n)
-        self.weights = _KeyWeights(self.key_weight, what)
-        key = 0
-        for (F, _, stride), rows in zip(self.slots, columns):
+        wedges = []
+        for rows in columns:
             if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
                 raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
-            key += F.weights.index(tuple(int(r in rows) for r in range(1, n + 1))) * stride
+            wedges.append(tuple(int(r in rows) for r in range(1, n + 1)))
+        key = sum(F.weights.index(w) * stride for (F, _, stride), w in zip(self.slots, wedges))
         self.generator = {key: ONE}
-
-    def key_weight(self, key: int) -> tuple:
-        return _weight_sum(self.n, (F.weights[key // stride % d] for F, d, stride in self.slots))
-
-
-class _KeyWeights(dict):
-    """Weights of the ambient keys looked up so far; their number counts
-    against KP_MAX_DIM."""
-
-    def __init__(self, weight_of, what: str):
-        self.weight_of = weight_of
-        self.what = what
-        self.cap = max_dim()
-
-    def __missing__(self, key: int) -> tuple:
-        if len(self) >= self.cap:
-            raise _too_large(self.what, "ambient keys touched", len(self) + 1, self.cap)
-        wt = self[key] = self.weight_of(key)
-        return wt
+        self.generator_weight = _weight_sum(n, wedges)
 
 
 def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightModule:
     """Cyclic U(n+)-module generated by the column-wedge vector of a diagram:
     ``columns`` lists one set of rows (1..n) per column, and the generator
-    is the tensor of the wedges of their rows, in a ``_WedgeAmbient``.
-    KP_MAX_DIM caps the closure rank and the ambient keys touched; ``what``
-    names the construction in that error.
+    is the tensor of the wedges of their rows, in a ``_WedgeAmbient``.  The
+    closure starts from the generator's weight and never enumerates or
+    weighs the ambient.  KP_MAX_DIM caps the closure rank and the ambient
+    keys touched; ``what`` names the construction in that error.
 
     >>> diagram_module([[1], [3]], 4).dim     # kp_module((1, 0, 1, 0))
     3
@@ -620,7 +611,10 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
     2
     """
     amb = _WedgeAmbient(columns, n, what)
-    return cyclic_submodule(amb, amb.generator, what=what)
+    gen = (amb.generator_weight, amb.generator)
+    closer = SubmoduleCloser(amb, what)
+    closer.add([gen])
+    return _submodule_from_closure(amb, closer, gen)
 
 
 def _kp_columns(lam: tuple) -> list:
@@ -636,7 +630,9 @@ _KP_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_KP_CACHE_SIZE)
-def _kp_cached(lam: tuple) -> WeightModule:
+def _kp_cached(lam: tuple, cap: int) -> WeightModule:
+    # cap, the KP_MAX_DIM in force, is part of the key only: a module built
+    # under one cap is never handed out under another
     n = len(lam)
     k = max(0, -min(lam))
     core = tuple(x + k for x in lam)
@@ -658,7 +654,7 @@ def kp_module(lam) -> WeightModule:
     lam = int_tuple(lam, "kp_module code")
     if not lam:
         raise ValueError("kp_module needs a nonempty code, got ()")
-    return _kp_cached(lam)
+    return _kp_cached(lam, max_dim())
 
 
 def character(M: WeightModule) -> LaurentPoly:
@@ -788,10 +784,7 @@ def _sl3_module(a: int, b: int):
     # checked before the cache, where 1.0 or True would find the entry of 1
     _require_int(a, "rank-3 module a")
     _require_int(b, "rank-3 module b")
-    # the cap is read on every call, as if the tensor product were rebuilt
-    dims = [math.comb(a + 2, 2), math.comb(b + 2, 2)]
-    _check_dim(math.prod(dims), f"tensor_many of dimensions {dims}")
-    M = _sl3_cached(a, b)
+    M = _sl3_cached(a, b, max_dim())
     return M, {M.dim - 1: ONE}
 
 
@@ -801,7 +794,8 @@ _SL3_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_SL3_CACHE_SIZE)
-def _sl3_cached(a: int, b: int) -> WeightModule:
+def _sl3_cached(a: int, b: int, cap: int) -> WeightModule:
+    # keyed by the cap in force, like _kp_cached
     base = vector_rep(3)
     return tensor_many([symmetric_power(exterior_power(base, 2), a), symmetric_power(base, b)], 3)
 
@@ -860,6 +854,9 @@ def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None, bound: int =
          e_23^{M-N} e_13^N (zero outright when N > M)
     """
     params = {"case": case, "N": N, "M": M}
+    for name, x in (("case", case), ("N", N), ("M", M), ("N2", N2), ("M2", M2)):
+        if x is not None:
+            _require_int(x, f"sl3_identity_check {name}")
     vals = [N, M] + [x for x in (N2, M2) if x is not None]
     if any(x < 0 or x > bound for x in vals):
         raise ValueError(f"parameters must lie in [0, {bound}]")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -22,13 +23,13 @@ from kpmod.modules import (
     ModuleTooLargeError,
     SubmoduleCloser,
     WeightModule,
-    _components,
     _submodule_from_closure,
     cyclic_submodule,
     dual_twist,
     hom_dim,
     kp_module,
     one_dim,
+    shift_weights,
     tensor_many,
     tensor_power,
     tensor_product,
@@ -90,6 +91,29 @@ class TestExtractor:
         rep = kp_filtration_extract(Z)
         assert rep.ok
         assert rep.factors == ()
+
+    def test_reports_pinned_on_a_fixed_corpus(self):
+        # every S_3 tensor pair and its twisted dual, the Schur images with
+        # 2 <= |sigma| <= 3, the twisted duals of the S_3 KP modules, a line
+        # and a shifted module: 26 of the 110 fail, so witnesses with their
+        # expected and actual characters are pinned too
+        codes = [code(w, 3) for w in all_permutations(3)]
+        corpus = [tensor_product(kp_module(a), kp_module(b)) for a in codes for b in codes]
+        corpus += [
+            young_symmetrizer_image(kp_module(lam), sigma)
+            for sigma in [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+            for lam in codes
+        ]
+        corpus += [dual_twist(kp_module(lam)) for lam in codes]
+        corpus += [dual_twist(M) for M in corpus[:36]]
+        corpus += [
+            one_dim((0, 1)),
+            shift_weights(tensor_product(kp_module((1, 0, 1)), kp_module((0, 1, 0))), (-1, 2, 0)),
+        ]
+        reports = [kp_filtration_extract(M).to_json() for M in corpus]
+        assert sum(r["witness"] is not None for r in reports) == 26
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == "e527f820ba0fbb9c1eccf00c0b8146392a19a822955e95594a0c175ebc8e52fa"
 
     def test_layer_sum_telescopes(self):
         M = tensor_product(kp_module((1, 0, 1)), kp_module((0, 1, 0)))
@@ -358,10 +382,9 @@ def reference_young_symmetrizer_image(M, sigma):
             vectors.append(vec)
     span = {}
     for v in vectors:
-        for wt, comp in _components(T, v):
-            span.setdefault(wt, Echelon()).insert(comp)
+        span.setdefault(T.weight_of(v), Echelon()).insert(v)
     closer = SubmoduleCloser(T)
-    closer.add(vectors)
+    closer.add((T.weight_of(v), v) for v in vectors)
     assert closer.rank == sum(e.rank for e in span.values()), "span is not a submodule"
     return _submodule_from_closure(T, closer)
 

@@ -12,6 +12,7 @@ from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
     ModuleMap,
     ModuleTooLargeError,
+    SubmoduleCloser,
     _proportional,
     _WedgeAmbient,
     annihilator_check,
@@ -227,6 +228,12 @@ class TestCyclicSubmodule:
     def test_zero_vector_gives_zero_module(self):
         S = cyclic_submodule(vector_rep(2), {})
         assert S.dim == 0
+
+    def test_mixed_weight_vector_rejected(self):
+        # u_1 + u_2 is no weight vector: closing the span of its components
+        # would not give the cyclic submodule it generates
+        with pytest.raises(ValueError, match="not a homogeneous weight vector"):
+            cyclic_submodule(vector_rep(2), {0: ONE, 1: ONE})
 
 
 class TestKPModule:
@@ -500,12 +507,20 @@ class TestDiagramEngine:
             seen = set(frontier)
             while frontier:
                 key = frontier.pop()
-                assert amb.weights[key] == eager.weights[key]
                 for pair in amb.raising_pairs():
                     col = amb.column(pair, key)
                     assert col == eager.column(pair, key)
                     frontier.extend(k for k in col if k not in seen)
                     seen.update(col)
+            assert amb.generator_weight == eager.weight_of(amb.generator)
+            # every basis weight of diagram_module is the eager weight at
+            # the pivot key of its echelon row, and at the row's other keys
+            closer = SubmoduleCloser(amb)
+            closer.add([(amb.generator_weight, amb.generator)])
+            basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
+            assert list(diagram_module(columns, n).weights) == [wt for wt, _ in basis]
+            for wt, p in basis:
+                assert all(eager.weights[key] == wt for key in closer.echelons[wt].rows[p])
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_demazure_character_is_key_polynomial(self, m):
@@ -582,6 +597,18 @@ class TestSl3:
         with pytest.raises(ModuleTooLargeError, match=r"tensor_many of dimensions \[10, 10\]"):
             sl3_presentation_check(3, 3)
 
+    @pytest.mark.parametrize("name, args", [
+        ("case", (3.0, 1, 1)), ("case", (True, 1, 1)),
+        ("N", (3, 1.0, 1)), ("N", (3, True, 1)),
+        ("M", (3, 1, 1.0)), ("M", (3, 1, True)),
+        ("N2", (1, 2, 1, 1.0, 1)), ("N2", (1, 2, 1, True, 1)),
+        ("M2", (1, 2, 1, 1, 1.0)), ("M2", (1, 2, 1, 1, False)),
+    ])
+    def test_identity_rejects_non_integer_arguments(self, name, args):
+        # (3, 1.0, 1) was a TypeError from range inside apply_power
+        with pytest.raises(ValueError, match=f"sl3_identity_check {name} must be an integer"):
+            sl3_identity_check(*args)
+
     @pytest.mark.parametrize("a, b", [(1.0, 0), (True, 0), (0, 2.0)])
     def test_rejects_non_integer_parameters(self, a, b):
         sl3_presentation_check(1, 0)  # (1, 0) cached: 1.0 and True must not find it
@@ -605,6 +632,18 @@ class TestLimitsAndSerialization:
         assert "ambient keys touched 6" in msg
         with pytest.raises(ModuleTooLargeError, match="demazure_module.0, 1, 2.: ambient keys"):
             demazure_module((0, 1, 2))
+
+    def test_module_cached_at_a_larger_cap_is_refused_under_a_lower_one(self, monkeypatch):
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        assert kp_module((0, 2, 1, 0)).dim == 5
+        monkeypatch.setenv("KP_MAX_DIM", "5")
+        # no clear_caches(): the module cached at the default cap must not
+        # be handed out, so the call fails as a cold one does
+        with pytest.raises(ModuleTooLargeError) as err:
+            kp_module((0, 2, 1, 0))
+        assert str(err.value) == (
+            "kp_module(0, 2, 1, 0): ambient keys touched 6 exceeds the KP_MAX_DIM cap 5"
+        )
 
     def test_closure_rank_error_names_the_weight(self, monkeypatch):
         T = tensor_power(vector_rep(3), 2)
