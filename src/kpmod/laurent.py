@@ -2,9 +2,13 @@
 
 Terms map length-n integer exponent tuples (entries may be negative) to
 nonzero Python ints; all arithmetic is exact.  Instances are treated as
-immutable: every operation returns a fresh polynomial.  Exponents, the
-variable count and coefficients must be ints: a float or a bool is a
-ValueError naming the input, never truncated.
+immutable: every operation returns a fresh polynomial.  The public
+constructors (``LaurentPoly(...)``, ``zero``, ``one``, ``monomial``,
+``variable``, ``from_json``) validate their input: exponents, the variable
+count and coefficients must be ints, and a float or a bool is a ValueError
+naming the input, never truncated.  A result derived from polynomials that
+are already valid (sums, products, shifts, substitutions, divided
+differences) is wrapped by the private ``_of`` without re-validation.
 
 A product of two polynomials with several terms each packs exponent vectors
 into single ints (Kronecker substitution; Monagan and Pearce, "Polynomial
@@ -51,6 +55,15 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, n: int, terms: dict) -> "LaurentPoly":
+        """Wrap terms that are already clean: length-n int tuples mapped to
+        nonzero ints.  No validation; only derived results come here."""
+        res = cls.__new__(cls)
+        res.n = n
+        res.terms = terms
+        return res
+
+    @classmethod
     def zero(cls, n: int) -> "LaurentPoly":
         return cls(n)
 
@@ -89,16 +102,12 @@ class LaurentPoly:
                 out[exp] = acc
             else:
                 del out[exp]
-        res = LaurentPoly(self.n)
-        res.terms = out
-        return res
+        return LaurentPoly._of(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly(self.n)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -107,26 +116,22 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            res = LaurentPoly(self.n)
-            if other:
-                res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            if not other:
+                return LaurentPoly._of(self.n, {})
+            return LaurentPoly._of(self.n, {e: c * other for e, c in self.terms.items()})
         self._require_same(other)
-        res = LaurentPoly(self.n)
         a, b = self.terms, other.terms
         if not a or not b:
-            return res
+            return LaurentPoly._of(self.n, {})
         # A single term c*x^e shifts and scales the other factor.  Products of
         # nonzero ints are nonzero and the shifted exponents stay distinct, so
         # this is the double loop below, in its order, without the dict work.
         if len(a) == 1:
             ((e, c),) = a.items()
-            res.terms = {tuple(map(add, e, f)): c * d for f, d in b.items()}
-            return res
+            return LaurentPoly._of(self.n, {tuple(map(add, e, f)): c * d for f, d in b.items()})
         if len(b) == 1:
             ((f, d),) = b.items()
-            res.terms = {tuple(map(add, e, f)): c * d for e, c in a.items()}
-            return res
+            return LaurentPoly._of(self.n, {tuple(map(add, e, f)): c * d for e, c in a.items()})
         # Kronecker substitution, exact as the module docstring shows.  The
         # double loop adds ints and deletes zero sums as they occur, so
         # `terms` keeps the order of the plain A-outer, B-inner tuple loop.
@@ -159,8 +164,7 @@ class LaurentPoly:
                 q, key = divmod(key, r)
                 exp.append(q + low)
             terms[tuple(exp)] = c
-        res.terms = terms
-        return res
+        return LaurentPoly._of(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -202,10 +206,10 @@ class LaurentPoly:
         """Value at x_1 = ... = x_n = 1."""
         return sum(self.terms.values())
 
-    def sorted_terms(self, reverse: bool = True) -> list:
-        """(exponent, coefficient) pairs sorted lexicographically by exponent
-        (descending by default, which puts leading x_1 powers first)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=reverse)]
+    def sorted_terms(self) -> list:
+        """(exponent, coefficient) pairs in descending lexicographic order of
+        the exponent, which puts leading x_1 powers first."""
+        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
 
     # -- transformations ---------------------------------------------------
 
@@ -214,29 +218,27 @@ class LaurentPoly:
         delta = int_tuple(delta, "shift vector")
         if len(delta) != self.n:
             raise ValueError("shift vector has wrong length")
-        res = LaurentPoly(self.n)
-        res.terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._of(
+            self.n, {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
+        )
 
     def invert_variables(self) -> "LaurentPoly":
         """Substitute x_i -> x_i^{-1}."""
-        res = LaurentPoly(self.n)
-        res.terms = {tuple(-a for a in e): c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._of(
+            self.n, {tuple(-a for a in e): c for e, c in self.terms.items()}
+        )
 
     def swap_adjacent(self, i: int) -> "LaurentPoly":
         """Exchange x_i and x_{i+1}."""
         _require_int(i, "swap index")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"index {i} out of range")
-        res = LaurentPoly(self.n)
         out = {}
         for e, c in self.terms.items():
             f = list(e)
             f[i - 1], f[i] = f[i], f[i - 1]
             out[tuple(f)] = c
-        res.terms = out
-        return res
+        return LaurentPoly._of(self.n, out)
 
     def extend(self, m: int) -> "LaurentPoly":
         """View in m >= n variables (pad exponents with zeros)."""
@@ -244,9 +246,7 @@ class LaurentPoly:
         if m < self.n:
             raise ValueError("extend cannot drop variables")
         pad = (0,) * (m - self.n)
-        res = LaurentPoly(m)
-        res.terms = {e + pad: c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._of(m, {e + pad: c for e, c in self.terms.items()})
 
     def restrict(self, m: int) -> "LaurentPoly":
         """Drop trailing variables, which must not occur."""
@@ -260,9 +260,7 @@ class LaurentPoly:
                     f"term x^{e} involves a variable beyond x_{m}"
                 )
             out[e[:m]] = c
-        res = LaurentPoly(m)
-        res.terms = out
-        return res
+        return LaurentPoly._of(m, out)
 
     # -- rendering / serialization ------------------------------------------
 

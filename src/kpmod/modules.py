@@ -441,15 +441,15 @@ def _submodule_from_closure(M, closer, generator=None) -> WeightModule:
     return WeightModule(M.n, [wt for wt, _ in basis], builder, generator=gen)
 
 
-def cyclic_submodule(M: WeightModule, vec: dict, *, what: str = "cyclic_submodule") -> WeightModule:
+def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
     """Smallest subspace containing vec closed under the raising operators,
     as a module with induced actions (basis in reduced echelon form per
     weight space).  vec must be a weight vector, or zero: ValueError("not a
-    homogeneous weight vector") otherwise.  ``what`` names the construction
-    if the closure rank exceeds KP_MAX_DIM.
+    homogeneous weight vector") otherwise.  A closure rank above KP_MAX_DIM
+    is a ModuleTooLargeError naming "cyclic_submodule at weight ...".
     """
     gen = [(M.weight_of(vec), vec)] if vec else []
-    closer = SubmoduleCloser(M, what)
+    closer = SubmoduleCloser(M, "cyclic_submodule")
     closer.add(gen)
     return _submodule_from_closure(M, closer, *gen)
 

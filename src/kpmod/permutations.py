@@ -110,10 +110,6 @@ class Permutation:
         return list(self.window)
 
 
-def identity() -> Permutation:
-    return Permutation()
-
-
 def transposition(i: int, j: int) -> Permutation:
     """The permutation t_ij exchanging i and j (i < j)."""
     if not 1 <= i < j:

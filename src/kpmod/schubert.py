@@ -22,7 +22,6 @@ from .permutations import (
     _transition_window,
     _window_code,
     code,
-    dominates,
     longest_element,
     perm_of,
     rho,
@@ -59,9 +58,7 @@ def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
                 out[key] = acc
             else:
                 del out[key]
-    res = LaurentPoly(f.n)
-    res.terms = out
-    return res
+    return LaurentPoly._of(f.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +167,18 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
     """Write f exactly as sum c_mu * S_mu; returns {mu: c_mu} (ints, possibly
     negative).
 
-    Repeatedly subtracts the Schubert polynomial of a dominance-minimal
-    exponent of the running support (lexicographically smallest minimal one,
-    for reproducibility); supports stay inside finite dominance intervals, so
-    the loop terminates.
+    Repeatedly subtracts the Schubert polynomial of the lexicographically
+    least exponent of the running support; supports stay inside finite
+    dominance intervals, so the loop terminates.  That exponent mu is
+    dominance-minimal in the support: if mu dominated some nu != mu, then at
+    the first index where they differ the partial sums of mu - nu, zero
+    before it and >= 0 there, would give mu_i > nu_i, so nu would be
+    lexicographically smaller than mu.
     """
     res: dict = {}
     work = f
     while work.terms:
-        supp = sorted(work.terms)
-        pick = None
-        for mu in supp:
-            if not any(nu != mu and dominates(mu, nu) for nu in supp):
-                pick = mu
-                break
-        if pick is None:
-            # a finite support always has a dominance-minimal element
-            raise RuntimeError(
-                f"no dominance-minimal exponent among {len(supp)} terms"
-            )
+        pick = min(work.terms)
         c = work.terms[pick]
         res[pick] = res.get(pick, 0) + c
         work = work - schubert_poly(pick) * c
@@ -391,16 +381,10 @@ def plethysm_eval(sigma, f: LaurentPoly) -> LaurentPoly:
 
     det = LaurentPoly.zero(f.n)
     for perm in itertools.permutations(range(ell)):
-        inv = sum(
-            1
-            for a in range(ell)
-            for b in range(a + 1, ell)
-            if perm[a] > perm[b]
-        )
         term = LaurentPoly.one(f.n)
         for i in range(ell):
             term = term * entry(i, perm[i])
             if term.is_zero():
                 break
-        det = det + (term if inv % 2 == 0 else -term)
+        det = det + term * Permutation([p + 1 for p in perm]).sign()
     return det

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from kpmod.modules import (
     _submodule_from_closure,
     cyclic_submodule,
     dual_twist,
+    exterior_power,
     hom_dim,
     kp_module,
     one_dim,
@@ -348,12 +350,9 @@ class TestYoungSymmetrizerImage:
             young_symmetrizer_image(vector_rep(2), sigma)
 
 
-def reference_young_symmetrizer_image(M, sigma):
-    """The route before generator seeding, kept as a reference: c_sigma of
-    every one of the dim^k basis tuples, whose span must already be stable
-    under the action."""
-    k = sum(sigma)
-    T = tensor_power(M, k)
+def young_slots(sigma):
+    """The slot groups of the rows and of the columns of sigma, slots
+    numbered along the rows."""
     rows = []
     start = 0
     for part in sigma:
@@ -361,6 +360,16 @@ def reference_young_symmetrizer_image(M, sigma):
         start += part
     ncols = sigma[0] if sigma else 0
     cols = [[rows[r][c] for r in range(len(sigma)) if sigma[r] > c] for c in range(ncols)]
+    return rows, cols
+
+
+def reference_image_closure(M, sigma):
+    """The route before generator seeding, kept as a reference: c_sigma of
+    every one of the dim^k basis tuples, whose span must already be stable
+    under the action.  Returns M^{(x) k} and the closer holding the image."""
+    k = sum(sigma)
+    T = tensor_power(M, k)
+    rows, cols = young_slots(sigma)
     terms = [
         (tuple(p[q[t]] for t in range(k)), Permutation([t + 1 for t in q]).sign())
         for p in filtration._block_perms(rows, k)
@@ -386,7 +395,49 @@ def reference_young_symmetrizer_image(M, sigma):
     closer = SubmoduleCloser(T)
     closer.add((T.weight_of(v), v) for v in vectors)
     assert closer.rank == sum(e.rank for e in span.values()), "span is not a submodule"
-    return _submodule_from_closure(T, closer)
+    return T, closer
+
+
+def reference_young_symmetrizer_image(M, sigma):
+    return _submodule_from_closure(*reference_image_closure(M, sigma))
+
+
+def column_wedge_projection(M, sigma):
+    """pi: M^{(x) k} -> (x)_c Lambda^{|c|}(M) over the columns c of sigma:
+    the factors in the slots of each column, top to bottom, are wedged into
+    the increasing basis of Lambda^{|c|}(M), with the sign of the sort, and
+    zero on a repeated index.  Returns the target module and pi on sparse
+    vectors."""
+    k = sum(sigma)
+    _, cols = young_slots(sigma)
+    L = tensor_many([exterior_power(M, len(c)) for c in cols], M.n)
+    index = [
+        {combo: t for t, combo in enumerate(itertools.combinations(range(M.dim), len(c)))}
+        for c in cols
+    ]
+    strides = [math.prod(len(ix) for ix in index[s + 1:]) for s in range(len(cols))]
+
+    def pi(vec):
+        out = {}
+        for idx, x in vec.items():
+            digits = [idx // M.dim ** (k - 1 - t) % M.dim for t in range(k)]
+            key, sign = 0, 1
+            for c, ix, stride in zip(cols, index, strides):
+                entries = [digits[s] for s in c]
+                combo = tuple(sorted(entries))
+                if combo not in ix:
+                    break  # a repeated index wedges to zero
+                sign *= Permutation([combo.index(e) + 1 for e in entries]).sign()
+                key += ix[combo] * stride
+            else:
+                acc = out.get(key, 0) + sign * x
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return out
+
+    return L, pi
 
 
 def dumps(M):
@@ -395,22 +446,47 @@ def dumps(M):
 
 class TestYoungSymmetrizerReference:
     SHAPES = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    S5_CODES = [(0, 1, 0, 1, 0), (2, 0, 2, 1, 0), (0, 3, 1, 1, 0)]
+    S5_SHAPES = [(3,), (2, 1), (1, 1, 1)]
+
+    @staticmethod
+    def small_modules():
+        modules = [vector_rep(2), vector_rep(3)]
+        return modules + [kp_module(code(w, m)) for m in (2, 3, 4) for w in all_permutations(m)]
 
     def test_matches_reference_on_small_modules(self):
-        modules = [vector_rep(2), vector_rep(3)]
-        modules += [kp_module(code(w, m)) for m in (2, 3, 4) for w in all_permutations(m)]
+        modules = self.small_modules()
         assert len(modules) * len(self.SHAPES) == 204
         for M in modules:
             for sigma in self.SHAPES:
                 new = young_symmetrizer_image(M, sigma)
                 assert dumps(new) == dumps(reference_young_symmetrizer_image(M, sigma))
 
-    @pytest.mark.parametrize("lam", [(0, 1, 0, 1, 0), (2, 0, 2, 1, 0), (0, 3, 1, 1, 0)])
+    @pytest.mark.parametrize("lam", S5_CODES)
     def test_matches_reference_on_s5_codes(self, lam):
         M = kp_module(lam)
-        for sigma in [(3,), (2, 1), (1, 1, 1)]:
+        for sigma in self.S5_SHAPES:
             new = young_symmetrizer_image(M, sigma)
             assert dumps(new) == dumps(reference_young_symmetrizer_image(M, sigma))
+
+    def test_column_wedge_projection_is_an_isomorphism_onto_its_image(self):
+        # c_sigma^2 = n_sigma c_sigma, so the column wedge projection is
+        # injective on im c_sigma; it is a module map, so it keeps weights and
+        # commutes with every e_{i,i+1}
+        cases = [(M, sigma) for M in self.small_modules() for sigma in self.SHAPES]
+        cases += [(kp_module(lam), sigma) for lam in self.S5_CODES for sigma in self.S5_SHAPES]
+        assert len(cases) == 213
+        for M, sigma in cases:
+            T, closer = reference_image_closure(M, sigma)
+            L, pi = column_wedge_projection(M, sigma)
+            for wt, ech in closer.echelons.items():
+                images = Echelon()
+                for row in ech.rows.values():
+                    img = pi(row)
+                    assert img and L.weight_of(img) == wt
+                    assert images.insert(img) is not None, (M, sigma, wt)
+                    for pair in T.simple_pairs():
+                        assert pi(T.apply(pair, row)) == L.apply(pair, img)
 
     def test_empty_partition_is_the_trivial_module(self):
         M = kp_module((1, 0, 1))

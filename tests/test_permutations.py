@@ -17,7 +17,6 @@ from kpmod.permutations import (
     compare,
     contains_2143,
     dominates,
-    identity,
     _transition_window,
     _window_code,
     inversion_data,
@@ -45,7 +44,7 @@ def brute_code(w, n):
 class TestCodes:
     def test_known_values(self):
         assert code(Permutation([2, 1, 4, 3]), 4) == (1, 0, 1, 0)
-        assert perm_of((0, 0, 0, 0)) == identity()
+        assert perm_of((0, 0, 0, 0)) == Permutation()
         assert perm_of((1, 0, 1)).window == (2, 1, 4, 3)
 
     def test_roundtrip_on_s4(self):
@@ -99,7 +98,7 @@ class TestPermutation:
 
     def test_composition_and_inverse(self):
         w = Permutation([2, 1, 4, 3])
-        assert (w * w.inverse()) == identity()
+        assert (w * w.inverse()) == Permutation()
         s1 = transposition(1, 2)
         assert (w * s1).window == (1, 2, 4, 3)
 
@@ -116,7 +115,7 @@ class TestInversionData:
         assert d.sign == 1
 
     def test_identity(self):
-        d = inversion_data(identity())
+        d = inversion_data(Permutation())
         assert d.inversions == frozenset()
         assert d.length == 0
 
@@ -144,7 +143,7 @@ class TestMTable:
         assert set(t.pruned) == {(1, 2), (2, 3), (2, 4), (3, 4)}
 
     def test_identity(self):
-        t = m_table(identity(), 4)
+        t = m_table(Permutation(), 4)
         assert all(m == 0 for m in t.entries.values())
         assert set(t.pruned) == {(1, 2), (2, 3), (3, 4)}
 
@@ -184,12 +183,12 @@ class TestTransition:
     def test_simple_transposition(self):
         td = transition(Permutation([2, 1]))
         assert (td.j, td.k) == (1, 2)
-        assert td.v == identity()
+        assert td.v == Permutation()
         assert td.branches == ()
 
     def test_undefined_at_identity(self):
         with pytest.raises(ValueError, match="transition undefined at id"):
-            transition(identity())
+            transition(Permutation())
 
     def test_structural_invariants_s5(self):
         for w in all_permutations(5):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from kpmod import schubert
 from kpmod.laurent import LaurentPoly
 from kpmod.permutations import all_permutations, code, dominates, perm_of, rho, transition
 from kpmod.schubert import (
@@ -31,6 +30,22 @@ def random_poly(rng, n, nterms=4):
             for _ in range(nterms)
         ],
     )
+
+
+def dominance_scan_expansion(f):
+    """Schubert expansion that picks, each round, the lexicographically first
+    dominance-minimal exponent of the running support by a full scan."""
+    res = {}
+    work = f
+    while work.terms:
+        supp = sorted(work.terms)
+        pick = next(
+            mu for mu in supp if not any(nu != mu and dominates(mu, nu) for nu in supp)
+        )
+        c = work.terms[pick]
+        res[pick] = res.get(pick, 0) + c
+        work = work - schubert_poly(pick) * c
+    return {mu: c for mu, c in res.items() if c}
 
 
 def compositions(total, n):
@@ -176,10 +191,32 @@ class TestExpand:
     def test_negative_coefficients(self):
         assert expand_in_schubert(x(2, 2)) == {(0, 1): 1, (1, 0): -1}
 
-    def test_missing_minimal_exponent_raises(self, monkeypatch):
-        monkeypatch.setattr(schubert, "dominates", lambda a, b: True)
-        with pytest.raises(RuntimeError, match="dominance-minimal"):
-            expand_in_schubert(x(2, 1) + x(2, 2))
+    def test_matches_dominance_minimal_scan(self):
+        # the lexicographically least exponent is the first dominance-minimal
+        # one in sorted order, so the scan below picks the same exponent each
+        # round: same coefficients, same key order; negative exponents and
+        # mixed total degrees included
+        rng = random.Random(13)
+        inputs = [
+            random_poly(rng, n, nterms=rng.randint(1, 5)) for n in (2, 3, 4) for _ in range(40)
+        ]
+        codes = [code(w, 4) for w in all_permutations(4)]
+        inputs += [
+            schubert_poly(rng.choice(codes)) * schubert_poly(rng.choice(codes)) for _ in range(30)
+        ]
+        assert any(min(e) < 0 for f in inputs for e in f.terms)
+        assert any(len(f.total_degrees()) > 1 for f in inputs)
+        for f in inputs:
+            got = expand_in_schubert(f)
+            assert list(got.items()) == list(dominance_scan_expansion(f).items())
+
+    def test_least_exponent_is_dominance_minimal(self):
+        rng = random.Random(14)
+        for _ in range(20000):
+            n = rng.randint(1, 4)
+            supp = {tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+            least = min(supp)
+            assert not any(nu != least and dominates(least, nu) for nu in supp)
 
     def test_reconstruction_random(self):
         rng = random.Random(6)
