@@ -19,6 +19,7 @@ The two routes must agree, and experiments assert that they do.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,12 +31,13 @@ from .modules import (
     _raised,
     _submodule_from_closure,
     _too_large,
+    _WedgeAmbient,
+    _weight_sum,
     kp_module,
     max_dim,
     tensor_many,
-    tensor_power,
 )
-from .permutations import Permutation, m_table, perm_of, rho, standard_key
+from .permutations import m_table, perm_of, rho, standard_key
 from .schubert import _check_partition, expand_in_schubert, plethysm_eval, schubert_poly
 
 
@@ -50,16 +52,18 @@ def degree_components(M: WeightModule):
 
 
 def sort_weights(M: WeightModule) -> list:
-    """Distinct weights of M, strictly increasing in the standard total
-    order: sorted descending by ``standard_key`` at one shift shared by all
-    of them.  Requires a single total degree."""
-    ws = set(M.weights)
-    if len({sum(w) for w in ws}) > 1:
-        raise MixedDegreeError(
-            "module mixes total degrees; split into degree components first"
-        )
-    shift = max(0, -min((x for w in ws for x in w), default=0))
-    return sorted(ws, key=lambda w: standard_key(w, shift), reverse=True)
+    """Distinct weights of M, strictly increasing in the standard total order
+    (descending ``standard_key`` at one shift shared by all), sorted once per
+    module; each call returns a fresh list.  Requires a single total degree."""
+    if M._levels is None:
+        ws = set(M.weights)
+        if len({sum(w) for w in ws}) > 1:
+            raise MixedDegreeError(
+                "module mixes total degrees; split into degree components first"
+            )
+        shift = max(0, -min((x for w in ws for x in w), default=0))
+        M._levels = tuple(sorted(ws, key=lambda w: standard_key(w, shift), reverse=True))
+    return list(M._levels)
 
 
 @dataclass(frozen=True)
@@ -271,69 +275,53 @@ def tensor_experiment(lam, mu) -> TensorExperimentReport:
     return TensorExperimentReport(lam, mu, ext, crit, expansion)
 
 
-def _block_perms(blocks, k):
-    """All permutations of range(k) preserving the given blocks."""
-    perms = []
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        p = list(range(k))
-        for src_block, img_block in zip(blocks, choice):
-            for s, d in zip(src_block, img_block):
-                p[s] = d
-        perms.append(tuple(p))
-    return perms
-
-
 def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
-    """Image of the Young symmetrizer c_sigma (row symmetrizer times column
-    antisymmetrizer, unnormalized) of the partition sigma acting on M^{(x) k},
-    k = |sigma|, by permuting tensor factors: the Schur functor S^sigma(M).
-
-    If M = U(n+) g, then g (x) M^{(x) (k-1)} generates M^{(x) k}: the x in M
-    with x (x) M^{(x) (k-1)} inside the submodule it generates form a submodule
-    containing g.  c_sigma commutes with the action, so the image is the
-    closure of c_sigma of the basis tuples whose first index lies in the
-    support of ``M.generator`` (any index when M has none).  Raises ValueError
-    unless sigma is a partition, and ModuleTooLargeError when M^{(x) k} or the
-    terms of c_sigma (row times column length factorials) exceed KP_MAX_DIM.
+    """The Schur functor S^sigma(M), the image of the Young symmetrizer
+    a_sigma b_sigma (rows symmetrized, columns antisymmetrized) on
+    M^{(x) k}, k = |sigma|, closed in a ``_WedgeAmbient`` over the columns
+    of sigma.  Wedging each column's factors is injective on im(b_sigma) and
+    turns b_sigma into a sign, so it carries im(b_sigma a_sigma), a copy of
+    S^sigma(M), onto the span of the wedged a_sigma x; if M = U(n+) g, the x
+    whose first index lies in the support of ``M.generator`` suffice.  More
+    rows than dim M give the zero module.  Raises ValueError unless sigma is
+    a partition, and ModuleTooLargeError when the row terms (the product of
+    the factorials of the parts), an exterior power of M, the closure rank
+    or the ambient keys touched exceed KP_MAX_DIM.
     """
     sigma = _check_partition(sigma)
     cap = max_dim()
-    size = 1
-    col_lengths = (sum(1 for p in sigma if p > c) for c in range(sigma[0] if sigma else 0))
-    for length in itertools.chain(sigma, col_lengths):
-        for f in range(2, length + 1):
-            size *= f
-            if size > cap:
-                raise _too_large(f"young_symmetrizer_image of sigma {sigma}", "symmetrizer terms >=", size, cap)
-    k = sum(sigma)
-    T = tensor_power(M, k)
-    starts = [sum(sigma[:r]) for r in range(len(sigma))]
-    rows = [range(a, a + part) for a, part in zip(starts, sigma)]
-    cols = [[row[c] for row in rows if len(row) > c] for c in range(sigma[0] if sigma else 0)]
-    # factor t lands in slot p(q(t)), of mixed-radix stride dim^(k-1-slot)
-    strides = [M.dim ** (k - 1 - t) for t in range(k)]
-    terms = [
-        ([strides[p[q[t]]] for t in range(k)], Permutation([t + 1 for t in q]).sign())
-        for p in _block_perms(rows, k)
-        for q in _block_perms(cols, k)
+    what = f"young_symmetrizer_image of sigma {sigma}"
+    for size in itertools.accumulate((f for p in sigma for f in range(2, p + 1)), operator.mul):
+        if size > cap:
+            raise _too_large(what, "symmetrizer terms >=", size, cap)
+    if len(sigma) > M.dim:
+        return WeightModule(M.n, [])
+    diagram = [range(1, sum(p > c for p in sigma) + 1) for c in range(sigma[0] if sigma else 0)]
+    amb = _WedgeAmbient(diagram, M.n, what, M)
+    # a row term permutes slots within each row; column c takes each row's slot c
+    rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
+    placements = [
+        [[row[c] for row in term if len(row) > c] for c in range(len(diagram))]
+        for term in itertools.product(*map(itertools.permutations, rows))
     ]
-    slots = [range(M.dim)] * k
+    slots = [range(M.dim)] * sum(sigma)
     if slots and M.generator:
         slots[0] = sorted(M.generator)
 
-    def symmetrized(combo):
-        acc: dict = {}
-        for place, sign in terms:
-            idx = sum(b * s for b, s in zip(combo, place))
-            acc[idx] = acc.get(idx, 0) + sign
-        return {i: c for i, c in acc.items() if c}
+    def seeds():
+        for x in itertools.product(*slots):
+            acc: dict = {}
+            for place in placements:
+                wedged = amb.wedge([[x[s] for s in col] for col in place])
+                if wedged:
+                    acc[wedged[0]] = acc.get(wedged[0], 0) + wedged[1]
+            v = {key: c for key, c in acc.items() if c}
+            if v:  # of the weight of x: wedging and permuting keep weights
+                yield _weight_sum(M.n, (M.weights[b] for b in x)), v
 
-    # permuting factors keeps the weight, so each symmetrized vector is a
-    # weight vector, of the weight at any one of its keys
-    vecs = (v for v in map(symmetrized, itertools.product(*slots)) if v)
-    closer = SubmoduleCloser(T)
-    closer.add((T.weights[next(iter(v))], v) for v in vecs)
-    return _submodule_from_closure(T, closer)
+    closer = SubmoduleCloser(amb, what)
+    closer.add(seeds())
+    return _submodule_from_closure(amb, closer)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ class WeightModule(_Action):
     module (M = U(n+) generator); ``young_symmetrizer_image`` relies on that.
     """
 
-    __slots__ = ("n", "weights", "generator", "_cols", "_builder", "_wspaces")
+    __slots__ = ("n", "weights", "generator", "_cols", "_builder", "_wspaces", "_levels")
 
     def __init__(self, n, weights, builder=None, generator=None):
         _require_int(n, "WeightModule n")
@@ -111,7 +111,7 @@ class WeightModule(_Action):
         self._cols = {p: {} for p in self.raising_pairs()}
         self._builder = builder
         self.generator = dict(generator) if generator is not None else None
-        self._wspaces = None
+        self._wspaces = self._levels = None  # caches of weight_spaces and sort_weights
 
     @property
     def dim(self) -> int:
@@ -579,22 +579,46 @@ def _wedge_factor(n: int, k: int) -> WeightModule:
 
 
 class _WedgeAmbient(_Tensor):
-    """The tensor of Lambda^{|c|} K^n over the columns c of a diagram, with
-    the column wedge as ``generator``.  Keys are those of ``tensor_many``
-    over the same factors, but nothing is enumerated and no key has a stored
-    weight: only ``generator_weight``, the sum of the column indicator
-    vectors, is known, and a closure derives every other weight from it."""
+    """The tensor of Lambda^{|c|} M over the columns c of a diagram, keyed
+    like ``tensor_many`` over the ``exterior_power(M, |c|)``; M is ``base``,
+    or K^n, and a length-one column is M itself.  Each column lists rows
+    1..dim M, basis vectors of M, whose wedges tensor to ``generator``, of
+    weight ``generator_weight``; no key has a stored weight."""
 
-    def __init__(self, columns, n: int, what: str):
-        super().__init__([_wedge_factor(n, len(c)) for c in columns], n)
-        wedges = []
-        for rows in columns:
-            if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
-                raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
-            wedges.append(tuple(int(r in rows) for r in range(1, n + 1)))
-        key = sum(F.weights.index(w) * stride for (F, _, stride), w in zip(self.slots, wedges))
+    def __init__(self, columns, n: int, what: str, base=None):
+        self.d = n if base is None else base.dim
+        allowed = set(range(1, self.d + 1))
+        rows = []
+        for col in columns:
+            if len(set(col)) != len(col) or not allowed.issuperset(col):
+                raise ValueError(f"{what}: column {list(col)} is not a set of rows in 1..{self.d}")
+            rows.append(sorted(r - 1 for r in col))
+        if base is None:
+            factors = {k: _wedge_factor(n, k) for k in map(len, rows)}
+        else:
+            factors = {k: base if k == 1 else exterior_power(base, k) for k in map(len, rows)}
+        super().__init__([factors[len(col)] for col in rows], n)
+        key = self.wedge(rows)[0]
         self.generator = {key: ONE}
-        self.generator_weight = _weight_sum(n, wedges)
+        self.generator_weight = _weight_sum(n, (F.weights[key // s % dim] for F, dim, s in self.slots))
+
+    def wedge(self, columns):
+        """(key, sign) of the tensor of the wedges of ``columns``, lists of
+        basis indices of M, the sign that of sorting them; None on a repeat."""
+        key, sign, d = 0, 1, self.d
+        for (_, size, stride), col in zip(self.slots, columns):
+            if len(col) == 1:
+                key += col[0] * stride
+                continue
+            combo = sorted(col)
+            if len(set(combo)) < len(combo):
+                return None
+            if combo != col:
+                sign *= (-1) ** sum(a > b for t, a in enumerate(col) for b in col[t + 1:])
+            # the place of combo among the combinations of range(d)
+            lex = sum(math.comb(d - 1 - c, len(col) - t) for t, c in enumerate(combo))
+            key += (size - 1 - lex) * stride
+        return key, sign
 
 
 def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightModule:

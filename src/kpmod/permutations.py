@@ -39,7 +39,7 @@ class Permutation:
     def __init__(self, images=()):
         window = int_tuple(images, "permutation window")
         if sorted(window) != list(range(1, len(window) + 1)):
-            raise ValueError(f"not a one-line permutation window: {list(images)}")
+            raise ValueError(f"not a one-line permutation window: {list(window)}")
         while window and window[-1] == len(window):
             window = window[:-1]
         object.__setattr__(self, "window", window)

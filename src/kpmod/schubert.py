@@ -128,35 +128,31 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
     if lam in _transition_memo:
         return _transition_memo[lam]
     n = len(lam)
-    stack = [lam]
+    # an entry keeps its transition step, taken once, until its children are known
+    stack = [(lam, None)]
     while stack:
-        cur = stack[-1]
+        cur, step = stack.pop()
         if cur in _transition_memo:
-            stack.pop()
             continue
         if all(cur[t] >= cur[t + 1] for t in range(n - 1)):
             # weakly decreasing code: the polynomial is the single monomial
             _transition_memo[cur] = LaurentPoly.monomial(n, cur)
-            stack.pop()
             continue
-        # the window of perm(cur): each code entry pops from 1..N
-        avail = list(range(1, n + max(cur) + 1))
-        win = [avail.pop(c) for c in cur]
-        win.extend(avail)
-        j, _, v, branches = _transition_window(win)
-        vcode = _window_code(v, n)
-        bcodes = [_window_code(b, n) for _, b in branches]
-        pending = [c for c in [vcode, *bcodes] if c not in _transition_memo]
-        if pending:
-            stack.extend(pending)
+        if step is None:
+            # the window of perm(cur): each code entry pops from 1..N
+            avail = list(range(1, n + max(cur) + 1))
+            win = [avail.pop(c) for c in cur]
+            win.extend(avail)
+            j, _, v, branches = _transition_window(win)
+            step = j, _window_code(v, n), [_window_code(b, n) for _, b in branches]
+            stack.append((cur, step))
+            stack.extend((c, None) for c in (step[1], *step[2]) if c not in _transition_memo)
             continue
-        ej = [0] * n
-        ej[j - 1] = 1
-        poly = _transition_memo[vcode].shift(tuple(ej))
+        j, vcode, bcodes = step
+        poly = _transition_memo[vcode].shift(tuple(int(t == j) for t in range(1, n + 1)))
         for c in bcodes:
             poly = poly + _transition_memo[c]
         _transition_memo[cur] = poly
-        stack.pop()
     return _transition_memo[lam]
 
 

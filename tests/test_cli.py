@@ -143,14 +143,15 @@ class TestFiltrationCommands:
         assert json.loads(out)["ok"] is True
 
     def test_plethysm_exp_ambient_above_the_cap_exits_3(self, capsys, monkeypatch):
-        # kp(0,1,0) has dimension 2, so the ambient has 2^4 = 16 vectors;
-        # c_(2,1,1) has 2! * 3! = 12 terms, which fit
-        monkeypatch.setenv("KP_MAX_DIM", "15")
-        assert main(["plethysm-exp", "--sigma", "2,1,1", "--code", "0,1,0"]) == 3
+        # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
+        # under (2,1,1), of dimension 45, touches 50 keys of the tensor of
+        # Lambda^3 and Lambda^1 of kp(0,2,1,0)
+        monkeypatch.setenv("KP_MAX_DIM", "49")
+        assert main(["plethysm-exp", "--sigma", "2,1,1", "--code", "0,2,1,0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == (
-            "error: tensor_many of dimensions [2, 2, 2, 2]: basis size 16 exceeds the KP_MAX_DIM cap 15"
+            "error: young_symmetrizer_image of sigma (2, 1, 1): ambient keys touched 50 exceeds the KP_MAX_DIM cap 49"
         )
 
     @pytest.mark.parametrize("sigma, code", [("12", "0,1,0"), ("11", "0,0")])

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -56,6 +57,16 @@ class TestSortWeights:
     def test_kp_101(self):
         M = kp_module((1, 0, 1))
         assert sort_weights(M) == [(1, 1, 0), (2, 0, 0), (1, 0, 1)]
+
+    def test_sorted_once_per_module_and_returned_fresh(self, monkeypatch):
+        M = tensor_product(kp_module((0, 1)), kp_module((0, 1)))
+        keyed = []
+        key = filtration.standard_key
+        monkeypatch.setattr(filtration, "standard_key", lambda w, shift: keyed.append(w) or key(w, shift))
+        first = sort_weights(M)
+        first.reverse()
+        assert sort_weights(M) == [(1, 1), (2, 0), (0, 2)]
+        assert len(keyed) == 3
 
     def test_mixed_degrees_rejected(self):
         M = WeightModule(2, [(0, 0), (1, 0)])
@@ -299,17 +310,38 @@ class TestSchurFunctors:
             for sigma in shapes:
                 assert schur_functor_experiment(sigma, code(w, 4)).ok, (sigma, w)
 
+    @pytest.mark.parametrize("sigma", [(1, 1, 1, 1), (2, 2), (3, 1)])
+    def test_size_four_on_a_9_dimensional_s5_code_at_default_cap(self, monkeypatch, sigma):
+        # the image lives in the tensor of the Lambda^{|c|} kp(0,2,2,1,0) over
+        # the columns c of sigma, not in the 9^4 = 6,561-vector fourth power
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        assert schur_functor_experiment(sigma, (0, 2, 2, 1, 0)).ok
+
+    def test_symmetric_fourth_power_of_a_14_dimensional_code_touches_too_many_keys(self, monkeypatch):
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        with pytest.raises(ModuleTooLargeError) as err:
+            young_symmetrizer_image(kp_module((0, 0, 2, 1, 0)), (4,))
+        assert str(err.value) == (
+            "young_symmetrizer_image of sigma (4,): ambient keys touched 5001 exceeds the KP_MAX_DIM cap 5000"
+        )
+
     def test_ambient_above_the_cap_is_a_size_error(self, monkeypatch):
-        # kp(1,0,1,0) has dimension 3, so its fourth tensor power has 81 vectors
-        monkeypatch.setenv("KP_MAX_DIM", "80")
-        with pytest.raises(ModuleTooLargeError, match="basis size 81 exceeds the KP_MAX_DIM cap 80"):
-            schur_functor_experiment((2, 1, 1), (1, 0, 1, 0))
+        # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
+        # under (2,2), of dimension 50, touches 100 keys of the tensor of two
+        # Lambda^2 kp(0,2,1,0)
+        monkeypatch.setenv("KP_MAX_DIM", "60")
+        with pytest.raises(ModuleTooLargeError) as err:
+            schur_functor_experiment((2, 2), (0, 2, 1, 0))
+        assert str(err.value) == (
+            "young_symmetrizer_image of sigma (2, 2): ambient keys touched 61 exceeds the KP_MAX_DIM cap 60"
+        )
 
     @pytest.mark.parametrize(
         "sigma, lam, terms",
-        # kp(0,0) has dimension 1 and kp(0,1,0) dimension 2: the ambients
-        # (1 and 4,096 vectors) fit the cap, the symmetrizers do not
-        [((11,), (0, 0), 5040), ((12,), (0, 1, 0), 5040), ((3, 3, 3), (0, 0), 7776)],
+        # kp(0,0) has dimension 1 and kp(0,1,0) dimension 2; only the row
+        # terms of the symmetrizer are built, 4!^3 = 13,824 for (4,4,4), and
+        # they are counted before anything else is looked at
+        [((11,), (0, 0), 5040), ((12,), (0, 1, 0), 5040), ((4, 4, 4), (0, 0), 13824)],
     )
     def test_symmetrizer_above_the_cap_is_a_size_error(self, sigma, lam, terms):
         with pytest.raises(ModuleTooLargeError, match=f"symmetrizer terms >= {terms} exceeds the KP_MAX_DIM cap 5000"):
@@ -340,9 +372,17 @@ class TestYoungSymmetrizerImage:
 
     @pytest.mark.parametrize("sigma", [(10**9,), (1,) * 10**5, (8, 8)])
     def test_symmetrizer_is_counted_before_it_is_built(self, sigma):
-        # each of these would take hours or all memory to build
-        with pytest.raises(ModuleTooLargeError, match="symmetrizer terms"):
-            young_symmetrizer_image(one_dim((0, 0)), sigma)
+        # each of these would take hours or all memory to build: the row
+        # terms are counted first, and then more rows than dim M give the
+        # zero module before anything is built
+        M = one_dim((0, 0))
+        if max(sigma) > 1:
+            with pytest.raises(ModuleTooLargeError, match="symmetrizer terms"):
+                young_symmetrizer_image(M, sigma)
+        else:
+            start = time.perf_counter()
+            assert young_symmetrizer_image(M, sigma).dim == 0
+            assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("sigma", [(1, 2), (1.9,), (2, False), (0,)])
     def test_rejects_non_partitions(self, sigma):
@@ -363,17 +403,30 @@ def young_slots(sigma):
     return rows, cols
 
 
+def block_perms(blocks, k):
+    """All permutations of range(k) preserving the given blocks."""
+    perms = []
+    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        p = list(range(k))
+        for src_block, img_block in zip(blocks, choice):
+            for s, d in zip(src_block, img_block):
+                p[s] = d
+        perms.append(tuple(p))
+    return perms
+
+
 def reference_image_closure(M, sigma):
-    """The route before generator seeding, kept as a reference: c_sigma of
-    every one of the dim^k basis tuples, whose span must already be stable
-    under the action.  Returns M^{(x) k} and the closer holding the image."""
+    """The route before generator seeding and before the column wedge, kept
+    as a reference: c_sigma, all |R_sigma| |C_sigma| of its terms, of every
+    one of the dim^k basis tuples, whose span must already be stable under
+    the action.  Returns M^{(x) k} and the closer holding the image."""
     k = sum(sigma)
     T = tensor_power(M, k)
     rows, cols = young_slots(sigma)
     terms = [
         (tuple(p[q[t]] for t in range(k)), Permutation([t + 1 for t in q]).sign())
-        for p in filtration._block_perms(rows, k)
-        for q in filtration._block_perms(cols, k)
+        for p in block_perms(rows, k)
+        for q in block_perms(cols, k)
     ]
     vectors = []
     for combo in itertools.product(range(M.dim), repeat=k):
@@ -398,8 +451,16 @@ def reference_image_closure(M, sigma):
     return T, closer
 
 
-def reference_young_symmetrizer_image(M, sigma):
-    return _submodule_from_closure(*reference_image_closure(M, sigma))
+def projected_reference_image(M, sigma):
+    """The closure of pi(row) over the echelon rows of the reference image,
+    inside the target of ``column_wedge_projection``: the reference image
+    carried to where ``young_symmetrizer_image`` closes it, a module whose
+    reduced echelon basis must equal that of the new route byte for byte."""
+    _, closer = reference_image_closure(M, sigma)
+    L, pi = column_wedge_projection(M, sigma)
+    image = SubmoduleCloser(L)
+    image.add((wt, pi(row)) for wt, ech in closer.echelons.items() for row in ech.rows.values())
+    return _submodule_from_closure(L, image)
 
 
 def column_wedge_projection(M, sigma):
@@ -460,14 +521,14 @@ class TestYoungSymmetrizerReference:
         for M in modules:
             for sigma in self.SHAPES:
                 new = young_symmetrizer_image(M, sigma)
-                assert dumps(new) == dumps(reference_young_symmetrizer_image(M, sigma))
+                assert dumps(new) == dumps(projected_reference_image(M, sigma))
 
     @pytest.mark.parametrize("lam", S5_CODES)
     def test_matches_reference_on_s5_codes(self, lam):
         M = kp_module(lam)
         for sigma in self.S5_SHAPES:
             new = young_symmetrizer_image(M, sigma)
-            assert dumps(new) == dumps(reference_young_symmetrizer_image(M, sigma))
+            assert dumps(new) == dumps(projected_reference_image(M, sigma))
 
     def test_column_wedge_projection_is_an_isomorphism_onto_its_image(self):
         # c_sigma^2 = n_sigma c_sigma, so the column wedge projection is
@@ -490,5 +551,5 @@ class TestYoungSymmetrizerReference:
 
     def test_empty_partition_is_the_trivial_module(self):
         M = kp_module((1, 0, 1))
-        assert dumps(young_symmetrizer_image(M, ())) == dumps(reference_young_symmetrizer_image(M, ()))
+        assert dumps(young_symmetrizer_image(M, ())) == dumps(projected_reference_image(M, ()))
         assert young_symmetrizer_image(M, ()).dim == 1

@@ -90,6 +90,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([1, 1, 2])
 
+    def test_non_bijection_message_shows_a_consumed_iterator(self):
+        # the images are read once; the message must not read them again
+        with pytest.raises(ValueError, match=r"not a one-line permutation window: \[1, 1\]$"):
+            Permutation(x for x in [1, 1])
+
     @pytest.mark.parametrize("images", [(2.5, 1), (2, True), (1.0,)])
     def test_rejects_non_integer_images(self, images):
         # (2.5, 1) was read as [2, 1]

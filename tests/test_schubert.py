@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kpmod import schubert
 from kpmod.laurent import LaurentPoly
 from kpmod.permutations import all_permutations, code, dominates, perm_of, rho, transition
 from kpmod.schubert import (
@@ -178,6 +179,18 @@ class TestSchubertPoly:
             for _, wa in td.branches:
                 rhs = rhs + schubert_poly(code(wa, 4))
             assert schubert_poly(lam) == rhs
+
+    def test_cold_s7_sweep_steps_each_node_once(self, monkeypatch):
+        # 4,611 of the 5,040 codes of S_7 are not weakly decreasing, and each
+        # is stepped once: a node whose children were pending keeps its step
+        calls = []
+        step = schubert._transition_window
+        monkeypatch.setattr(schubert, "_transition_window", lambda win: calls.append(win) or step(win))
+        monkeypatch.setattr(schubert, "_transition_memo", {})
+        for w in all_permutations(7):
+            schubert_poly(code(w, 7))
+        assert len(schubert._transition_memo) == 5040
+        assert len(calls) == 4611
 
 
 class TestExpand:
