@@ -19,6 +19,7 @@ The two routes must agree, and experiments assert that they do.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -285,8 +286,9 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     whose first index lies in the support of ``M.generator`` suffice.  More
     rows than dim M give the zero module.  Raises ValueError unless sigma is
     a partition, and ModuleTooLargeError when the row terms (the product of
-    the factorials of the parts), an exterior power of M, the closure rank
-    or the ambient keys touched exceed KP_MAX_DIM.
+    the factorials of the parts), the seed tuples x (counted before any is
+    wedged), an exterior power of M, the closure rank or the ambient keys
+    touched exceed KP_MAX_DIM.
     """
     sigma = _check_partition(sigma)
     cap = max_dim()
@@ -296,17 +298,20 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
             raise _too_large(what, "symmetrizer terms >=", size, cap)
     if len(sigma) > M.dim:
         return WeightModule(M.n, [])
-    diagram = [range(1, sum(p > c for p in sigma) + 1) for c in range(sigma[0] if sigma else 0)]
-    amb = _WedgeAmbient(diagram, M.n, what, M)
-    # a row term permutes slots within each row; column c takes each row's slot c
-    rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
-    placements = [
-        [[row[c] for row in term if len(row) > c] for c in range(len(diagram))]
-        for term in itertools.product(*map(itertools.permutations, rows))
-    ]
     slots = [range(M.dim)] * sum(sigma)
     if slots and M.generator:
         slots[0] = sorted(M.generator)
+    tuples = math.prod(map(len, slots))
+    if tuples > cap:
+        raise _too_large(what, "seed tuples", tuples, cap)
+    lengths = [sum(p > c for p in sigma) for c in range(sigma[0] if sigma else 0)]
+    amb = _WedgeAmbient(lengths, M.n, M)
+    # a row term permutes slots within each row; column c takes each row's slot c
+    rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
+    placements = [
+        [[row[c] for row in term if len(row) > c] for c in range(len(lengths))]
+        for term in itertools.product(*map(itertools.permutations, rows))
+    ]
 
     def seeds():
         for x in itertools.product(*slots):
@@ -357,8 +362,10 @@ class SchurExperimentReport:
 def schur_functor_experiment(sigma, lam) -> SchurExperimentReport:
     """Filter the Schur-functor image of a KP module and cross-check its
     character against the plethysm of the Schubert polynomial.  |sigma| is
-    not bounded: a Young symmetrizer or an ambient kp(lam)^{(x) |sigma|}
-    above KP_MAX_DIM raises ModuleTooLargeError (exit 3 at the command line).
+    not bounded: whatever ``young_symmetrizer_image`` counts against
+    KP_MAX_DIM (row terms, seed tuples, exterior powers of kp(lam), closure
+    rank, ambient keys touched) raises ModuleTooLargeError above the cap
+    (exit 3 at the command line).
     """
     sigma = _check_partition(sigma)
     lam = int_tuple(lam, "schur_functor_experiment code")

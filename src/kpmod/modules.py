@@ -111,7 +111,8 @@ class WeightModule(_Action):
         self._cols = {p: {} for p in self.raising_pairs()}
         self._builder = builder
         self.generator = dict(generator) if generator is not None else None
-        self._wspaces = self._levels = None  # caches of weight_spaces and sort_weights
+        self._wspaces = None
+        self._levels = None  # the sorted distinct weights, for sort_weights
 
     @property
     def dim(self) -> int:
@@ -579,28 +580,19 @@ def _wedge_factor(n: int, k: int) -> WeightModule:
 
 
 class _WedgeAmbient(_Tensor):
-    """The tensor of Lambda^{|c|} M over the columns c of a diagram, keyed
-    like ``tensor_many`` over the ``exterior_power(M, |c|)``; M is ``base``,
-    or K^n, and a length-one column is M itself.  Each column lists rows
-    1..dim M, basis vectors of M, whose wedges tensor to ``generator``, of
-    weight ``generator_weight``; no key has a stored weight."""
+    """The tensor of Lambda^k M over the column lengths k of a diagram,
+    keyed like ``tensor_many`` over the ``exterior_power(M, k)``; M is
+    ``base``, or K^n, and a length-one column is M itself.  Nothing is
+    enumerated and no key has a stored weight: a closure derives every
+    weight from those of the vectors it starts from."""
 
-    def __init__(self, columns, n: int, what: str, base=None):
+    def __init__(self, lengths, n: int, base=None):
         self.d = n if base is None else base.dim
-        allowed = set(range(1, self.d + 1))
-        rows = []
-        for col in columns:
-            if len(set(col)) != len(col) or not allowed.issuperset(col):
-                raise ValueError(f"{what}: column {list(col)} is not a set of rows in 1..{self.d}")
-            rows.append(sorted(r - 1 for r in col))
         if base is None:
-            factors = {k: _wedge_factor(n, k) for k in map(len, rows)}
+            factors = {k: _wedge_factor(n, k) for k in lengths}
         else:
-            factors = {k: base if k == 1 else exterior_power(base, k) for k in map(len, rows)}
-        super().__init__([factors[len(col)] for col in rows], n)
-        key = self.wedge(rows)[0]
-        self.generator = {key: ONE}
-        self.generator_weight = _weight_sum(n, (F.weights[key // s % dim] for F, dim, s in self.slots))
+            factors = {k: base if k == 1 else exterior_power(base, k) for k in lengths}
+        super().__init__([factors[k] for k in lengths], n)
 
     def wedge(self, columns):
         """(key, sign) of the tensor of the wedges of ``columns``, lists of
@@ -634,8 +626,13 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
     >>> diagram_module([[1, 3]], 4).dim       # demazure_module((1, 0, 1, 0))
     2
     """
-    amb = _WedgeAmbient(columns, n, what)
-    gen = (amb.generator_weight, amb.generator)
+    for rows in columns:
+        if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
+            raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
+    amb = _WedgeAmbient([len(rows) for rows in columns], n)
+    # the generator's weight counts the columns that hold each row
+    wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
+    gen = (wt, {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE})
     closer = SubmoduleCloser(amb, what)
     closer.add([gen])
     return _submodule_from_closure(amb, closer, gen)
@@ -739,8 +736,9 @@ class AnnihilatorReport:
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     lam = code(w, n)
     table = m_table(w, n)
-    amb = _WedgeAmbient(_kp_columns(lam), n, f"annihilator_check{lam}")
-    gen = amb.generator
+    columns = _kp_columns(lam)
+    amb = _WedgeAmbient([len(rows) for rows in columns], n)
+    gen = {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE}
     failed = []
     non_sharp = []
     for (i, j), m in sorted(table.entries.items()):

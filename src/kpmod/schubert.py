@@ -149,7 +149,9 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
             stack.extend((c, None) for c in (step[1], *step[2]) if c not in _transition_memo)
             continue
         j, vcode, bcodes = step
-        poly = _transition_memo[vcode].shift(tuple(int(t == j) for t in range(1, n + 1)))
+        ej = [0] * n
+        ej[j - 1] = 1
+        poly = _transition_memo[vcode].shift(tuple(ej))
         for c in bcodes:
             poly = poly + _transition_memo[c]
         _transition_memo[cur] = poly

@@ -137,21 +137,26 @@ class TestFiltrationCommands:
         assert data["ok"] and data["char_matches"]
 
     def test_plethysm_exp_size_four(self, capsys, monkeypatch):
+        # kp(0,1,0) is 2-dimensional, so (2,1,1), with 3 rows, gives the zero
+        # module; on the 5-dimensional kp(0,2,1,0) the image has dimension 45
         monkeypatch.delenv("KP_MAX_DIM", raising=False)
-        rc, out = run(capsys, "plethysm-exp", "--sigma", "2,1,1", "--code", "0,1,0")
-        assert rc == 0
-        assert json.loads(out)["ok"] is True
+        for code, dim in [("0,1,0", 0), ("0,2,1,0", 45)]:
+            rc, out = run(capsys, "plethysm-exp", "--sigma", "2,1,1", "--code", code)
+            assert rc == 0
+            data = json.loads(out)
+            assert data["ok"] is True
+            assert sum(t["coeff"] for t in data["extract"]["lhs"]["terms"]) == dim
 
     def test_plethysm_exp_ambient_above_the_cap_exits_3(self, capsys, monkeypatch):
         # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
-        # under (2,1,1), of dimension 45, touches 50 keys of the tensor of
-        # Lambda^3 and Lambda^1 of kp(0,2,1,0)
-        monkeypatch.setenv("KP_MAX_DIM", "49")
-        assert main(["plethysm-exp", "--sigma", "2,1,1", "--code", "0,2,1,0"]) == 3
+        # under (2,1), of dimension 40, starts from 5^2 = 25 seed tuples and
+        # touches 50 keys of Lambda^2 kp(0,2,1,0) (x) kp(0,2,1,0)
+        monkeypatch.setenv("KP_MAX_DIM", "40")
+        assert main(["plethysm-exp", "--sigma", "2,1", "--code", "0,2,1,0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == (
-            "error: young_symmetrizer_image of sigma (2, 1, 1): ambient keys touched 50 exceeds the KP_MAX_DIM cap 49"
+            "error: young_symmetrizer_image of sigma (2, 1): ambient keys touched 41 exceeds the KP_MAX_DIM cap 40"
         )
 
     @pytest.mark.parametrize("sigma, code", [("12", "0,1,0"), ("11", "0,0")])

@@ -327,13 +327,13 @@ class TestSchurFunctors:
 
     def test_ambient_above_the_cap_is_a_size_error(self, monkeypatch):
         # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
-        # under (2,2), of dimension 50, touches 100 keys of the tensor of two
-        # Lambda^2 kp(0,2,1,0)
-        monkeypatch.setenv("KP_MAX_DIM", "60")
+        # under (3,1), of dimension 105, starts from 5^3 = 125 seed tuples and
+        # touches 250 keys of Lambda^2 kp(0,2,1,0) (x) kp(0,2,1,0)^{(x) 2}
+        monkeypatch.setenv("KP_MAX_DIM", "200")
         with pytest.raises(ModuleTooLargeError) as err:
-            schur_functor_experiment((2, 2), (0, 2, 1, 0))
+            schur_functor_experiment((3, 1), (0, 2, 1, 0))
         assert str(err.value) == (
-            "young_symmetrizer_image of sigma (2, 2): ambient keys touched 61 exceeds the KP_MAX_DIM cap 60"
+            "young_symmetrizer_image of sigma (3, 1): ambient keys touched 201 exceeds the KP_MAX_DIM cap 200"
         )
 
     @pytest.mark.parametrize(
@@ -383,6 +383,21 @@ class TestYoungSymmetrizerImage:
             start = time.perf_counter()
             assert young_symmetrizer_image(M, sigma).dim == 0
             assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("length, tuples", [(8, 14**7), (14, 14**13)])
+    def test_seed_tuples_are_counted_before_any_is_wedged(self, monkeypatch, length, tuples):
+        # a column of 8 or 14 boxes on the 14-dimensional kp(0,0,2,1,0) has
+        # one row term and at most C(14, 8) = 3,003 keys, but its seeds are
+        # the 14^(length - 1) tuples with first index the generator's
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        M = kp_module((0, 0, 2, 1, 0))
+        start = time.perf_counter()
+        with pytest.raises(ModuleTooLargeError) as err:
+            young_symmetrizer_image(M, (1,) * length)
+        assert time.perf_counter() - start < 5
+        assert str(err.value) == (
+            f"young_symmetrizer_image of sigma {(1,) * length}: seed tuples {tuples} exceeds the KP_MAX_DIM cap 5000"
+        )
 
     @pytest.mark.parametrize("sigma", [(1, 2), (1.9,), (2, False), (0,)])
     def test_rejects_non_partitions(self, sigma):

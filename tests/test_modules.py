@@ -501,9 +501,10 @@ class TestDiagramEngine:
         n = 4
         for lam in [(1, 0, 1, 0), (0, 2, 1, 0), (2, 0, 1, 0), (3, 2, 0, 0)]:
             columns = inversion_columns(lam)
-            amb = _WedgeAmbient(columns, n, "test")
+            amb = _WedgeAmbient([len(c) for c in columns], n)
+            gen = {amb.wedge([[r - 1 for r in c] for c in columns])[0]: ONE}
             eager = tensor_many([exterior_power(vector_rep(n), len(c)) for c in columns], n)
-            frontier = list(amb.generator)
+            frontier = list(gen)
             seen = set(frontier)
             while frontier:
                 key = frontier.pop()
@@ -512,11 +513,13 @@ class TestDiagramEngine:
                     assert col == eager.column(pair, key)
                     frontier.extend(k for k in col if k not in seen)
                     seen.update(col)
-            assert amb.generator_weight == eager.weight_of(amb.generator)
+            # the weight of the column wedge counts the columns holding each row
+            gen_wt = eager.weight_of(gen)
+            assert gen_wt == tuple(sum(r in c for c in columns) for r in range(1, n + 1))
             # every basis weight of diagram_module is the eager weight at
             # the pivot key of its echelon row, and at the row's other keys
             closer = SubmoduleCloser(amb)
-            closer.add([(amb.generator_weight, amb.generator)])
+            closer.add([(gen_wt, gen)])
             basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
             assert list(diagram_module(columns, n).weights) == [wt for wt, _ in basis]
             for wt, p in basis:
