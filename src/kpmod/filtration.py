@@ -287,7 +287,8 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     rows than dim M give the zero module.  Raises ValueError unless sigma is
     a partition, and ModuleTooLargeError when the row terms (the product of
     the factorials of the parts), the seed tuples x (counted before any is
-    wedged), an exterior power of M, the closure rank or the ambient keys
+    wedged), the basis of an exterior power of M over a column (counted
+    before the ambient is built), the closure rank or the ambient keys
     touched exceed KP_MAX_DIM.
     """
     sigma = _check_partition(sigma)
@@ -305,6 +306,10 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     if tuples > cap:
         raise _too_large(what, "seed tuples", tuples, cap)
     lengths = [sum(p > c for p in sigma) for c in range(sigma[0] if sigma else 0)]
+    for k in dict.fromkeys(lengths):
+        size = math.comb(M.dim, k)
+        if k > 1 and size > cap:
+            raise _too_large(what, f"exterior_power {k} basis size", size, cap)
     amb = _WedgeAmbient(lengths, M.n, M)
     # a row term permutes slots within each row; column c takes each row's slot c
     rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]

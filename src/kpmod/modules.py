@@ -98,17 +98,20 @@ class WeightModule(_Action):
     raising matrix unit ``e_pair``; vectors are dicts {basis index: int, or
     Fraction where not integral}.
     ``builder(pair, idx)`` computes it once and the module caches it; without
-    a builder every e_ij acts by zero.  ``generator``, when set, generates the
+    a builder every e_ij acts by zero.  ``moves(pair)`` holds the same columns
+    as one table over the whole basis, which a tensor product containing the
+    module as a factor walks.  ``generator``, when set, generates the
     module (M = U(n+) generator); ``young_symmetrizer_image`` relies on that.
     """
 
-    __slots__ = ("n", "weights", "generator", "_cols", "_builder", "_wspaces", "_levels")
+    __slots__ = ("n", "weights", "generator", "_cols", "_moves", "_builder", "_wspaces", "_levels")
 
     def __init__(self, n, weights, builder=None, generator=None):
         _require_int(n, "WeightModule n")
         self.n = n
         self.weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
         self._cols = {p: {} for p in self.raising_pairs()}
+        self._moves: dict = {}
         self._builder = builder
         self.generator = dict(generator) if generator is not None else None
         self._wspaces = None
@@ -128,6 +131,17 @@ class WeightModule(_Action):
                 return {}
             col[idx] = self._builder(pair, idx)
         return col[idx]
+
+    def moves(self, pair) -> tuple:
+        """The move table of e_pair: for each basis index t, the nonzero
+        entries of ``column(pair, t)`` as (row - t, coeff) tuples, built over
+        the whole basis the first time and cached like the columns."""
+        table = self._moves.get(pair)
+        if table is None:
+            table = self._moves[pair] = tuple(
+                tuple((r - t, c) for r, c in self.column(pair, t).items()) for t in range(self.dim)
+            )
+        return table
 
     def weight_spaces(self) -> dict:
         if self._wspaces is None:
@@ -228,25 +242,37 @@ def tensor_many(factors, n=None) -> WeightModule:
 class _Tensor(_Action):
     """Action of a tensor product of modules on mixed-radix keys: the digit
     of factor s has stride prod(dims[s+1:]), and e_ij acts by Leibniz, one
-    factor at a time."""
+    factor at a time.  ``apply`` walks each factor's move table for every
+    key of the vector and sums into one output; ``column`` is its image of
+    one key."""
 
     def __init__(self, factors, n: int):
         self.n = n
         dims = [F.dim for F in factors]
         self.slots = [(F, d, math.prod(dims[s + 1:])) for s, (F, d) in enumerate(zip(factors, dims))]
 
-    def column(self, pair, idx: int) -> dict:
+    def apply(self, pair, vec: dict) -> dict:
         out: dict = {}
         for F, d, stride in self.slots:
-            digit = idx // stride % d
-            for r, c in F.column(pair, digit).items():
-                key = idx + (r - digit) * stride
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+            # the cached table is read directly: the vectors a closure acts
+            # on have one or two keys, and a method call per slot took about
+            # a fifth of the time of this loop on them
+            try:
+                table = F._moves[pair]
+            except KeyError:
+                table = F.moves(pair)
+            for idx, c in vec.items():
+                for delta, a in table[idx // stride % d]:
+                    key = idx + delta * stride
+                    acc = out.get(key, 0) + c * a
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
         return out
+
+    def column(self, pair, idx: int) -> dict:
+        return self.apply(pair, {idx: ONE})
 
 
 def tensor_product(M: WeightModule, N: WeightModule) -> WeightModule:
@@ -584,7 +610,9 @@ class _WedgeAmbient(_Tensor):
     keyed like ``tensor_many`` over the ``exterior_power(M, k)``; M is
     ``base``, or K^n, and a length-one column is M itself.  Nothing is
     enumerated and no key has a stored weight: a closure derives every
-    weight from those of the vectors it starts from."""
+    weight from those of the vectors it starts from.  The action walks the
+    factors' move tables; the Lambda^k K^n factors are shared by every
+    ambient over K^n, and so are their tables."""
 
     def __init__(self, lengths, n: int, base=None):
         self.d = n if base is None else base.dim

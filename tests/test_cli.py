@@ -159,6 +159,16 @@ class TestFiltrationCommands:
             "error: young_symmetrizer_image of sigma (2, 1): ambient keys touched 41 exceeds the KP_MAX_DIM cap 40"
         )
 
+    def test_plethysm_exp_exterior_power_above_the_cap_exits_3(self, capsys, monkeypatch):
+        # Lambda^3 of the 35-dimensional kp(0,0,1,2,1,0) has 6,545 vectors
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        assert main(["plethysm-exp", "--sigma", "1,1,1", "--code", "0,0,1,2,1,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "error: young_symmetrizer_image of sigma (1, 1, 1): exterior_power 3 basis size 6545 exceeds the KP_MAX_DIM cap 5000"
+        )
+
     @pytest.mark.parametrize("sigma, code", [("12", "0,1,0"), ("11", "0,0")])
     def test_plethysm_exp_symmetrizer_above_the_cap_exits_3(self, capsys, monkeypatch, sigma, code):
         # the ambients (4,096 and 1 vectors) fit the default cap; 11! and 12!

@@ -325,6 +325,17 @@ class TestSchurFunctors:
             "young_symmetrizer_image of sigma (4,): ambient keys touched 5001 exceeds the KP_MAX_DIM cap 5000"
         )
 
+    def test_exterior_power_above_the_cap_names_the_schur_construction(self, monkeypatch):
+        # kp(0,0,1,2,1,0) has dimension 35, and the one column of (1,1,1)
+        # needs Lambda^3 of it: C(35, 3) = 6,545 vectors, counted before the
+        # ambient is built
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        with pytest.raises(ModuleTooLargeError) as err:
+            young_symmetrizer_image(kp_module((0, 0, 1, 2, 1, 0)), (1, 1, 1))
+        assert str(err.value) == (
+            "young_symmetrizer_image of sigma (1, 1, 1): exterior_power 3 basis size 6545 exceeds the KP_MAX_DIM cap 5000"
+        )
+
     def test_ambient_above_the_cap_is_a_size_error(self, monkeypatch):
         # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
         # under (3,1), of dimension 105, starts from 5^3 = 125 seed tuples and

@@ -1,6 +1,11 @@
 import itertools
 import json
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,6 +19,7 @@ from kpmod.modules import (
     ModuleTooLargeError,
     SubmoduleCloser,
     _proportional,
+    _Tensor,
     _WedgeAmbient,
     annihilator_check,
     cyclic_submodule,
@@ -180,6 +186,13 @@ class TestConstructors:
         for pair in [(2, 1), (1, 4), (2, 2)]:
             with pytest.raises(KeyError, match=r"not a raising pair of n = 3"):
                 V.column(pair, 0)
+        # the tensor action reads the factors' move tables, which check too
+        amb = _WedgeAmbient([2, 1], 3)
+        gen = {amb.wedge([[0, 1], [2]])[0]: ONE}
+        T = tensor_many([kp_module((0, 1, 0)), kp_module((1, 0, 1))])
+        for act in (lambda: amb.apply((2, 1), gen), lambda: T.column((2, 1), 0)):
+            with pytest.raises(KeyError, match=r"operator \(2, 1\) is not a raising pair of n = 3"):
+                act()
 
 
 class TestDualTwist:
@@ -553,6 +566,126 @@ class TestDiagramEngine:
             assert rep.ok and rep.all_sharp
 
 
+def reference_axpy(acc: dict, c, v: dict) -> None:
+    """acc += c * v, in place, dropping zeros."""
+    if not c:
+        return
+    for i, x in v.items():
+        y = acc.get(i, 0) + c * x
+        if y:
+            acc[i] = y
+        else:
+            del acc[i]
+
+
+class ReferenceTensor:
+    """The tensor action before move tables, kept as the route the fused
+    ``_Tensor.apply`` is held to: one column dict per key, built slot by
+    slot from the factors' ``column`` by Leibniz, merged into the image by
+    axpy."""
+
+    def __init__(self, factors, n: int):
+        self.n = n
+        dims = [F.dim for F in factors]
+        self.slots = [(F, d, math.prod(dims[s + 1:])) for s, (F, d) in enumerate(zip(factors, dims))]
+
+    def column(self, pair, idx: int) -> dict:
+        out: dict = {}
+        for F, d, stride in self.slots:
+            digit = idx // stride % d
+            for r, c in F.column(pair, digit).items():
+                key = idx + (r - digit) * stride
+                acc = out.get(key, 0) + c
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return out
+
+    def apply(self, pair, vec: dict) -> dict:
+        out: dict = {}
+        for idx, c in vec.items():
+            reference_axpy(out, c, self.column(pair, idx))
+        return out
+
+
+COEFFS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def check_against_reference(action, ref, starts, rng) -> int:
+    """Compare ``action.apply`` with the reference, for every raising pair,
+    on seeded vectors over the keys within two raising steps of ``starts``.
+    Where two of those keys share an image key, a vector takes both with
+    coefficients that cancel there.  Returns how many image keys cancelled."""
+    pairs = action.raising_pairs()
+    pool = set(starts)
+    for _ in range(2):
+        pool |= {k for key in list(pool) for pair in pairs for k in ref.column(pair, key)}
+    pool = sorted(pool)
+    cancelled = 0
+    for pair in pairs:
+        hits: dict = {}
+        for key in pool:
+            for out, c in ref.column(pair, key).items():
+                hits.setdefault(out, []).append((key, c))
+        shared = [h for h in hits.values() if len(h) > 1]
+        for _ in range(3):
+            vec = {k: rng.choice(COEFFS) for k in rng.sample(pool, min(len(pool), rng.randint(1, 4)))}
+            if shared:
+                (k1, c1), (k2, c2) = rng.sample(rng.choice(shared), 2)
+                a = rng.choice(COEFFS)
+                vec[k1], vec[k2] = a * c2, -a * c1
+            want = ref.apply(pair, vec)
+            assert action.apply(pair, vec) == want
+            cancelled += len({k for idx in vec for k in ref.column(pair, idx)} - set(want))
+    return cancelled
+
+
+class TestFusedTensorAction:
+    """``_Tensor.apply`` (the move tables) against ``ReferenceTensor``, on
+    multi-key vectors whose images cancel."""
+
+    def test_diagram_ambients_of_s5_and_an_s6_slice(self):
+        rng = random.Random(15)
+        codes = [(code(w, 5), 5) for w in all_permutations(5)]
+        codes += [(code(w, 6), 6) for w in rng.sample(list(all_permutations(6)), 40)]
+        cancelled = 0
+        for lam, n in codes:
+            columns = inversion_columns(lam)
+            amb = _WedgeAmbient([len(c) for c in columns], n)
+            ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
+            gen = amb.wedge([[r - 1 for r in c] for c in columns])[0]
+            cancelled += check_against_reference(amb, ref, [gen], rng)
+        assert cancelled > 0
+
+    @pytest.mark.parametrize(
+        "lengths", [[1, 1], [2], [2, 1], [2, 2], [3]], ids=["(2)", "(1,1)", "(2,1)", "(2,2)", "(1,1,1)"]
+    )
+    def test_schur_ambients(self, lengths):
+        # the column lengths of sigma
+        rng = random.Random(len(lengths) * 10 + lengths[0])
+        cancelled = 0
+        for lam in [(0, 2, 1, 0), (1, 0, 2, 0), (0, 1, 2)]:
+            M = kp_module(lam)
+            amb = _WedgeAmbient(lengths, M.n, M)
+            ref = ReferenceTensor([M if k == 1 else exterior_power(M, k) for k in lengths], M.n)
+            size = math.prod(F.dim for F, _, _ in ref.slots)
+            cancelled += check_against_reference(amb, ref, rng.sample(range(size), 3), rng)
+        assert cancelled > 0
+
+    def test_tensor_of_two_kp_modules(self):
+        rng = random.Random(2)
+        cancelled = 0
+        for lam, mu in [((0, 2, 1, 0), (1, 0, 1, 0)), ((1, 0, 2, 0), (0, 2, 1, 0)), ((0, 1, 2), (1, 1, 0))]:
+            factors = [kp_module(lam), kp_module(mu)]
+            ref = ReferenceTensor(factors, len(lam))
+            T = tensor_many(factors)
+            starts = rng.sample(range(T.dim), 3)
+            cancelled += check_against_reference(_Tensor(factors, len(lam)), ref, starts, rng)
+            cancelled += check_against_reference(T, ref, starts, rng)
+        assert cancelled > 0
+
+
 class TestSl3:
     def test_presentation_adjoint_case(self):
         rep = sl3_presentation_check(1, 1)
@@ -711,6 +844,34 @@ class TestClearCaches:
         for memo in (schubert._schubert_staircase, schubert.vandermonde, schubert._dual_element):
             assert memo.cache_info().currsize == 0
         assert snapshot() == before
+
+    def test_clear_drops_every_move_table(self):
+        # in a fresh interpreter, where no other test holds a module: after
+        # clear_caches no live module keeps a move table
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import gc, kpmod\n"
+            "def build():\n"
+            "    kpmod.kp_module((0, 2, 1, 0))\n"
+            "    kpmod.annihilator_check(kpmod.perm_of((0, 2, 1, 0)), 4)\n"
+            "    kpmod.tensor_experiment((0, 1, 0), (1, 0, 1))\n"
+            "    kpmod.schur_functor_experiment((2, 1), (0, 2, 1, 0))\n"
+            "def tabled():\n"
+            "    gc.collect()\n"
+            "    return sum(isinstance(m, kpmod.WeightModule) and bool(m._moves) for m in gc.get_objects())\n"
+            "build()\n"
+            "before = tabled()\n"
+            "kpmod.clear_caches()\n"
+            "print(before > 0, tabled())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "True 0\n"
 
 
 class TestIntegerEntries:
