@@ -23,27 +23,19 @@ from .filtration import (
 from .laurent import LaurentPoly
 from .modules import (
     AnnihilatorReport,
-    ModuleMap,
     ModuleTooLargeError,
     WeightModule,
     annihilator_check,
-    character,
     cyclic_submodule,
     demazure_module,
     diagram_module,
-    dual_twist,
     exterior_power,
-    hom_dim,
-    hom_space,
     kp_module,
-    largest_quotient,
     one_dim,
     sl3_identity_check,
     sl3_presentation_check,
     symmetric_power,
     tensor_many,
-    tensor_power,
-    tensor_product,
     vector_rep,
 )
 from .permutations import (
@@ -70,7 +62,6 @@ from .schubert import (
     kostant_dim,
     plethysm_eval,
     schubert_poly,
-    schubert_poly_of_perm,
 )
 
 __version__ = "0.1.0"

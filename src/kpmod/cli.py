@@ -260,6 +260,8 @@ def _cmd_demazure_compare(args) -> int:
         codes = [args.code]
     else:
         m = args.upto
+        if m < 1:
+            raise ValueError(f"--upto must be at least 1, got {m}")
         codes = [code(w, m) for w in all_permutations(m)]
     rows = []
     violations = 0

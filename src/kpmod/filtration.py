@@ -13,7 +13,9 @@ the annihilator theorem, kp(lam) is U(n+) modulo the left ideal generated by
 the powers e_ij^{m_ij(lam)+1}, so that hom dimension is the codimension in
 M_nu of the sum of the images e_ij^{m_ij+1} M_{nu - (m_ij+1)(eps_i - eps_j)}:
 one rank computation inside M per weight, with no module built for rho - nu.
-The two routes must agree, and experiments assert that they do.
+The extractor and the criterion must agree, and experiments assert that they
+do.  The tests hold the criterion against a nullspace solve for the whole
+Hom space into the twisted dual (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -202,7 +204,8 @@ def char_criterion(M: WeightModule) -> CriterionReport:
     each weight costs one rank computation inside M and no module is built.
     Only weights of M can support a nonzero hom (a nonzero map is determined
     by a nonzero image of that weight space), so the sum ranges over them.
-    ``dual_twist`` and ``hom_dim`` compute the same numbers the long way.
+    The tests compute the same numbers the long way, as the dimension of the
+    Hom space into the twisted dual (``tests/reference.py``).
 
     Raises RuntimeError if ch(M) exceeds the bound, which the theory rules
     out: it would mean a bug in the module or in this computation.

@@ -93,26 +93,3 @@ class Echelon:
             raise ValueError("vector is not in the span")
         return coeffs
 
-
-def solve_nullspace(equations, nvars: int) -> list:
-    """Basis of solutions of homogeneous linear equations over the rationals.
-
-    Equations are dicts {var index: coeff}.  Returns one reduced solution per
-    free variable, in ascending free-variable order: the solution has a 1 at
-    its free variable and is supported on that variable and the pivots.
-    """
-    ech = Echelon()
-    for eq in equations:
-        ech.insert(eq)
-    pivots = ech.rows
-    sols = []
-    for f in range(nvars):
-        if f in pivots:
-            continue
-        sol = {f: ONE}
-        for p, row in pivots.items():
-            c = row.get(f)
-            if c:
-                sol[p] = -c
-        sols.append(sol)
-    return sols

@@ -9,9 +9,8 @@ which generate U(n+), starting from weight vectors that enter with their
 weights: e_ij sends weight wt to wt + eps_i - eps_j, so a closure follows
 its vectors' weights and never looks one up.  On top of the plain
 constructors this module provides cyclic submodules and closures of vector
-sets, quotients by weight sets, Hom spaces, annihilator verification for the
-diagram generator, and the rank-3 operator-identity checks used by the
-verification suites.
+sets, annihilator verification for the diagram generator, and the rank-3
+operator-identity checks used by the verification suites.
 Kraskiewicz-Pragacz and Demazure (key) modules both come from
 ``diagram_module``: the cyclic closure of a column-wedge vector inside a
 tensor of exterior powers that is never enumerated.
@@ -30,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly, _require_int, int_tuple
-from .linalg import ONE, Echelon, axpy, scaled, solve_nullspace
-from .permutations import Permutation, code, inversion_data, m_table, perm_of, rho
+from .linalg import ONE, Echelon, axpy, scaled
+from .permutations import Permutation, code, inversion_data, m_table, perm_of
 from .schubert import schubert_poly
 
 
@@ -108,6 +107,8 @@ class WeightModule(_Action):
 
     def __init__(self, n, weights, builder=None, generator=None):
         _require_int(n, "WeightModule n")
+        if n < 0:
+            raise ValueError(f"WeightModule n must be nonnegative, got {n}")
         self.n = n
         self.weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
         self._cols = {p: {} for p in self.raising_pairs()}
@@ -202,6 +203,7 @@ def one_dim(lam) -> WeightModule:
 
 def vector_rep(n: int) -> WeightModule:
     """K^n with e_ab u_k = delta_bk u_a."""
+    _require_int(n, "vector_rep n")
     weights = [tuple(int(a == k) for a in range(n)) for k in range(n)]
     return WeightModule(n, weights, lambda pair, k: {pair[0] - 1: ONE} if k == pair[1] - 1 else {})
 
@@ -275,16 +277,6 @@ class _Tensor(_Action):
         return self.apply(pair, {idx: ONE})
 
 
-def tensor_product(M: WeightModule, N: WeightModule) -> WeightModule:
-    return tensor_many([M, N])
-
-
-def tensor_power(M: WeightModule, k: int) -> WeightModule:
-    if k < 0:
-        raise ValueError("negative tensor power")
-    return tensor_many([M] * k, M.n)
-
-
 def _power(M: WeightModule, combos: list, place) -> WeightModule:
     """A power of M on the index tuples ``combos``: ``place(others, r, t)``
     is the tuple and sign once slot t becomes r, or None if that vanishes."""
@@ -320,6 +312,7 @@ def _wedge_place(others, r, t):
 
 def exterior_power(M: WeightModule, k: int) -> WeightModule:
     """Lambda^k M; k > dim gives the zero module."""
+    _require_int(k, "exterior_power k")
     if k < 0:
         raise ValueError("negative exterior power")
     if k == 0:
@@ -333,36 +326,12 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
 
 def symmetric_power(M: WeightModule, k: int) -> WeightModule:
     """S^k M in the monomial basis of weakly increasing index tuples."""
+    _require_int(k, "symmetric_power k")
     if k < 0:
         raise ValueError("negative symmetric power")
     combos = list(itertools.combinations_with_replacement(range(M.dim), k))
     _check_dim(len(combos), f"symmetric_power {k} of a {M.dim}-dim module")
     return _power(M, combos, lambda others, r, t: (tuple(sorted(others + (r,))), 1))
-
-
-def dual_twist(M: WeightModule) -> WeightModule:
-    """The twisted dual M* (x) K_rho: dual basis, weight of the dual of a
-    weight-mu vector is rho - mu, action the negated transpose.
-
-    Public as part of the reference route for the character criterion:
-    ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` is what
-    ``char_criterion`` computes from the annihilator presentation, and the
-    tests compare the two."""
-    r = rho(M.n)
-    weights = [tuple(a - b for a, b in zip(r, w)) for w in M.weights]
-    spaces = M.weight_spaces()
-
-    def builder(pair, p):
-        # e_ij f_p = -f_p o e_ij has f_q-coefficient -<u_p, e_ij u_q>, with
-        # u_q of weight wt(u_p) - (eps_i - eps_j)
-        col = {}
-        for q in spaces.get(_raised(M.weights[p], pair, -1), ()):
-            c = M.column(pair, q).get(p)
-            if c:
-                col[q] = -c
-        return col
-
-    return WeightModule(M.n, weights, builder)
 
 
 def shift_weights(M: WeightModule, delta) -> WeightModule:
@@ -378,7 +347,7 @@ def shift_weights(M: WeightModule, delta) -> WeightModule:
 
 
 # ---------------------------------------------------------------------------
-# Submodules and quotients
+# Submodules
 
 class SubmoduleCloser:
     """Incrementally grown submodule, held as one reduced echelon basis per
@@ -434,13 +403,6 @@ class SubmoduleCloser:
                     self._insert(_raised(wt, pair), img, queue, added)
         return added
 
-    def pivots(self) -> set:
-        out: set = set()
-        for ech in self.echelons.values():
-            out.update(ech.rows)
-        return out
-
-
 def _submodule_from_closure(M, closer, generator=None) -> WeightModule:
     """The closed subspace on its echelon rows, sorted by weight and pivot.
     A column, the image of a row of weight wt under e_ij, lies in the weight
@@ -471,129 +433,19 @@ def _submodule_from_closure(M, closer, generator=None) -> WeightModule:
 def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
     """Smallest subspace containing vec closed under the raising operators,
     as a module with induced actions (basis in reduced echelon form per
-    weight space).  vec must be a weight vector, or zero: ValueError("not a
-    homogeneous weight vector") otherwise.  A closure rank above KP_MAX_DIM
+    weight space).  vec must be a weight vector on basis indices of M, or
+    zero: ValueError otherwise.  A closure rank above KP_MAX_DIM
     is a ModuleTooLargeError naming "cyclic_submodule at weight ...".
     """
+    for i in vec:
+        if type(i) is not int or not 0 <= i < M.dim:
+            raise ValueError(
+                f"cyclic_submodule vec: {i!r} is not a basis index of a {M.dim}-dim module"
+            )
     gen = [(M.weight_of(vec), vec)] if vec else []
     closer = SubmoduleCloser(M, "cyclic_submodule")
     closer.add(gen)
     return _submodule_from_closure(M, closer, *gen)
-
-
-@dataclass
-class ModuleMap:
-    """Linear map between weight modules, stored column-sparse."""
-
-    source: WeightModule
-    target: WeightModule
-    columns: dict  # source index -> {target index: int, or Fraction where not integral}
-
-    def apply(self, vec: dict) -> dict:
-        out: dict = {}
-        for c, x in vec.items():
-            axpy(out, x, self.columns.get(c, {}))
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.columns.values())
-
-    def commutes_with(self, pair) -> bool:
-        M, N = self.source, self.target
-        for c in range(M.dim):
-            lhs = self.apply(M.apply(pair, {c: ONE}))
-            rhs = N.apply(pair, self.apply({c: ONE}))
-            if lhs != rhs:
-                return False
-        return True
-
-
-def largest_quotient(M: WeightModule, allowed) -> tuple:
-    """Quotient of M by the submodule generated by all weight spaces whose
-    weight is outside ``allowed``; returns (quotient, projection map)."""
-    allowed = {int_tuple(w, "largest_quotient allowed weight") for w in allowed}
-    closer = SubmoduleCloser(M)
-    closer.add(
-        [(wt, {i: ONE}) for i, wt in enumerate(M.weights) if wt not in allowed]
-    )
-    pivots = closer.pivots()
-    reps = [i for i in range(M.dim) if i not in pivots]
-    pos = {i: t for t, i in enumerate(reps)}
-
-    def project(wt, vec):
-        # vec lies in the weight space of wt, where the residual is unique
-        ech = closer.echelons.get(wt)
-        red = ech.reduce(vec) if ech else vec
-        return {pos[i]: c for i, c in red.items()}
-
-    Q = WeightModule(
-        M.n,
-        [M.weights[i] for i in reps],
-        lambda pair, t: project(_raised(M.weights[reps[t]], pair), M.apply(pair, {reps[t]: ONE})),
-    )
-    qmap = ModuleMap(M, Q, {c: project(M.weights[c], {c: ONE}) for c in range(M.dim)})
-    return Q, qmap
-
-
-# ---------------------------------------------------------------------------
-# Hom spaces
-
-def hom_space(M: WeightModule, N: WeightModule) -> list:
-    """Basis (reduced, deterministic) of the space of module maps M -> N.
-
-    A map is weight-preserving and commutes with the simple raising
-    operators; that forces commutation with every e_ij, since those are
-    iterated brackets of simple ones.  Raises RuntimeError if a solution
-    fails the composite-pair cross-check, which would mean a bug.
-
-    Together with ``dual_twist`` this is the reference route the tests hold
-    ``char_criterion`` against.
-    """
-    if M.n != N.n:
-        raise ValueError("modules over different ranks")
-    nws = N.weight_spaces()
-    varid: dict = {}
-    for c in range(M.dim):
-        for r in nws.get(M.weights[c], ()):
-            varid[(r, c)] = len(varid)
-    eqs = []
-    for pair in ((i, i + 1) for i in range(1, M.n)):
-        for c in range(M.dim):
-            rows: dict = {}
-            for r2, a in M.column(pair, c).items():
-                for t in nws.get(M.weights[r2], ()):
-                    row = rows.setdefault(t, {})
-                    v = varid[(t, r2)]
-                    row[v] = row.get(v, 0) + a
-            for s in nws.get(M.weights[c], ()):
-                v = varid[(s, c)]
-                for t, b in N.column(pair, s).items():
-                    row = rows.setdefault(t, {})
-                    row[v] = row.get(v, 0) - b
-            eqs.extend({k: x for k, x in row.items() if x} for row in rows.values())
-    sols = solve_nullspace([e for e in eqs if e], len(varid))
-    back = {v: rc for rc, v in varid.items()}
-    maps = []
-    for sol in sols:
-        cols: dict = {}
-        for v, c in sol.items():
-            r, cc = back[v]
-            cols.setdefault(cc, {})[r] = c
-        maps.append(ModuleMap(M, N, cols))
-    # imposing the simple pairs must already give full equivariance;
-    # cross-check one composite raising pair as a guard
-    if maps and M.n >= 3 and not all(T.commutes_with((1, M.n)) for T in maps):
-        raise RuntimeError(
-            f"hom solution does not commute with e_1{M.n}: "
-            "the simple-pair equations lost equivariance"
-        )
-    return maps
-
-
-def hom_dim(M: WeightModule, N: WeightModule) -> int:
-    """dim Hom(M, N); the reference route for ``char_criterion`` (see
-    ``dual_twist``)."""
-    return len(hom_space(M, N))
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +506,8 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
     >>> diagram_module([[1, 3]], 4).dim       # demazure_module((1, 0, 1, 0))
     2
     """
+    _require_int(n, f"{what} n")
+    columns = [int_tuple(rows, f"{what} column") for rows in columns]
     for rows in columns:
         if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
             raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
@@ -704,10 +558,6 @@ def kp_module(lam) -> WeightModule:
     if not lam:
         raise ValueError("kp_module needs a nonempty code, got ()")
     return _kp_cached(lam, max_dim())
-
-
-def character(M: WeightModule) -> LaurentPoly:
-    return M.character()
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +646,8 @@ def demazure_module(lam) -> WeightModule:
     operators only.  Its character is the key polynomial pi_w x^{lam+}.
     """
     lam = int_tuple(lam, "demazure_module weight")
+    if not lam:
+        raise ValueError("demazure_module needs a nonempty weight, got ()")
     if any(x < 0 for x in lam):
         raise ValueError("Demazure construction needs a nonnegative weight")
     columns = [

@@ -21,7 +21,6 @@ from .permutations import (
     Permutation,
     _transition_window,
     _window_code,
-    code,
     longest_element,
     perm_of,
     rho,
@@ -88,10 +87,6 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
     else:
         raise ValueError(f"unknown method {method!r}")
     return p.shift((-k,) * len(lam)) if k else p
-
-
-def schubert_poly_of_perm(w: Permutation, n: int, method: str = "transition") -> LaurentPoly:
-    return schubert_poly(code(w, n), method)
 
 
 @lru_cache(maxsize=None)

@@ -17,15 +17,15 @@ from .filtration import (
     schur_functor_experiment,
     tensor_experiment,
 )
-from .modules import annihilator_check, kp_module, one_dim
-from .permutations import all_permutations, code, compare, rho, transition
-from .schubert import (
-    cauchy_window_check,
-    dual_pairing,
-    schubert_poly,
-    schubert_poly_of_perm,
+from .modules import (
+    annihilator_check,
+    kp_module,
+    one_dim,
+    sl3_identity_check,
+    sl3_presentation_check,
 )
-from .modules import sl3_identity_check, sl3_presentation_check
+from .permutations import all_permutations, code, compare, rho, transition
+from .schubert import cauchy_window_check, dual_pairing, schubert_poly
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def suite_transition_all(upto: int = 5, seed: int = 0) -> list:
             ok = ok and structural and schubert_poly(lam) == rhs
         rows.append(CheckRow(f"transition identity on S_{m}", ok, f"{count} permutations"))
         agree = all(
-            schubert_poly_of_perm(w, m, "staircase")
-            == schubert_poly_of_perm(w, m, "transition")
+            schubert_poly(code(w, m), "staircase") == schubert_poly(code(w, m), "transition")
             for w in all_permutations(m)
         )
         rows.append(CheckRow(f"staircase agrees with transition on S_{m}", agree, ""))
@@ -263,8 +262,12 @@ def run_suite(name: str, upto=None, seed: int = 0) -> list:
 
 def run_suites(name: str, upto=None, seed: int = 0) -> list:
     """Rows for one suite, or for every suite (at its default bound) when
-    name == 'all'."""
+    name == 'all', which takes no bound: ValueError if upto is given."""
     if name == "all":
+        if upto is not None:
+            raise ValueError(
+                f"--upto {upto} needs a single suite: 'all' runs every suite at its default bound"
+            )
         rows = []
         for key in SUITES:
             rows.extend(

@@ -1,0 +1,152 @@
+"""The hom-space route to the character criterion's multiplicities, kept as
+a reference for the tests.
+
+``char_criterion`` reads dim Hom(M, kp(rho - nu)^* (x) K_rho) off the
+annihilator presentation of kp(rho - nu), one rank computation inside M.
+``hom_dim(M, dual_twist(kp_module(rho - nu)))`` computes the same number by
+building the twisted dual and solving the equivariance equations for the
+whole Hom space; the tests hold the two routes against each other.  The
+library calls none of this.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from kpmod.linalg import ONE, Echelon, axpy
+from kpmod.modules import WeightModule, _raised
+from kpmod.permutations import rho
+
+
+def solve_nullspace(equations, nvars: int) -> list:
+    """Basis of solutions of homogeneous linear equations over the rationals.
+
+    Equations are dicts {var index: coeff}.  Returns one reduced solution per
+    free variable, in ascending free-variable order: the solution has a 1 at
+    its free variable and is supported on that variable and the pivots.
+    """
+    ech = Echelon()
+    for eq in equations:
+        ech.insert(eq)
+    pivots = ech.rows
+    sols = []
+    for f in range(nvars):
+        if f in pivots:
+            continue
+        sol = {f: ONE}
+        for p, row in pivots.items():
+            c = row.get(f)
+            if c:
+                sol[p] = -c
+        sols.append(sol)
+    return sols
+
+
+def dual_twist(M: WeightModule) -> WeightModule:
+    """The twisted dual M* (x) K_rho: dual basis, weight of the dual of a
+    weight-mu vector is rho - mu, action the negated transpose.
+
+    Public as part of the reference route for the character criterion:
+    ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` is what
+    ``char_criterion`` computes from the annihilator presentation, and the
+    tests compare the two."""
+    r = rho(M.n)
+    weights = [tuple(a - b for a, b in zip(r, w)) for w in M.weights]
+    spaces = M.weight_spaces()
+
+    def builder(pair, p):
+        # e_ij f_p = -f_p o e_ij has f_q-coefficient -<u_p, e_ij u_q>, with
+        # u_q of weight wt(u_p) - (eps_i - eps_j)
+        col = {}
+        for q in spaces.get(_raised(M.weights[p], pair, -1), ()):
+            c = M.column(pair, q).get(p)
+            if c:
+                col[q] = -c
+        return col
+
+    return WeightModule(M.n, weights, builder)
+
+
+@dataclass
+class ModuleMap:
+    """Linear map between weight modules, stored column-sparse."""
+
+    source: WeightModule
+    target: WeightModule
+    columns: dict  # source index -> {target index: int, or Fraction where not integral}
+
+    def apply(self, vec: dict) -> dict:
+        out: dict = {}
+        for c, x in vec.items():
+            axpy(out, x, self.columns.get(c, {}))
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.columns.values())
+
+    def commutes_with(self, pair) -> bool:
+        M, N = self.source, self.target
+        for c in range(M.dim):
+            lhs = self.apply(M.apply(pair, {c: ONE}))
+            rhs = N.apply(pair, self.apply({c: ONE}))
+            if lhs != rhs:
+                return False
+        return True
+
+
+def hom_space(M: WeightModule, N: WeightModule) -> list:
+    """Basis (reduced, deterministic) of the space of module maps M -> N.
+
+    A map is weight-preserving and commutes with the simple raising
+    operators; that forces commutation with every e_ij, since those are
+    iterated brackets of simple ones.  Raises RuntimeError if a solution
+    fails the composite-pair cross-check, which would mean a bug.
+
+    Together with ``dual_twist`` this is the reference route the tests hold
+    ``char_criterion`` against.
+    """
+    if M.n != N.n:
+        raise ValueError("modules over different ranks")
+    nws = N.weight_spaces()
+    varid: dict = {}
+    for c in range(M.dim):
+        for r in nws.get(M.weights[c], ()):
+            varid[(r, c)] = len(varid)
+    eqs = []
+    for pair in ((i, i + 1) for i in range(1, M.n)):
+        for c in range(M.dim):
+            rows: dict = {}
+            for r2, a in M.column(pair, c).items():
+                for t in nws.get(M.weights[r2], ()):
+                    row = rows.setdefault(t, {})
+                    v = varid[(t, r2)]
+                    row[v] = row.get(v, 0) + a
+            for s in nws.get(M.weights[c], ()):
+                v = varid[(s, c)]
+                for t, b in N.column(pair, s).items():
+                    row = rows.setdefault(t, {})
+                    row[v] = row.get(v, 0) - b
+            eqs.extend({k: x for k, x in row.items() if x} for row in rows.values())
+    sols = solve_nullspace([e for e in eqs if e], len(varid))
+    back = {v: rc for rc, v in varid.items()}
+    maps = []
+    for sol in sols:
+        cols: dict = {}
+        for v, c in sol.items():
+            r, cc = back[v]
+            cols.setdefault(cc, {})[r] = c
+        maps.append(ModuleMap(M, N, cols))
+    # imposing the simple pairs must already give full equivariance;
+    # cross-check one composite raising pair as a guard
+    if maps and M.n >= 3 and not all(T.commutes_with((1, M.n)) for T in maps):
+        raise RuntimeError(
+            f"hom solution does not commute with e_1{M.n}: "
+            "the simple-pair equations lost equivariance"
+        )
+    return maps
+
+
+def hom_dim(M: WeightModule, N: WeightModule) -> int:
+    """dim Hom(M, N); the reference route for ``char_criterion`` (see
+    ``dual_twist``)."""
+    return len(hom_space(M, N))

@@ -96,6 +96,13 @@ class TestBasicCommands:
         assert row["kp_dim"] == 3 and row["demazure_dim"] == 2
         assert row["characters_equal"] is False and row["avoids_2143"] is False
 
+    def test_demazure_compare_bound_below_one_is_usage_error(self, capsys):
+        rc = main(["demazure-compare", "--upto", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: --upto must be at least 1, got 0" in captured.err
+
 
 class TestFiltrationCommands:
     def test_tensor_filtration_json(self, capsys):
@@ -210,6 +217,13 @@ class TestVerify:
         assert rc == 2
         assert captured.out == ""
         assert f"suite {suite!r} checks nothing at upto={upto}" in captured.err
+
+    def test_bound_on_suite_all_is_usage_error(self, capsys):
+        rc = main(["verify", "--suite", "all", "--upto", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--upto 1 needs a single suite: 'all' runs every suite" in captured.err
 
     def test_suite_all_output_is_pinned(self, capsys, monkeypatch):
         # the SHA-256 of this stdout is recorded in CHANGES.md; refactors keep it

@@ -27,19 +27,16 @@ from kpmod.modules import (
     WeightModule,
     _submodule_from_closure,
     cyclic_submodule,
-    dual_twist,
     exterior_power,
-    hom_dim,
     kp_module,
     one_dim,
     shift_weights,
     tensor_many,
-    tensor_power,
-    tensor_product,
     vector_rep,
 )
 from kpmod.permutations import Permutation, all_permutations, code, rho
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
+from reference import dual_twist, hom_dim
 
 
 def x(n, i):
@@ -48,7 +45,7 @@ def x(n, i):
 
 class TestSortWeights:
     def test_tensor_of_lines(self):
-        M = tensor_product(kp_module((0, 1)), kp_module((0, 1)))
+        M = tensor_many([kp_module((0, 1)), kp_module((0, 1))])
         assert sort_weights(M) == [(1, 1), (2, 0), (0, 2)]
 
     def test_one_dim(self):
@@ -59,7 +56,7 @@ class TestSortWeights:
         assert sort_weights(M) == [(1, 1, 0), (2, 0, 0), (1, 0, 1)]
 
     def test_sorted_once_per_module_and_returned_fresh(self, monkeypatch):
-        M = tensor_product(kp_module((0, 1)), kp_module((0, 1)))
+        M = tensor_many([kp_module((0, 1)), kp_module((0, 1))])
         keyed = []
         key = filtration.standard_key
         monkeypatch.setattr(filtration, "standard_key", lambda w, shift: keyed.append(w) or key(w, shift))
@@ -84,7 +81,7 @@ class TestExtractor:
             assert rep.char_lhs == rep.char_rhs == schubert_poly(lam)
 
     def test_tensor_square_of_plane(self):
-        M = tensor_product(kp_module((0, 1)), kp_module((0, 1)))
+        M = tensor_many([kp_module((0, 1)), kp_module((0, 1))])
         rep = kp_filtration_extract(M)
         assert rep.ok
         assert rep.factors == (((0, 2), 1), ((1, 1), 1))
@@ -111,7 +108,7 @@ class TestExtractor:
         # and a shifted module: 26 of the 110 fail, so witnesses with their
         # expected and actual characters are pinned too
         codes = [code(w, 3) for w in all_permutations(3)]
-        corpus = [tensor_product(kp_module(a), kp_module(b)) for a in codes for b in codes]
+        corpus = [tensor_many([kp_module(a), kp_module(b)]) for a in codes for b in codes]
         corpus += [
             young_symmetrizer_image(kp_module(lam), sigma)
             for sigma in [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
@@ -121,7 +118,7 @@ class TestExtractor:
         corpus += [dual_twist(M) for M in corpus[:36]]
         corpus += [
             one_dim((0, 1)),
-            shift_weights(tensor_product(kp_module((1, 0, 1)), kp_module((0, 1, 0))), (-1, 2, 0)),
+            shift_weights(tensor_many([kp_module((1, 0, 1)), kp_module((0, 1, 0))]), (-1, 2, 0)),
         ]
         reports = [kp_filtration_extract(M).to_json() for M in corpus]
         assert sum(r["witness"] is not None for r in reports) == 26
@@ -129,7 +126,7 @@ class TestExtractor:
         assert digest == "e527f820ba0fbb9c1eccf00c0b8146392a19a822955e95594a0c175ebc8e52fa"
 
     def test_layer_sum_telescopes(self):
-        M = tensor_product(kp_module((1, 0, 1)), kp_module((0, 1, 0)))
+        M = tensor_many([kp_module((1, 0, 1)), kp_module((0, 1, 0))])
         rep = kp_filtration_extract(M)
         assert rep.ok
         total = LaurentPoly.zero(3)
@@ -147,7 +144,7 @@ class TestCriterion:
         assert rep.hom_multiplicities == (((1, 0, 1, 0), 1),)
 
     def test_tensor_hom_multiplicities(self):
-        M = tensor_product(kp_module((0, 1)), kp_module((0, 1)))
+        M = tensor_many([kp_module((0, 1)), kp_module((0, 1))])
         rep = char_criterion(M)
         assert rep.equal
         assert dict(rep.hom_multiplicities) == {(0, 2): 1, (1, 1): 1}
@@ -180,10 +177,10 @@ def _criterion_corpus():
     for n in (2, 3):
         codes = [code(w, n) for w in all_permutations(n)]
         for a, b in itertools.product(codes, repeat=2):
-            corpus.append(tensor_product(kp_module(a), kp_module(b)))
+            corpus.append(tensor_many([kp_module(a), kp_module(b)]))
     codes4 = [code(w, 4) for w in all_permutations(4)]
     for _ in range(10):
-        M = tensor_product(kp_module(rng.choice(codes4)), kp_module(rng.choice(codes4)))
+        M = tensor_many([kp_module(rng.choice(codes4)), kp_module(rng.choice(codes4))])
         corpus.append(M)
         corpus.append(dual_twist(M))
     for lam in rng.sample(codes4, 4):
@@ -220,7 +217,7 @@ class TestEquivalence:
         for _ in range(6):
             A = kp_module(rng.choice(codes))
             B = kp_module(rng.choice(codes))
-            M = tensor_product(A, B)
+            M = tensor_many([A, B])
             corpus.append(M)
             # a random cyclic submodule of the tensor product
             idx = rng.randrange(M.dim)
@@ -447,7 +444,7 @@ def reference_image_closure(M, sigma):
     one of the dim^k basis tuples, whose span must already be stable under
     the action.  Returns M^{(x) k} and the closer holding the image."""
     k = sum(sigma)
-    T = tensor_power(M, k)
+    T = tensor_many([M] * k, M.n)
     rows, cols = young_slots(sigma)
     terms = [
         (tuple(p[q[t]] for t in range(k)), Permutation([t + 1 for t in q]).sign())

@@ -15,7 +15,6 @@ import kpmod
 from kpmod.laurent import LaurentPoly
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
-    ModuleMap,
     ModuleTooLargeError,
     SubmoduleCloser,
     _proportional,
@@ -25,20 +24,14 @@ from kpmod.modules import (
     cyclic_submodule,
     demazure_module,
     diagram_module,
-    dual_twist,
     exterior_power,
-    hom_dim,
-    hom_space,
     kp_module,
-    largest_quotient,
     one_dim,
     shift_weights,
     sl3_identity_check,
     sl3_presentation_check,
     symmetric_power,
     tensor_many,
-    tensor_power,
-    tensor_product,
     vector_rep,
     WeightModule,
 )
@@ -55,6 +48,7 @@ from kpmod.permutations import (
     rho,
 )
 from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
+from reference import ModuleMap, dual_twist, hom_dim, hom_space
 
 
 def x(n, i):
@@ -121,6 +115,32 @@ class TestConstructors:
         with pytest.raises(ValueError, match=message):
             WeightModule(n, weights)
 
+    def test_weight_module_rejects_negative_rank(self):
+        # n = 0 stays allowed: one_dim(()) is the trivial module of rank 0
+        with pytest.raises(ValueError, match="WeightModule n must be nonnegative, got -1"):
+            vector_rep(-1)
+        assert one_dim(()).n == 0
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: exterior_power(vector_rep(2), 1.5), "exterior_power k must be an integer, got 1.5"),
+            (lambda: exterior_power(vector_rep(2), True), "exterior_power k must be an integer, got True"),
+            (lambda: symmetric_power(vector_rep(2), 2.0), "symmetric_power k must be an integer, got 2.0"),
+            (lambda: symmetric_power(vector_rep(2), True), "symmetric_power k must be an integer, got True"),
+            (lambda: vector_rep(2.5), "vector_rep n must be an integer, got 2.5"),
+            (lambda: diagram_module([[1]], 2.0), "diagram_module n must be an integer, got 2.0"),
+            (lambda: diagram_module([[1.0]], 2), r"diagram_module column \(1.0,\): entry must be an integer"),
+            (lambda: diagram_module([[True]], 2), r"diagram_module column \(True,\): entry must be an integer"),
+            (lambda: demazure_module(()), r"demazure_module needs a nonempty weight, got \(\)"),
+            (lambda: cyclic_submodule(vector_rep(2), {5: ONE}), "cyclic_submodule vec: 5 is not a basis index"),
+            (lambda: cyclic_submodule(vector_rep(2), {True: ONE}), "cyclic_submodule vec: True is not a basis index"),
+        ],
+    )
+    def test_constructors_reject_bad_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_exterior_square_of_plane(self):
         E = exterior_power(vector_rep(2), 2)
         assert E.dim == 1
@@ -148,10 +168,10 @@ class TestConstructors:
         for _ in range(10):
             A = kp_module(rng.choice(codes))
             B = kp_module(rng.choice(codes))
-            assert tensor_product(A, B).character() == A.character() * B.character()
+            assert tensor_many([A, B]).character() == A.character() * B.character()
 
     def test_bracket_identity_on_products(self):
-        M = tensor_product(exterior_power(vector_rep(3), 2), vector_rep(3))
+        M = tensor_many([exterior_power(vector_rep(3), 2), vector_rep(3)])
         for p1 in M.raising_pairs():
             for p2 in M.raising_pairs():
                 assert bracket_ok(M, p1, p2)
@@ -232,7 +252,7 @@ class TestCyclicSubmodule:
 
     def test_symmetric_square_inside_tensor(self):
         V = vector_rep(2)
-        T = tensor_product(V, V)
+        T = tensor_many([V, V])
         # u_2 (x) u_2 sits at index 3
         S = cyclic_submodule(T, {3: ONE})
         assert S.dim == 3
@@ -344,50 +364,6 @@ class TestHom:
                 assert hom_dim(kp_module(lam), D) == expected
 
 
-class TestLargestQuotient:
-    def test_cyclic_module_dies(self):
-        S = kp_module((1, 0, 1, 0))
-        lam = (1, 0, 1, 0)
-        allowed = [w for w in set(S.weights) if w != lam]
-        Q, _ = largest_quotient(S, allowed)
-        assert Q.dim == 0
-
-    def test_exterior_square_survives(self):
-        V = vector_rep(2)
-        T = tensor_product(V, V)
-        Q, qmap = largest_quotient(T, [(1, 1)])
-        assert Q.dim == 1
-        assert Q.weights == ((1, 1),)
-        # the class of u1 (x) u2 generates the quotient
-        assert qmap.apply({1: ONE}) != {}
-
-    def test_full_weight_set_is_identity(self):
-        T = tensor_product(vector_rep(2), vector_rep(2))
-        Q, qmap = largest_quotient(T, set(T.weights))
-        assert Q.dim == T.dim
-        assert all(qmap.apply({c: ONE}) for c in range(T.dim))
-
-    def test_universal_property_on_homs(self):
-        # maps into a module with weights inside the allowed set factor
-        # through the quotient
-        T = tensor_product(vector_rep(2), vector_rep(2))
-        Q, _ = largest_quotient(T, [(1, 1)])
-        target = one_dim((1, 1))
-        assert hom_dim(T, target) == hom_dim(Q, target)
-
-    def test_quotient_map_is_equivariant(self):
-        T = tensor_product(vector_rep(3), vector_rep(3))
-        Q, qmap = largest_quotient(T, [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
-        for pair in T.raising_pairs():
-            assert qmap.commutes_with(pair)
-
-    @pytest.mark.parametrize("allowed", [[(0.9, True)], [(0, 1.0)], [(True, 0)]])
-    def test_rejects_non_integer_weights(self, allowed):
-        # [(0.9, True)] was read as (0, 1) and gave a 1-dimensional quotient
-        with pytest.raises(ValueError, match=r"largest_quotient allowed weight .*must be an integer"):
-            largest_quotient(vector_rep(2), allowed)
-
-
 class TestAnnihilator:
     def test_2143_report(self):
         rep = annihilator_check(Permutation([2, 1, 4, 3]), 4)
@@ -400,7 +376,7 @@ class TestAnnihilator:
     def test_explicit_action_in_ambient(self):
         # the [2143] ambient is K^4 (x) K^4 with generator u_1 (x) u_3
         V = vector_rep(4)
-        T = tensor_product(V, V)
+        T = tensor_many([V, V])
         gen = {0 * 4 + 2: ONE}
         once = T.apply((2, 3), gen)
         assert once == {0 * 4 + 1: ONE}  # u_1 (x) u_2
@@ -756,7 +732,7 @@ class TestLimitsAndSerialization:
     def test_max_dim_guard(self, monkeypatch):
         monkeypatch.setenv("KP_MAX_DIM", "5")
         with pytest.raises(ModuleTooLargeError, match="KP_MAX_DIM"):
-            tensor_power(vector_rep(3), 3)
+            tensor_many([vector_rep(3)] * 3, 3)
 
     def test_size_error_names_construction_code_size_and_cap(self, monkeypatch):
         monkeypatch.setenv("KP_MAX_DIM", "5")
@@ -782,7 +758,7 @@ class TestLimitsAndSerialization:
         )
 
     def test_closure_rank_error_names_the_weight(self, monkeypatch):
-        T = tensor_power(vector_rep(3), 2)
+        T = tensor_many([vector_rep(3)] * 2, 3)
         monkeypatch.setenv("KP_MAX_DIM", "5")
         # u_3 (x) u_3 generates the 6-dimensional symmetric square
         with pytest.raises(ModuleTooLargeError, match=r"cyclic_submodule at weight \(\d, \d, \d\): "
@@ -793,7 +769,7 @@ class TestLimitsAndSerialization:
     def test_max_dim_rejects_bad_values(self, monkeypatch, raw):
         monkeypatch.setenv("KP_MAX_DIM", raw)
         with pytest.raises(ValueError, match=f"KP_MAX_DIM must be a positive integer, got '{raw}'"):
-            tensor_power(vector_rep(2), 2)
+            tensor_many([vector_rep(2)] * 2, 2)
 
     @pytest.mark.parametrize("lam", [(1.5, 0, 1, 0), (1.0, 0), (True, 0), (0, False)])
     def test_non_integer_code_rejected(self, lam):
@@ -831,7 +807,7 @@ class TestClearCaches:
                 dual_pairing(schubert_poly((0, 1, 2)), (0, 1, 2)),
                 demazure_module((0, 2, 1)).character(),
                 filtration.char_criterion(
-                    tensor_product(kp_module((1, 0, 1)), kp_module((0, 1, 0)))
+                    tensor_many([kp_module((1, 0, 1)), kp_module((0, 1, 0))])
                 ).to_json(),
             )
 

@@ -15,7 +15,6 @@ from kpmod.schubert import (
     kostant_dim,
     plethysm_eval,
     schubert_poly,
-    schubert_poly_of_perm,
 )
 
 
