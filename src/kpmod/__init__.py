@@ -46,7 +46,6 @@ from .permutations import (
     compare,
     contains_2143,
     dominates,
-    inversion_data,
     m_table,
     perm_of,
     rho,

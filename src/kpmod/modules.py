@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled
-from .permutations import Permutation, code, inversion_data, m_table, perm_of
+from .permutations import Permutation, _code_window, code, m_table
 from .schubert import schubert_poly
 
 
@@ -111,6 +111,9 @@ class WeightModule(_Action):
             raise ValueError(f"WeightModule n must be nonnegative, got {n}")
         self.n = n
         self.weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
+        for w in self.weights:
+            if len(w) != n:
+                raise ValueError(f"WeightModule weight {w} has length {len(w)}, not n = {n}")
         self._cols = {p: {} for p in self.raising_pairs()}
         self._moves: dict = {}
         self._builder = builder
@@ -219,9 +222,14 @@ def _weight_sum(n: int, weights) -> tuple:
 def tensor_many(factors, n=None) -> WeightModule:
     """Tensor product of a list of modules (Leibniz action slot by slot).
 
-    The empty product is the trivial module, which needs an explicit n.
+    The empty product is the trivial module, which needs an explicit n; an
+    n given with factors must be theirs.
     """
     factors = list(factors)
+    if n is not None:
+        _require_int(n, "tensor_many n")
+        if n < 0:
+            raise ValueError(f"tensor_many n must be nonnegative, got {n}")
     if not factors:
         if n is None:
             raise ValueError("empty tensor product needs an explicit n")
@@ -229,6 +237,8 @@ def tensor_many(factors, n=None) -> WeightModule:
     n0 = factors[0].n
     if any(F.n != n0 for F in factors):
         raise ValueError("mixed ranks in a tensor product")
+    if n is not None and n != n0:
+        raise ValueError(f"tensor_many n = {n} contradicts the factors' n = {n0}")
     dims = [F.dim for F in factors]
     total = math.prod(dims)
     if total == 0:
@@ -319,9 +329,8 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
         return one_dim((0,) * M.n)
     if k > M.dim:
         return WeightModule(M.n, [])
-    combos = list(itertools.combinations(range(M.dim), k))
-    _check_dim(len(combos), f"exterior_power {k} of a {M.dim}-dim module")
-    return _power(M, combos, _wedge_place)
+    _check_dim(math.comb(M.dim, k), f"exterior_power {k} of a {M.dim}-dim module")
+    return _power(M, list(itertools.combinations(range(M.dim), k)), _wedge_place)
 
 
 def symmetric_power(M: WeightModule, k: int) -> WeightModule:
@@ -329,8 +338,9 @@ def symmetric_power(M: WeightModule, k: int) -> WeightModule:
     _require_int(k, "symmetric_power k")
     if k < 0:
         raise ValueError("negative symmetric power")
+    # C(dim + k - 1, k) multisets; the max covers dim = k = 0, one empty tuple
+    _check_dim(math.comb(max(M.dim + k - 1, 0), k), f"symmetric_power {k} of a {M.dim}-dim module")
     combos = list(itertools.combinations_with_replacement(range(M.dim), k))
-    _check_dim(len(combos), f"symmetric_power {k} of a {M.dim}-dim module")
     return _power(M, combos, lambda others, r, t: (tuple(sorted(others + (r,))), 1))
 
 
@@ -338,6 +348,8 @@ def shift_weights(M: WeightModule, delta) -> WeightModule:
     """Tensor with the one-dimensional module of weight delta (same actions,
     all weights shifted)."""
     delta = int_tuple(delta, "shift_weights delta")
+    if len(delta) != M.n:
+        raise ValueError(f"shift_weights delta {delta} has length {len(delta)}, not n = {M.n}")
     return WeightModule(
         M.n,
         [tuple(a + b for a, b in zip(w, delta)) for w in M.weights],
@@ -434,13 +446,19 @@ def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
     """Smallest subspace containing vec closed under the raising operators,
     as a module with induced actions (basis in reduced echelon form per
     weight space).  vec must be a weight vector on basis indices of M, or
-    zero: ValueError otherwise.  A closure rank above KP_MAX_DIM
-    is a ModuleTooLargeError naming "cyclic_submodule at weight ...".
+    zero, with nonzero int or Fraction coefficients: ValueError otherwise.
+    A closure rank above KP_MAX_DIM is a ModuleTooLargeError naming
+    "cyclic_submodule at weight ...".
     """
-    for i in vec:
+    for i, c in vec.items():
         if type(i) is not int or not 0 <= i < M.dim:
             raise ValueError(
                 f"cyclic_submodule vec: {i!r} is not a basis index of a {M.dim}-dim module"
+            )
+        if type(c) not in (int, Fraction) or not c:
+            raise ValueError(
+                f"cyclic_submodule vec: coefficient {c!r} at index {i} "
+                "is not a nonzero int or Fraction"
             )
     gen = [(M.weight_of(vec), vec)] if vec else []
     closer = SubmoduleCloser(M, "cyclic_submodule")
@@ -511,20 +529,28 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
     for rows in columns:
         if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
             raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
-    amb = _WedgeAmbient([len(rows) for rows in columns], n)
-    # the generator's weight counts the columns that hold each row
-    wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
-    gen = (wt, {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE})
+    amb, gen = _diagram_generator(columns, n)
     closer = SubmoduleCloser(amb, what)
     closer.add([gen])
     return _submodule_from_closure(amb, closer, gen)
 
 
+def _diagram_generator(columns, n: int) -> tuple:
+    """The ``_WedgeAmbient`` of a diagram's column lengths and its
+    column-wedge generator, a (weight, vector) pair whose weight counts the
+    columns that hold each row."""
+    amb = _WedgeAmbient([len(rows) for rows in columns], n)
+    wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
+    return amb, (wt, {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE})
+
+
 def _kp_columns(lam: tuple) -> list:
-    """Row sets of the nonempty columns of the inversion diagram of perm(lam)."""
-    data = inversion_data(perm_of(lam))
-    cols = sorted(j for j, l in data.column_sizes.items() if l > 0)
-    return [sorted(i for (i, jj) in data.inversions if jj == j) for j in cols]
+    """Row sets of the nonempty columns of the KP diagram of w = perm(lam),
+    for a nonnegative code: column j holds the rows i < j with w(i) > w(j),
+    read off the window of w without building it."""
+    win = _code_window(lam)
+    cols = ([i for i in range(1, j) if win[i - 1] > win[j - 1]] for j in range(2, len(win) + 1))
+    return [rows for rows in cols if rows]
 
 
 #: Most KP modules kept: above the distinct codes of one S_6 sweep (720),
@@ -614,9 +640,7 @@ class AnnihilatorReport:
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     lam = code(w, n)
     table = m_table(w, n)
-    columns = _kp_columns(lam)
-    amb = _WedgeAmbient([len(rows) for rows in columns], n)
-    gen = {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE}
+    amb, (_, gen) = _diagram_generator(_kp_columns(lam), n)
     failed = []
     non_sharp = []
     for (i, j), m in sorted(table.entries.items()):

@@ -1,5 +1,5 @@
-"""Permutation combinatorics: Lehmer codes, inversion diagrams, transition
-data, annihilator exponent tables, and orders on integer weight vectors.
+"""Permutation combinatorics: Lehmer codes, transition data, annihilator
+exponent tables, and orders on integer weight vectors.
 
 Permutations are bijections of the positive integers fixing all but finitely
 many points, stored as the minimal one-line window ``[w(1), ..., w(N)]`` with
@@ -7,11 +7,12 @@ an implicit identity tail.  Weight vectors are plain ``tuple[int, ...]`` of a
 fixed length ``n``; the vectors with nonnegative entries are exactly the
 Lehmer codes of permutations that are increasing beyond position ``n``.
 
-Everything here is a pure function over immutable values.  Lehmer codes,
-m-tables and the transition step are computed on the window tuples
-(``_window_code``, ``_transition_window``), so the Schubert transition
-recursion runs on windows and builds no ``Permutation``; the public
-functions wrap the same helpers.
+Everything here is a pure function over immutable values.  A code and a
+window convert both ways on plain tuples (``_code_window``,
+``_window_code``), and the transition step works on windows
+(``_transition_window``), so the Schubert transition recursion and the KP
+diagrams build no ``Permutation``; the public functions wrap the same
+helpers.
 """
 
 from __future__ import annotations
@@ -185,43 +186,17 @@ def perm_of(lam) -> Permutation:
     lam = int_tuple(lam, "perm_of code")
     if any(c < 0 for c in lam):
         raise ValueError(f"code entries must be nonnegative: {lam}")
-    n = len(lam)
-    N = n + (max(lam) if lam else 0)
-    avail = list(range(1, N + 1))
-    images = [avail.pop(c) for c in lam]
-    images.extend(avail)
-    return Permutation(images)
+    return Permutation(_code_window(lam))
 
 
-# ---------------------------------------------------------------------------
-# Inversion data
-
-@dataclass(frozen=True)
-class InversionData:
-    """Inversion diagram I(w), Rothe diagram D(w), and derived statistics."""
-
-    inversions: frozenset  # pairs (i, j), i < j, w(i) > w(j)
-    rothe: frozenset       # pairs (i, w(j)) over the same (i, j)
-    length: int
-    sign: int
-    column_sizes: dict     # j -> l_j(w) = #{i : (i, j) in I(w)}
-
-
-def inversion_data(w: Permutation) -> InversionData:
-    win = w.window
-    N = len(win)
-    inv = set()
-    rothe = set()
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            if win[i - 1] > win[j - 1]:
-                inv.add((i, j))
-                rothe.add((i, win[j - 1]))
-    cols = {}
-    for _, j in inv:
-        cols[j] = cols.get(j, 0) + 1
-    ell = len(inv)
-    return InversionData(frozenset(inv), frozenset(rothe), ell, (-1) ** (ell % 2), cols)
+def _code_window(lam) -> list:
+    """The one-line window of perm(lam) for a nonnegative integer code lam,
+    of length len(lam) + max(lam) (the identity tail is not cut): each code
+    entry pops its value from 1..N, and the rest follow in order."""
+    avail = list(range(1, len(lam) + max(lam, default=0) + 1))
+    win = [avail.pop(c) for c in lam]
+    win.extend(avail)
+    return win
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +328,8 @@ def standard_key(lam, shift: int) -> tuple:
     compare like identity-padded ones: a prefix continues with the identity
     tail, the smallest continuation.
 
-    Computed without building the permutation: the code entries are popped
-    from 1..N as in :func:`perm_of`, each pop written into the inverse, and
-    the fixed-point tail is dropped.
+    Computed without building the permutation: the window of
+    :func:`_code_window` is inverted and the fixed-point tail dropped.
 
     >>> sorted([(0, 2), (1, 1), (2, 0)], key=lambda w: standard_key(w, 0), reverse=True)
     [(1, 1), (2, 0), (0, 2)]
@@ -364,12 +338,9 @@ def standard_key(lam, shift: int) -> tuple:
     lam = tuple(x + shift for x in int_tuple(lam, "standard_key weight"))
     if min(lam, default=0) < 0:
         raise ValueError(f"code entries must be nonnegative: {lam}")
-    n = len(lam)
-    avail = list(range(1, n + max(lam, default=0) + 1))
-    inv = [0] * len(avail)
-    for i, c in enumerate(lam, start=1):
-        inv[avail.pop(c) - 1] = i
-    for i, v in enumerate(avail, start=n + 1):
+    win = _code_window(lam)
+    inv = [0] * len(win)
+    for i, v in enumerate(win, start=1):
         inv[v - 1] = i
     while inv and inv[-1] == len(inv):
         inv.pop()

@@ -19,6 +19,7 @@ from functools import lru_cache
 from .laurent import LaurentPoly, _require_int, int_tuple
 from .permutations import (
     Permutation,
+    _code_window,
     _transition_window,
     _window_code,
     longest_element,
@@ -134,11 +135,7 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
             _transition_memo[cur] = LaurentPoly.monomial(n, cur)
             continue
         if step is None:
-            # the window of perm(cur): each code entry pops from 1..N
-            avail = list(range(1, n + max(cur) + 1))
-            win = [avail.pop(c) for c in cur]
-            win.extend(avail)
-            j, _, v, branches = _transition_window(win)
+            j, _, v, branches = _transition_window(_code_window(cur))
             step = j, _window_code(v, n), [_window_code(b, n) for _, b in branches]
             stack.append((cur, step))
             stack.extend((c, None) for c in (step[1], *step[2]) if c not in _transition_memo)

@@ -1,12 +1,12 @@
-"""The hom-space route to the character criterion's multiplicities, kept as
-a reference for the tests.
-
-``char_criterion`` reads dim Hom(M, kp(rho - nu)^* (x) K_rho) off the
-annihilator presentation of kp(rho - nu), one rank computation inside M.
+"""Slower routes kept as references for the tests; the library calls none
+of this.  ``inversion_data`` lists the inversions of a ``Permutation``, and
+the tests read the KP diagram's columns from it against ``_kp_columns``,
+which reads them off the code's window.  ``char_criterion`` reads
+dim Hom(M, kp(rho - nu)^* (x) K_rho) off the annihilator presentation of
+kp(rho - nu), one rank computation inside M;
 ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` computes the same number by
 building the twisted dual and solving the equivariance equations for the
-whole Hom space; the tests hold the two routes against each other.  The
-library calls none of this.
+whole Hom space.
 """
 
 from __future__ import annotations
@@ -15,7 +15,35 @@ from dataclasses import dataclass
 
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import WeightModule, _raised
-from kpmod.permutations import rho
+from kpmod.permutations import Permutation, rho
+
+
+@dataclass(frozen=True)
+class InversionData:
+    """Inversion diagram I(w), Rothe diagram D(w), and derived statistics."""
+
+    inversions: frozenset  # pairs (i, j), i < j, w(i) > w(j)
+    rothe: frozenset       # pairs (i, w(j)) over the same (i, j)
+    length: int
+    sign: int
+    column_sizes: dict     # j -> l_j(w) = #{i : (i, j) in I(w)}
+
+
+def inversion_data(w: Permutation) -> InversionData:
+    win = w.window
+    N = len(win)
+    inv = set()
+    rothe = set()
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            if win[i - 1] > win[j - 1]:
+                inv.add((i, j))
+                rothe.add((i, win[j - 1]))
+    cols = {}
+    for _, j in inv:
+        cols[j] = cols.get(j, 0) + 1
+    ell = len(inv)
+    return InversionData(frozenset(inv), frozenset(rothe), ell, (-1) ** (ell % 2), cols)
 
 
 def solve_nullspace(equations, nvars: int) -> list:

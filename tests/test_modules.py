@@ -20,6 +20,7 @@ from kpmod.modules import (
     _proportional,
     _Tensor,
     _WedgeAmbient,
+    _kp_columns,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
@@ -43,12 +44,11 @@ from kpmod.permutations import (
     code,
     compare,
     contains_2143,
-    inversion_data,
     perm_of,
     rho,
 )
 from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
-from reference import ModuleMap, dual_twist, hom_dim, hom_space
+from reference import ModuleMap, dual_twist, hom_dim, hom_space, inversion_data
 
 
 def x(n, i):
@@ -135,10 +135,52 @@ class TestConstructors:
             (lambda: demazure_module(()), r"demazure_module needs a nonempty weight, got \(\)"),
             (lambda: cyclic_submodule(vector_rep(2), {5: ONE}), "cyclic_submodule vec: 5 is not a basis index"),
             (lambda: cyclic_submodule(vector_rep(2), {True: ONE}), "cyclic_submodule vec: True is not a basis index"),
+            # these two failed inside the echelon, with AttributeError and ZeroDivisionError
+            (lambda: cyclic_submodule(vector_rep(2), {0: 1.5}), "cyclic_submodule vec: coefficient 1.5 at index 0"),
+            (lambda: cyclic_submodule(vector_rep(2), {0: 0}), "cyclic_submodule vec: coefficient 0 at index 0"),
+            # a module over n = 0, a TypeError, and an n silently ignored
+            (lambda: tensor_many([], -1), "tensor_many n must be nonnegative, got -1"),
+            (lambda: tensor_many([], 2.0), "tensor_many n must be an integer, got 2.0"),
+            (lambda: tensor_many([vector_rep(2)], 3), "tensor_many n = 3 contradicts the factors' n = 2"),
         ],
     )
     def test_constructors_reject_bad_arguments(self, build, message):
         with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_fraction_coefficient_is_accepted(self):
+        assert cyclic_submodule(vector_rep(2), {1: Fraction(1, 2)}).dim == 2
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # accepted before, as a module over n = 2
+            (lambda: WeightModule(2, [(1, 0, 0)]), r"WeightModule weight \(1, 0, 0\) has length 3, not n = 2"),
+            (lambda: WeightModule(2, [(1, 0), (1,)]), r"WeightModule weight \(1,\) has length 1, not n = 2"),
+            # the weights ((2,), (1,)) over n = 2 before: zip cut them to the delta
+            (lambda: shift_weights(vector_rep(2), (1,)), r"shift_weights delta \(1,\) has length 1, not n = 2"),
+            (lambda: shift_weights(vector_rep(2), (1, 0, 0)), r"shift_weights delta \(1, 0, 0\) has length 3"),
+        ],
+    )
+    def test_weights_must_have_length_n(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "name, build, size",
+        [
+            ("combinations", lambda: exterior_power(vector_rep(12), 6), 924),
+            # 82,598,880 tuples would be listed before the refusal
+            ("combinations_with_replacement", lambda: symmetric_power(vector_rep(60), 6), 82598880),
+        ],
+    )
+    def test_powers_are_refused_before_enumerating(self, monkeypatch, name, build, size):
+        def spy(*args):
+            raise AssertionError(f"{name} called before the size check")
+
+        monkeypatch.setattr(kpmod.modules.itertools, name, spy)
+        monkeypatch.setenv("KP_MAX_DIM", "100")
+        with pytest.raises(ModuleTooLargeError, match=f"basis size {size} exceeds the KP_MAX_DIM cap 100"):
             build()
 
     def test_exterior_square_of_plane(self):
@@ -471,6 +513,14 @@ def dumps(M):
 
 class TestDiagramEngine:
     """The lazily keyed engine against the eager tensor_many route."""
+
+    def test_kp_columns_match_the_inversion_diagram(self):
+        codes = [code(w, m) for m in range(1, 7) for w in all_permutations(m)]
+        # uniform S_8 codes: entry i ranges over 0..8-i
+        rng = random.Random(1)
+        codes += [tuple(rng.randint(0, 8 - i) for i in range(1, 9)) for _ in range(300)]
+        for lam in codes:
+            assert _kp_columns(lam) == inversion_columns(lam), lam
 
     def test_kp_matches_eager_route_on_all_s4_codes(self):
         for w in all_permutations(4):

@@ -17,9 +17,9 @@ from kpmod.permutations import (
     compare,
     contains_2143,
     dominates,
+    _code_window,
     _transition_window,
     _window_code,
-    inversion_data,
     longest_element,
     m_table,
     perm_of,
@@ -30,6 +30,7 @@ from kpmod.permutations import (
     weight_window,
 )
 from kpmod.schubert import schubert_poly
+from reference import inversion_data
 
 
 def brute_code(w, n):
@@ -57,6 +58,16 @@ class TestCodes:
             n = rng.randint(1, 5)
             lam = tuple(rng.randint(0, 4) for _ in range(n))
             assert code(perm_of(lam), n) == lam
+
+    def test_code_window_round_trip(self):
+        # _window_code counts the code off the window, not off the code
+        rng = random.Random(3)
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            lam = tuple(rng.randint(0, 6) for _ in range(n))
+            win = _code_window(lam)
+            assert sorted(win) == list(range(1, n + max(lam) + 1))
+            assert _window_code(win, n) == lam
 
     def test_code_matches_brute_inversions(self):
         rng = random.Random(11)
