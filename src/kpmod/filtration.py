@@ -291,8 +291,7 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     a partition, and ModuleTooLargeError when the row terms (the product of
     the factorials of the parts), the seed tuples x (counted before any is
     wedged), the basis of an exterior power of M over a column (counted
-    before the ambient is built), the closure rank or the ambient keys
-    touched exceed KP_MAX_DIM.
+    before the ambient is built) or the closure rank exceed KP_MAX_DIM.
     """
     sigma = _check_partition(sigma)
     cap = max_dim()
@@ -372,8 +371,8 @@ def schur_functor_experiment(sigma, lam) -> SchurExperimentReport:
     character against the plethysm of the Schubert polynomial.  |sigma| is
     not bounded: whatever ``young_symmetrizer_image`` counts against
     KP_MAX_DIM (row terms, seed tuples, exterior powers of kp(lam), closure
-    rank, ambient keys touched) raises ModuleTooLargeError above the cap
-    (exit 3 at the command line).
+    rank) raises ModuleTooLargeError above the cap (exit 3 at the command
+    line).
     """
     sigma = _check_partition(sigma)
     lam = int_tuple(lam, "schur_functor_experiment code")

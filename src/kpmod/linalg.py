@@ -80,16 +80,10 @@ class Echelon:
     def express(self, vec: dict) -> dict:
         """Coordinates {pivot: coeff} of vec in the row basis.
 
-        Raises ValueError if vec is not in the span.
+        Raises ValueError if vec is not in the span.  The rows are fully
+        reduced, so the coordinate at pivot p is vec[p].
         """
-        v = dict(vec)
-        coeffs = {}
-        for p in sorted(self.rows):
-            c = v.get(p)
-            if c:
-                coeffs[p] = c
-                axpy(v, -c, self.rows[p])
-        if v:
+        if self.reduce(vec):
             raise ValueError("vector is not in the span")
-        return coeffs
+        return {p: vec[p] for p in sorted(self.rows) if vec.get(p)}
 

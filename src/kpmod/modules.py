@@ -39,8 +39,8 @@ class ModuleTooLargeError(RuntimeError):
 
 
 def max_dim() -> int:
-    """Size cap (env KP_MAX_DIM, default 5000) on eager bases, closure ranks
-    and the ambient keys a closure touches.
+    """Size cap (env KP_MAX_DIM, default 5000) on dimensions: eager basis
+    sizes and closure ranks.
 
     Raises ValueError unless the variable is a positive integer.
     """
@@ -369,9 +369,8 @@ class SubmoduleCloser:
     the image of a weight-wt vector under e_ij has weight wt + eps_i - eps_j,
     so the closure never looks up the weight of a basis key.
 
-    KP_MAX_DIM caps the closure rank and, in the lazily keyed
-    ``_WedgeAmbient``, the distinct ambient keys of the vectors that enter;
-    an enumerated module was checked when its basis was built."""
+    KP_MAX_DIM caps the closure rank, whatever the ambient; an enumerated
+    ambient was checked when its basis was built."""
 
     def __init__(self, M, what: str = "submodule closure"):
         self.module = M
@@ -379,15 +378,8 @@ class SubmoduleCloser:
         self.rank = 0
         self.what = what
         self.cap = max_dim()
-        self.touched = set() if isinstance(M, _WedgeAmbient) else None
 
     def _insert(self, wt: tuple, vec: dict, queue: list, added: dict) -> None:
-        if self.touched is not None:
-            self.touched.update(vec)
-            if len(self.touched) > self.cap:
-                # at most cap keys were touched before vec, so the key that
-                # crossed the cap is key cap + 1
-                raise _too_large(self.what, "ambient keys touched", self.cap + 1, self.cap)
         ech = self.echelons.setdefault(wt, Echelon())
         if ech.insert(vec) is not None:
             self.rank += 1
@@ -516,8 +508,8 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
     ``columns`` lists one set of rows (1..n) per column, and the generator
     is the tensor of the wedges of their rows, in a ``_WedgeAmbient``.  The
     closure starts from the generator's weight and never enumerates or
-    weighs the ambient.  KP_MAX_DIM caps the closure rank and the ambient
-    keys touched; ``what`` names the construction in that error.
+    weighs the ambient.  KP_MAX_DIM caps the closure rank; ``what`` names
+    the construction in that error.
 
     >>> diagram_module([[1], [3]], 4).dim     # kp_module((1, 0, 1, 0))
     3

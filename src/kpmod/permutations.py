@@ -113,6 +113,8 @@ class Permutation:
 
 def transposition(i: int, j: int) -> Permutation:
     """The permutation t_ij exchanging i and j (i < j)."""
+    _require_int(i, "transposition i")
+    _require_int(j, "transposition j")
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
     images = list(range(1, j + 1))
@@ -122,6 +124,8 @@ def transposition(i: int, j: int) -> Permutation:
 
 def longest_element(m: int) -> Permutation:
     _require_int(m, "longest_element m")
+    if m < 0:
+        raise ValueError(f"longest_element m must be nonnegative, got {m}")
     return Permutation(range(m, 0, -1))
 
 
@@ -311,6 +315,8 @@ def dominates(mu, lam) -> bool:
     >>> dominates((0, 1), (1, 0))
     False
     """
+    mu = int_tuple(mu, "dominates mu")
+    lam = int_tuple(lam, "dominates lam")
     if len(mu) != len(lam):
         raise ValueError("weight vectors must share a length")
     total = 0
@@ -356,8 +362,8 @@ def compare(lam, mu, order: str = "standard") -> str:
     ``incomparable`` exactly when the total degrees differ.
     ``dominance`` is the usual (partial) dominance order.
     """
-    lam = tuple(lam)
-    mu = tuple(mu)
+    lam = int_tuple(lam, "compare lam")
+    mu = int_tuple(mu, "compare mu")
     if len(lam) != len(mu):
         raise ValueError("weight vectors must share a length")
     if order == "dominance":
@@ -412,6 +418,8 @@ def weight_window(lam) -> list:
 def rho(n: int) -> tuple:
     """The staircase weight (n-1, n-2, ..., 0)."""
     _require_int(n, "rho n")
+    if n < 0:
+        raise ValueError(f"rho n must be nonnegative, got {n}")
     return tuple(range(n - 1, -1, -1))
 
 

@@ -1,7 +1,10 @@
 """Slower routes kept as references for the tests; the library calls none
 of this.  ``inversion_data`` lists the inversions of a ``Permutation``, and
 the tests read the KP diagram's columns from it against ``_kp_columns``,
-which reads them off the code's window.  ``char_criterion`` reads
+which reads them off the code's window.  ``ReferenceEchelon`` is the
+echelon whose ``express`` reduces vec row by row and collects the
+multipliers, against which the tests check the one that reads them off the
+pivots.  ``char_criterion`` reads
 dim Hom(M, kp(rho - nu)^* (x) K_rho) off the annihilator presentation of
 kp(rho - nu), one rank computation inside M;
 ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` computes the same number by
@@ -12,10 +15,71 @@ whole Hom space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import WeightModule, _raised
 from kpmod.permutations import Permutation, rho
+
+
+class ReferenceEchelon:
+    """Reduced echelon basis of a growing subspace."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot index -> row (row[pivot] == 1)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec modulo the current span (a fresh dict)."""
+        v = dict(vec)
+        # rows are fully reduced, so one ascending pass suffices
+        for p in sorted(self.rows):
+            c = v.get(p)
+            if c:
+                axpy(v, -c, self.rows[p])
+        return v
+
+    def insert(self, vec: dict):
+        """Add vec to the span; returns the new pivot, or None if dependent."""
+        v = self.reduce(vec)
+        if not v:
+            return None
+        p = min(v)
+        if v[p] == 1:
+            row = v
+        else:
+            inv = Fraction(1) / v[p]
+            row = {}
+            for i, c in v.items():
+                c *= inv
+                row[i] = c.numerator if c.denominator == 1 else c
+        for other in self.rows.values():
+            c = other.get(p)
+            if c:
+                axpy(other, -c, row)
+        self.rows[p] = row
+        return p
+
+    def express(self, vec: dict) -> dict:
+        """Coordinates {pivot: coeff} of vec in the row basis.
+
+        Raises ValueError if vec is not in the span.
+        """
+        v = dict(vec)
+        coeffs = {}
+        for p in sorted(self.rows):
+            c = v.get(p)
+            if c:
+                coeffs[p] = c
+                axpy(v, -c, self.rows[p])
+        if v:
+            raise ValueError("vector is not in the span")
+        return coeffs
 
 
 @dataclass(frozen=True)

@@ -154,16 +154,16 @@ class TestFiltrationCommands:
             assert data["ok"] is True
             assert sum(t["coeff"] for t in data["extract"]["lhs"]["terms"]) == dim
 
-    def test_plethysm_exp_ambient_above_the_cap_exits_3(self, capsys, monkeypatch):
-        # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
-        # under (2,1), of dimension 40, starts from 5^2 = 25 seed tuples and
-        # touches 50 keys of Lambda^2 kp(0,2,1,0) (x) kp(0,2,1,0)
-        monkeypatch.setenv("KP_MAX_DIM", "40")
+    def test_plethysm_exp_closure_above_the_cap_exits_3(self, capsys, monkeypatch):
+        # kp(0,2,1,0) has dimension 5; its image under (2,1), of dimension 40,
+        # starts from 5^2 = 25 seed tuples and is refused at closure rank 40
+        monkeypatch.setenv("KP_MAX_DIM", "39")
         assert main(["plethysm-exp", "--sigma", "2,1", "--code", "0,2,1,0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == (
-            "error: young_symmetrizer_image of sigma (2, 1): ambient keys touched 41 exceeds the KP_MAX_DIM cap 40"
+            "error: young_symmetrizer_image of sigma (2, 1) at weight (3, 4, 2, 0): "
+            "closure rank 40 exceeds the KP_MAX_DIM cap 39"
         )
 
     def test_plethysm_exp_exterior_power_above_the_cap_exits_3(self, capsys, monkeypatch):
@@ -270,13 +270,14 @@ class TestProtocol:
 
 class TestSizeCap:
     def test_size_error_exits_3_without_usage_hint(self, capsys, monkeypatch):
-        monkeypatch.setenv("KP_MAX_DIM", "5")
+        # kp(0,2,1,0) has dimension 5
+        monkeypatch.setenv("KP_MAX_DIM", "4")
         kpmod.clear_caches()  # a cached module would not be rebuilt
         assert main(["kp-dim", "--code", "0,2,1,0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == (
-            "error: kp_module(0, 2, 1, 0): ambient keys touched 6 exceeds the KP_MAX_DIM cap 5"
+            "error: kp_module(0, 2, 1, 0) at weight (2, 1, 0, 0): closure rank 5 exceeds the KP_MAX_DIM cap 4"
         )
 
     def test_bad_max_dim_exits_3_without_usage_hint(self, capsys, monkeypatch):
@@ -303,7 +304,7 @@ class TestParserReuse:
     CALLS = [
         (["frobnicate"], None),
         (["schubert", "--help"], None),
-        (["kp-dim", "--code", "0,2,1,0"], "5"),
+        (["kp-dim", "--code", "0,2,1,0"], "4"),
         (["schubert", "--code", "1,0,1,0", "--method", "staircase", "--format", "text"], None),
         (["schubert", "--code", "1,0,1,0"], None),
         (["filtration", "--one-dim", "0,1", "--expect-ok"], None),

@@ -314,12 +314,27 @@ class TestSchurFunctors:
         monkeypatch.delenv("KP_MAX_DIM", raising=False)
         assert schur_functor_experiment(sigma, (0, 2, 2, 1, 0)).ok
 
-    def test_symmetric_fourth_power_of_a_14_dimensional_code_touches_too_many_keys(self, monkeypatch):
-        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+    def test_symmetric_fourth_power_of_a_14_dimensional_code_is_refused_at_its_seeds(self, monkeypatch):
+        # S^4 kp(0,0,2,1,0) has dimension C(17, 4) = 2,380, below its
+        # 14^3 = 2,744 seed tuples: a cap that admits the seeds admits the
+        # closure (it completes at the default cap), and a lower one refuses
+        # it before any seed is wedged
+        monkeypatch.setenv("KP_MAX_DIM", "2743")
         with pytest.raises(ModuleTooLargeError) as err:
             young_symmetrizer_image(kp_module((0, 0, 2, 1, 0)), (4,))
         assert str(err.value) == (
-            "young_symmetrizer_image of sigma (4,): ambient keys touched 5001 exceeds the KP_MAX_DIM cap 5000"
+            "young_symmetrizer_image of sigma (4,): seed tuples 2744 exceeds the KP_MAX_DIM cap 2743"
+        )
+
+    def test_closure_of_a_14_dimensional_code_is_refused_at_rank_above_the_default_cap(self, monkeypatch):
+        # S^(3,1) kp(0,0,2,1,0) has dimension 5,460: its 2,744 seed tuples
+        # fit the cap, and the closure stops at rank 5,001
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        with pytest.raises(ModuleTooLargeError) as err:
+            young_symmetrizer_image(kp_module((0, 0, 2, 1, 0)), (3, 1))
+        assert str(err.value) == (
+            "young_symmetrizer_image of sigma (3, 1) at weight (4, 4, 2, 2, 0): "
+            "closure rank 5001 exceeds the KP_MAX_DIM cap 5000"
         )
 
     def test_exterior_power_above_the_cap_names_the_schur_construction(self, monkeypatch):
@@ -333,15 +348,16 @@ class TestSchurFunctors:
             "young_symmetrizer_image of sigma (1, 1, 1): exterior_power 3 basis size 6545 exceeds the KP_MAX_DIM cap 5000"
         )
 
-    def test_ambient_above_the_cap_is_a_size_error(self, monkeypatch):
-        # kp(0,2,1,0) has dimension 5 and its ambient needs 6 keys; the image
-        # under (3,1), of dimension 105, starts from 5^3 = 125 seed tuples and
-        # touches 250 keys of Lambda^2 kp(0,2,1,0) (x) kp(0,2,1,0)^{(x) 2}
-        monkeypatch.setenv("KP_MAX_DIM", "200")
+    def test_closure_above_the_cap_is_a_size_error(self, monkeypatch):
+        # kp(0,2,2,1,0) has dimension 9; the image under (3,1), of dimension
+        # 990, starts from 9^3 = 729 seed tuples and is refused at closure
+        # rank 801
+        monkeypatch.setenv("KP_MAX_DIM", "800")
         with pytest.raises(ModuleTooLargeError) as err:
-            schur_functor_experiment((3, 1), (0, 2, 1, 0))
+            schur_functor_experiment((3, 1), (0, 2, 2, 1, 0))
         assert str(err.value) == (
-            "young_symmetrizer_image of sigma (3, 1): ambient keys touched 201 exceeds the KP_MAX_DIM cap 200"
+            "young_symmetrizer_image of sigma (3, 1) at weight (7, 3, 7, 3, 0): "
+            "closure rank 801 exceeds the KP_MAX_DIM cap 800"
         )
 
     @pytest.mark.parametrize(

@@ -48,7 +48,7 @@ from kpmod.permutations import (
     rho,
 )
 from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
-from reference import ModuleMap, dual_twist, hom_dim, hom_space, inversion_data
+from reference import ModuleMap, ReferenceEchelon, dual_twist, hom_dim, hom_space, inversion_data
 
 
 def x(n, i):
@@ -591,6 +591,24 @@ class TestDiagramEngine:
             rep = annihilator_check(w, 6)
             assert rep.ok and rep.all_sharp
 
+    @pytest.mark.parametrize(
+        "lam, dim",
+        # of the seeded S_8 sample random.Random(1).sample(perms of 1..8, 300),
+        # the four whose closures pass 5,000 ambient keys; the cap counts
+        # their dimensions, which are far below it
+        [
+            ((0, 6, 1, 4, 3, 0, 1, 0), 1745),
+            ((1, 0, 4, 1, 0, 2, 1, 0), 1653),
+            ((2, 1, 0, 4, 3, 0, 1, 0), 1505),
+            ((0, 6, 5, 4, 1, 0, 1, 0), 445),
+        ],
+    )
+    def test_s8_codes_with_many_ambient_keys_at_default_cap(self, monkeypatch, lam, dim):
+        monkeypatch.delenv("KP_MAX_DIM", raising=False)
+        S = kp_module(lam)
+        assert S.dim == dim
+        assert S.character() == schubert_poly(lam)
+
 
 def reference_axpy(acc: dict, c, v: dict) -> None:
     """acc += c * v, in place, dropping zeros."""
@@ -785,26 +803,27 @@ class TestLimitsAndSerialization:
             tensor_many([vector_rep(3)] * 3, 3)
 
     def test_size_error_names_construction_code_size_and_cap(self, monkeypatch):
-        monkeypatch.setenv("KP_MAX_DIM", "5")
+        # kp(0,2,1,0) has dimension 5, demazure(0,1,2) dimension 8
+        monkeypatch.setenv("KP_MAX_DIM", "4")
         kpmod.clear_caches()  # a cached module would not be rebuilt
         with pytest.raises(ModuleTooLargeError) as err:
             kp_module((0, 2, 1, 0))
         msg = str(err.value)
-        assert "kp_module(0, 2, 1, 0)" in msg and "KP_MAX_DIM cap 5" in msg
-        assert "ambient keys touched 6" in msg
-        with pytest.raises(ModuleTooLargeError, match="demazure_module.0, 1, 2.: ambient keys"):
+        assert "kp_module(0, 2, 1, 0)" in msg and "KP_MAX_DIM cap 4" in msg
+        assert "closure rank 5" in msg
+        with pytest.raises(ModuleTooLargeError, match=r"demazure_module\(0, 1, 2\) at weight \(2, 0, 1\): closure rank 5"):
             demazure_module((0, 1, 2))
 
     def test_module_cached_at_a_larger_cap_is_refused_under_a_lower_one(self, monkeypatch):
         monkeypatch.delenv("KP_MAX_DIM", raising=False)
         assert kp_module((0, 2, 1, 0)).dim == 5
-        monkeypatch.setenv("KP_MAX_DIM", "5")
+        monkeypatch.setenv("KP_MAX_DIM", "4")
         # no clear_caches(): the module cached at the default cap must not
         # be handed out, so the call fails as a cold one does
         with pytest.raises(ModuleTooLargeError) as err:
             kp_module((0, 2, 1, 0))
         assert str(err.value) == (
-            "kp_module(0, 2, 1, 0): ambient keys touched 6 exceeds the KP_MAX_DIM cap 5"
+            "kp_module(0, 2, 1, 0) at weight (2, 1, 0, 0): closure rank 5 exceeds the KP_MAX_DIM cap 4"
         )
 
     def test_closure_rank_error_names_the_weight(self, monkeypatch):
@@ -927,6 +946,39 @@ class TestIntegerEntries:
         ech.insert({0: -1, 1: 2})
         assert ech.rows == {0: {0: 1, 2: -6}, 1: {1: 1, 2: -3}}
         assert all(type(c) is int for row in ech.rows.values() for c in row.values())
+
+    @pytest.mark.parametrize("entries", ["int", "fraction"])
+    def test_echelon_matches_the_reduction_route(self, entries):
+        # sparse vectors over a small index range, so that many are dependent
+        rng = random.Random(f"echelon-{entries}")
+
+        def entry():
+            c = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+            return Fraction(c, rng.choice([1, 2, 3, 7])) if entries == "fraction" else c
+
+        def vector(size):
+            return {i: entry() for i in rng.sample(range(12), rng.randint(1, size))}
+
+        for _ in range(150):
+            new, ref = Echelon(), ReferenceEchelon()
+            for _ in range(rng.randint(1, 10)):
+                v = vector(5)
+                assert new.insert(v) == ref.insert(v)
+            assert new.rank == ref.rank and new.rows == ref.rows
+            assert list(new.rows) == list(ref.rows)
+            spanned = {}
+            for p in rng.sample(sorted(ref.rows), rng.randint(1, ref.rank)):
+                axpy(spanned, entry(), ref.rows[p])
+            for v in [spanned, vector(8), vector(3)]:
+                try:
+                    want = ref.express(v)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=f"^{err}$"):
+                        new.express(v)
+                else:
+                    got = new.express(v)
+                    assert got == want and list(got) == list(want)
+                    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
     def test_proportional_with_a_fraction_ratio(self):
         # as a float, the ratio 1/3 would make 7 * r differ from Fraction(7, 3)

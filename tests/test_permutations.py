@@ -511,11 +511,33 @@ class TestIntegerArguments:
             (lambda: Permutation([2, 1]).one_line(True), r"one_line n must be an integer, got True"),
             (lambda: rho(True), r"rho n must be an integer, got True"),
             (lambda: longest_element(3.0), r"longest_element m must be an integer, got 3.0"),
+            (lambda: transposition(1.5, 2), r"transposition i must be an integer, got 1.5"),
+            (lambda: transposition(1, True), r"transposition j must be an integer, got True"),
+            (lambda: compare((1, 0), (0, 1.5)), r"compare mu \(0, 1.5\): entry must be an integer, got 1.5"),
+            (lambda: compare((1.0, 0), (0, 1), "dominance"), r"compare lam \(1.0, 0\): entry"),
+            (lambda: dominates((1, 0), (0, 1.0)), r"dominates lam \(0, 1.0\): entry must be an integer, got 1.0"),
+            (lambda: dominates((True, 0), (0, 1)), r"dominates mu \(True, 0\): entry must be an integer, got True"),
         ],
     )
     def test_rejects_float_and_bool(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: rho(-1), r"rho n must be nonnegative, got -1"),
+            (lambda: longest_element(-2), r"longest_element m must be nonnegative, got -2"),
+        ],
+    )
+    def test_rejects_negative_sizes(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_smallest_arguments_still_accepted(self):
+        assert rho(0) == ()
+        assert longest_element(0) == Permutation([])
+        assert transposition(1, 2) == Permutation([2, 1])
 
     def test_one_line_rejects_negative_width(self):
         with pytest.raises(ValueError, match="one_line n must be nonnegative"):
