@@ -69,7 +69,7 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty the process-wide memos (KP modules, wedge factors, rank-3
     modules, criterion exponent tables, Schubert polynomials, Vandermonde
-    products, dual elements); results stay equal."""
+    products); results stay equal."""
     for memo in (
         modules._kp_cached,
         filtration._annihilator_exponents,
@@ -77,7 +77,6 @@ def clear_caches() -> None:
         modules._sl3_cached,
         schubert._schubert_staircase,
         schubert.vandermonde,
-        schubert._dual_element,
     ):
         memo.cache_clear()
     schubert._transition_memo.clear()

@@ -175,9 +175,13 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
     return {mu: c for mu, c in res.items() if c}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def vandermonde(n: int) -> LaurentPoly:
     """The product of (x_i - x_j) over 1 <= i < j <= n."""
+    # typed: a cached vandermonde(1) must not answer vandermonde(True)
+    _require_int(n, "vandermonde n")
+    if n < 0:
+        raise ValueError(f"vandermonde n must be nonnegative, got {n}")
     poly = LaurentPoly.one(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -185,25 +189,21 @@ def vandermonde(n: int) -> LaurentPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _dual_element(n: int, mu: tuple) -> LaurentPoly:
-    r = rho(n)
-    s = schubert_poly(tuple(a - b for a, b in zip(r, mu)))
-    return s.invert_variables() * vandermonde(n)
-
-
 def dual_pairing(f: LaurentPoly, mu) -> int:
     """Coefficient pairing <f, S_{rho-mu}(x^{-1}) * prod (x_i - x_j)>.
 
     On Schubert polynomials of the same total degree this is the Kronecker
     delta, which makes it an independent coefficient-extraction oracle for
-    :func:`expand_in_schubert`.
+    :func:`expand_in_schubert`.  The product prod (x_i - x_j) is the
+    alternant sum_w sgn(w) x^{w rho}, so the pairing is the sum of
+    sgn(w) * (f * S_{rho-mu})[w rho] over its n! exponents: one product of
+    f with S_{rho-mu}, read at those exponents.
     """
     mu = int_tuple(mu, "dual_pairing weight")
     if len(mu) != f.n:
         raise ValueError("weight length must match the variable count")
-    g = _dual_element(f.n, mu)
-    return sum(c * g.terms.get(exp, 0) for exp, c in f.terms.items())
+    h = f * schubert_poly(tuple(a - b for a, b in zip(rho(f.n), mu)))
+    return sum(c * h.terms.get(exp, 0) for exp, c in vandermonde(f.n).terms.items())
 
 
 # ---------------------------------------------------------------------------

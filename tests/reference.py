@@ -9,7 +9,10 @@ dim Hom(M, kp(rho - nu)^* (x) K_rho) off the annihilator presentation of
 kp(rho - nu), one rank computation inside M;
 ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` computes the same number by
 building the twisted dual and solving the equivariance equations for the
-whole Hom space.
+whole Hom space.  ``reference_dual_pairing`` builds the whole dual element
+S_{rho-mu}(x^{-1}) * prod (x_i - x_j) and sums its coefficients against f,
+against which the tests check ``dual_pairing``, which reads one product
+f * S_{rho-mu} at the alternant's exponents.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import WeightModule, _raised
 from kpmod.permutations import Permutation, rho
+from kpmod.schubert import schubert_poly, vandermonde
 
 
 class ReferenceEchelon:
@@ -242,3 +246,12 @@ def hom_dim(M: WeightModule, N: WeightModule) -> int:
     """dim Hom(M, N); the reference route for ``char_criterion`` (see
     ``dual_twist``)."""
     return len(hom_space(M, N))
+
+
+def reference_dual_pairing(f, mu) -> int:
+    """<f, S_{rho-mu}(x^{-1}) * prod (x_i - x_j)>, the coefficient sum over
+    f against the whole dual element."""
+    r = rho(f.n)
+    s = schubert_poly(tuple(a - b for a, b in zip(r, mu)))
+    g = s.invert_variables() * vandermonde(f.n)
+    return sum(c * g.terms.get(exp, 0) for exp, c in f.terms.items())

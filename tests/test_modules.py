@@ -886,7 +886,7 @@ class TestClearCaches:
         assert kpmod.modules._kp_cached.cache_info().currsize == 0
         assert filtration._annihilator_exponents.cache_info().currsize == 0
         assert not schubert._transition_memo
-        for memo in (schubert._schubert_staircase, schubert.vandermonde, schubert._dual_element):
+        for memo in (schubert._schubert_staircase, schubert.vandermonde):
             assert memo.cache_info().currsize == 0
         assert snapshot() == before
 

@@ -15,7 +15,9 @@ from kpmod.schubert import (
     kostant_dim,
     plethysm_eval,
     schubert_poly,
+    vandermonde,
 )
+from reference import reference_dual_pairing
 
 
 def x(n, i):
@@ -284,6 +286,72 @@ class TestDualPairing:
         # (1.5, 0, 0) and (True, 0, 0) both paired to 1 with S_(1,0,0)
         with pytest.raises(ValueError, match=r"dual_pairing weight .*must be an integer"):
             dual_pairing(schubert_poly((1, 0, 0)), mu)
+
+
+class TestDualPairingAgainstReference:
+    """``dual_pairing`` reads one product at the alternant's exponents; the
+    reference builds the whole dual element. Both must give the expansion's
+    coefficient, zero for a weight absent from it."""
+
+    def check(self, f, mus):
+        coeffs = expand_in_schubert(f)
+        for mu in [*coeffs, *mus]:
+            got = dual_pairing(f, mu)
+            assert got == reference_dual_pairing(f, mu) == coeffs.get(mu, 0), (f, mu)
+
+    def test_random_laurent_polynomials(self):
+        # Laurent f with negative exponents and mixed degrees; mu with
+        # negative entries, mostly absent from the expansion
+        rng = random.Random(19)
+        for n in range(1, 6):
+            for _ in range(6):
+                f = random_poly(rng, n, nterms=rng.randint(1, 4))
+                mus = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(4)]
+                self.check(f, mus)
+
+    def test_non_homogeneous(self):
+        rng = random.Random(20)
+        for n in range(2, 6):
+            f = schubert_poly((1, 0, 2, 0, 1)[:n]) * 3 - schubert_poly((0, -1, 1, 0, 0)[:n])
+            assert len(f.total_degrees()) == 2
+            absent = (0,) * (n - 1) + (sum((1, 0, 2, 0, 1)[:n]),)
+            assert absent not in expand_in_schubert(f)
+            self.check(f, [absent, *(tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(3))])
+
+    def test_zero_polynomial(self):
+        for n in range(1, 6):
+            self.check(LaurentPoly.zero(n), [rho(n), (0,) * n, tuple(range(-1, n - 1))])
+
+    def test_one_variable(self):
+        # n = 1: the alternant is 1 and the pairing is the coefficient of x^mu
+        f = LaurentPoly(1, [((-2,), 5), ((0,), -1), ((3,), 2)])
+        assert expand_in_schubert(f) == {(-2,): 5, (0,): -1, (3,): 2}
+        self.check(f, [(-1,), (1,), (4,)])
+
+
+class TestVandermonde:
+    def test_small_products(self):
+        assert vandermonde(0) == LaurentPoly.one(0)
+        assert vandermonde(1) == LaurentPoly.one(1)
+        assert vandermonde(2) == x(2, 1) - x(2, 2)
+        assert len(vandermonde(4).terms) == 24
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rejects_non_integer(self, n):
+        # 2.0 failed inside the product as a TypeError
+        with pytest.raises(ValueError, match=r"vandermonde n must be an integer"):
+            vandermonde(n)
+
+    def test_rejects_true_after_one_is_cached(self):
+        # an lru_cache that is not typed keys True like 1
+        vandermonde(1)
+        with pytest.raises(ValueError, match=r"vandermonde n must be an integer, got True"):
+            vandermonde(True)
+
+    def test_rejects_negative(self):
+        # -1 failed as "exponent () has length != -1"
+        with pytest.raises(ValueError, match=r"vandermonde n must be nonnegative, got -1"):
+            vandermonde(-1)
 
 
 class TestKostant:
