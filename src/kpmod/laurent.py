@@ -20,12 +20,16 @@ e -> sum_i e_i R_i is additive, and on that box it is injective, because
 sum_i (e_i - lo_i) R_i writes e - lo in base R with every digit in range.
 Python ints are unbounded, so the packing stays exact for any exponents; the
 packed keys only replace the tuples that the double loop would build, and
-the terms come out as in that loop: same coefficients, same order.
+the terms come out as in that loop: same coefficients, same order.  The dual
+pairing reads the few coefficients it needs straight off the packed keys
+(``_product_coeffs``) without decoding the product.  That is exact only
+inside the box: an exponent outside it can pack to the key of one inside,
+so it reads 0 without a lookup.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, le, mul
 
 
 class LaurentPoly:
@@ -91,10 +95,16 @@ class LaurentPoly:
         if self.n != other.n:
             raise ValueError("mixed variable counts")
 
+    def _operand(self, other) -> "LaurentPoly":
+        """other as a polynomial in self's variables; an int is a constant."""
+        if isinstance(other, LaurentPoly):
+            self._require_same(other)
+            return other
+        _require_int(other, "operand")
+        return LaurentPoly._of(self.n, {(0,) * self.n: other} if other else {})
+
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly(self.n, {(0,) * self.n: other})
-        self._require_same(other)
+        other = self._operand(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
             acc = out.get(exp, 0) + c
@@ -110,12 +120,14 @@ class LaurentPoly:
         return LaurentPoly._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly(self.n, {(0,) * self.n: other})
-        return self + (-other)
+        return self + (-self._operand(other))
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            _require_int(other, "operand")
             if not other:
                 return LaurentPoly._of(self.n, {})
             return LaurentPoly._of(self.n, {e: c * other for e, c in self.terms.items()})
@@ -132,27 +144,7 @@ class LaurentPoly:
         if len(b) == 1:
             ((f, d),) = b.items()
             return LaurentPoly._of(self.n, {tuple(map(add, e, f)): c * d for e, c in a.items()})
-        # Kronecker substitution, exact as the module docstring shows.  The
-        # double loop adds ints and deletes zero sums as they occur, so
-        # `terms` keeps the order of the plain A-outer, B-inner tuple loop.
-        cols = list(zip(zip(*a), zip(*b)))
-        lo = [min(ca) + min(cb) for ca, cb in cols]
-        radix = [1] * self.n
-        for i in range(self.n - 1, 0, -1):
-            ca, cb = cols[i]
-            radix[i - 1] = radix[i] * (max(ca) + max(cb) - lo[i] + 1)
-        packed_b = [(sum(map(mul, f, radix)), d) for f, d in b.items()]
-        out: dict = {}
-        get = out.get
-        for e, c in a.items():
-            ka = sum(map(mul, e, radix))
-            for kb, d in packed_b:
-                key = ka + kb
-                acc = get(key, 0) + c * d
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+        out, radix, lo, _ = _packed_product(self.n, a, b)
         # decode each product key once: its digits in base R are e_i - lo_i
         base = sum(map(mul, lo, radix))
         digits = list(zip(radix, lo))
@@ -167,6 +159,26 @@ class LaurentPoly:
         return LaurentPoly._of(self.n, terms)
 
     __rmul__ = __mul__
+
+    def _product_coeffs(self, other: "LaurentPoly", exps) -> list:
+        """The coefficients of self * other at the exponents ``exps``, in
+        order, read off the packed product without decoding it.
+
+        Packing is injective only on the box [lo, hi] of the product's
+        exponents, so an exponent outside it reads 0 rather than the key it
+        packs to.
+        """
+        self._require_same(other)
+        a, b = self.terms, other.terms
+        if len(a) < 2 or len(b) < 2:
+            terms = (self * other).terms
+            return [terms.get(e, 0) for e in exps]
+        out, radix, lo, hi = _packed_product(self.n, a, b)
+        get = out.get
+        return [
+            get(sum(map(mul, e, radix)), 0) if all(map(le, lo, e)) and all(map(le, e, hi)) else 0
+            for e in exps
+        ]
 
     def __pow__(self, k: int):
         _require_int(k, "power")
@@ -316,6 +328,36 @@ class LaurentPoly:
                 _require_int(e, "'exp' entry")
             _require_int(t["coeff"], "'coeff'")
         return cls(data["n"], [(t["exp"], t["coeff"]) for t in data["terms"]])
+
+
+def _packed_product(n: int, a: dict, b: dict):
+    """The product of the term dicts a and b, each of two or more terms, as
+    (packed terms, radix, lo, hi): the terms map sum_i e_i R_i to nonzero
+    coefficients, and every product exponent e has lo_i <= e_i <= hi_i.
+
+    Kronecker substitution, exact as the module docstring shows.  The double
+    loop adds ints and deletes zero sums as they occur, so the packed terms
+    keep the order of the plain A-outer, B-inner tuple loop.
+    """
+    cols = list(zip(zip(*a), zip(*b)))
+    lo = [min(ca) + min(cb) for ca, cb in cols]
+    hi = [max(ca) + max(cb) for ca, cb in cols]
+    radix = [1] * n
+    for i in range(n - 1, 0, -1):
+        radix[i - 1] = radix[i] * (hi[i] - lo[i] + 1)
+    packed_b = [(sum(map(mul, f, radix)), d) for f, d in b.items()]
+    out: dict = {}
+    get = out.get
+    for e, c in a.items():
+        ka = sum(map(mul, e, radix))
+        for kb, d in packed_b:
+            key = ka + kb
+            acc = get(key, 0) + c * d
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out, radix, lo, hi
 
 
 def _require_int(value, field: str) -> None:

@@ -80,10 +80,18 @@ class Echelon:
     def express(self, vec: dict) -> dict:
         """Coordinates {pivot: coeff} of vec in the row basis.
 
-        Raises ValueError if vec is not in the span.  The rows are fully
-        reduced, so the coordinate at pivot p is vec[p].
+        Raises ValueError if vec is not in the span.  One ascending
+        reduction pass reads them: the rows are fully reduced, so the
+        multiplier met at pivot p is vec[p], the coordinate there.
         """
-        if self.reduce(vec):
+        v = dict(vec)
+        coords = {}
+        for p in sorted(self.rows):
+            c = v.get(p)
+            if c:
+                coords[p] = c
+                axpy(v, -c, self.rows[p])
+        if v:
             raise ValueError("vector is not in the span")
-        return {p: vec[p] for p in sorted(self.rows) if vec.get(p)}
+        return coords
 

@@ -399,7 +399,7 @@ def weight_window(lam) -> list:
     >>> weight_window((0, 1))
     [(1, 0), (0, 1)]
     """
-    lam = tuple(lam)
+    lam = int_tuple(lam, "weight_window weight")
     n = len(lam)
     if n == 0:
         return [()]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, mul
 
 from .laurent import LaurentPoly, _require_int, int_tuple
 from .permutations import (
@@ -31,34 +32,65 @@ from .permutations import (
 def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
     """The i-th divided difference (f - s_i f)/(x_i - x_{i+1}), exactly.
 
-    Works term by term: a monomial with exponents (p, q) at positions
-    (i, i+1) contributes the geometric sum between q and p, so the division
-    never leaves a remainder.
+    Works on f - s_i f: for a term with exponents p > q at positions
+    (i, i+1), its coefficient minus that of its mirror image (q, p) is
+    divided to the geometric sum between q and p, so the division never
+    leaves a remainder.  A term with p < q counts only when its mirror is
+    absent, as the mirror with the opposite sign; a symmetric f emits nothing.
 
     >>> divided_difference(1, LaurentPoly.variable(2, 1)).text()
     '1'
     """
     _require_int(i, "divided difference index")
-    if not 1 <= i <= f.n - 1:
-        raise ValueError(f"divided difference index {i} out of range for n={f.n}")
+    n = f.n
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"divided difference index {i} out of range for n={n}")
+    terms = f.terms
+    # x^e with (e_i, e_{i+1}) = (q + 1, q) divides to x^e with e_i set to q
+    idx = list(range(n))
+    idx[i - 1] = i
+    gap_one = itemgetter(*idx)
+    # a mirror image is in f only if some term has p < q; if none has, as in
+    # most steps of the staircase, no term looks its mirror up
+    swap = None
+    if any(e[i - 1] < e[i] for e in terms):
+        idx[i] = i - 1
+        swap = itemgetter(*idx)
     out: dict = {}
-    for exp, c in f.terms.items():
+    get = out.get
+    for exp, c in terms.items():
         p, q = exp[i - 1], exp[i]
-        if p == q:
+        if p > q:
+            if swap:
+                c -= terms.get(swap(exp), 0)
+                if not c:
+                    continue
+        elif p < q:
+            mirror = swap(exp)
+            if mirror in terms:
+                continue
+            exp, c, p, q = mirror, -c, q, p
+        else:
             continue
-        sign = 1 if p > q else -1
-        lo, hi = (q, p) if p > q else (p, q)
-        e = list(exp)
-        for t in range(lo, hi):
-            e[i - 1] = t
-            e[i] = lo + hi - 1 - t
-            key = tuple(e)
-            acc = out.get(key, 0) + sign * c
+        if p == q + 1:
+            key = gap_one(exp)
+            acc = get(key, 0) + c
             if acc:
                 out[key] = acc
             else:
                 del out[key]
-    return LaurentPoly._of(f.n, out)
+            continue
+        e = list(exp)
+        for t in range(q, p):
+            e[i - 1] = t
+            e[i] = p + q - 1 - t
+            key = tuple(e)
+            acc = get(key, 0) + c
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return LaurentPoly._of(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +228,17 @@ def dual_pairing(f: LaurentPoly, mu) -> int:
     delta, which makes it an independent coefficient-extraction oracle for
     :func:`expand_in_schubert`.  The product prod (x_i - x_j) is the
     alternant sum_w sgn(w) x^{w rho}, so the pairing is the sum of
-    sgn(w) * (f * S_{rho-mu})[w rho] over its n! exponents: one product of
-    f with S_{rho-mu}, read at those exponents.
+    sgn(w) * (f * S_{rho-mu})[w rho] over its n! exponents.  Those n!
+    coefficients are read off the packed product of f with S_{rho-mu}
+    without decoding it (``LaurentPoly._product_coeffs``); an exponent
+    outside the product's exponent box reads 0.
     """
     mu = int_tuple(mu, "dual_pairing weight")
     if len(mu) != f.n:
         raise ValueError("weight length must match the variable count")
-    h = f * schubert_poly(tuple(a - b for a, b in zip(rho(f.n), mu)))
-    return sum(c * h.terms.get(exp, 0) for exp, c in vandermonde(f.n).terms.items())
+    alternant = vandermonde(f.n).terms
+    coeffs = f._product_coeffs(schubert_poly(tuple(a - b for a, b in zip(rho(f.n), mu))), alternant)
+    return sum(map(mul, alternant.values(), coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ building the twisted dual and solving the equivariance equations for the
 whole Hom space.  ``reference_dual_pairing`` builds the whole dual element
 S_{rho-mu}(x^{-1}) * prod (x_i - x_j) and sums its coefficients against f,
 against which the tests check ``dual_pairing``, which reads one product
-f * S_{rho-mu} at the alternant's exponents.
+f * S_{rho-mu} at the alternant's exponents.  ``reference_divided_difference``
+emits the geometric sum of every term of f, its mirror's included, against
+which the tests check ``divided_difference``, which works on f - s_i f.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from kpmod.laurent import LaurentPoly, _require_int
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import WeightModule, _raised
 from kpmod.permutations import Permutation, rho
@@ -255,3 +258,33 @@ def reference_dual_pairing(f, mu) -> int:
     s = schubert_poly(tuple(a - b for a, b in zip(r, mu)))
     g = s.invert_variables() * vandermonde(f.n)
     return sum(c * g.terms.get(exp, 0) for exp, c in f.terms.items())
+
+
+def reference_divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
+    """The i-th divided difference (f - s_i f)/(x_i - x_{i+1}), exactly.
+
+    Works term by term: a monomial with exponents (p, q) at positions
+    (i, i+1) contributes the geometric sum between q and p, so the division
+    never leaves a remainder.
+    """
+    _require_int(i, "divided difference index")
+    if not 1 <= i <= f.n - 1:
+        raise ValueError(f"divided difference index {i} out of range for n={f.n}")
+    out: dict = {}
+    for exp, c in f.terms.items():
+        p, q = exp[i - 1], exp[i]
+        if p == q:
+            continue
+        sign = 1 if p > q else -1
+        lo, hi = (q, p) if p > q else (p, q)
+        e = list(exp)
+        for t in range(lo, hi):
+            e[i - 1] = t
+            e[i] = lo + hi - 1 - t
+            key = tuple(e)
+            acc = out.get(key, 0) + sign * c
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return LaurentPoly._of(f.n, out)

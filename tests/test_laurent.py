@@ -1,9 +1,10 @@
 import json
+import operator
 import random
 
 import pytest
 
-from kpmod.laurent import LaurentPoly
+from kpmod.laurent import LaurentPoly, _packed_product
 
 
 def x(n, i):
@@ -116,6 +117,48 @@ class TestPackedProduct:
             assert r is not p and r is not q
             assert r.terms is not p.terms and r.terms is not q.terms
         assert p == x(2, 1) + 1 and q.terms == {(1, 1): 3}
+
+
+class TestProductCoeffs:
+    """``_product_coeffs`` reads the packed product at chosen exponents; it
+    must agree with the decoded product there, zero included."""
+
+    def check(self, f, g, exps):
+        product = (f * g).terms
+        want = [product.get(e, 0) for e in exps]
+        assert f._product_coeffs(g, exps) == want, (f, g, exps)
+
+    def test_matches_the_product_on_seeded_factors(self):
+        # empty, single-term and packed factors; negative and +-10^20
+        # exponents; read at the product's terms and at exponents around them
+        rng = random.Random(23)
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            f, g = random_factor(rng, n), random_factor(rng, n)
+            exps = list((f * g).terms)
+            exps += [tuple(a + rng.randint(-2, 2) for a in e) for e in exps]
+            exps += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(5)]
+            self.check(f, g, exps)
+
+    def test_single_term_and_zero_factors(self):
+        f = LaurentPoly(3, {(-1, 0, 2): 2, (0, -3, 1): -1, (1, 1, 1): 4})
+        mono = LaurentPoly.monomial(3, (2, -1, 0), -3)
+        zero = LaurentPoly.zero(3)
+        exps = [(1, -1, 2), (2, -4, 1), (3, 0, 1), (0, 0, 0)]
+        for a, b in [(f, mono), (mono, f), (f, zero), (zero, f), (mono, mono)]:
+            self.check(a, b, exps)
+        assert f._product_coeffs(mono, exps) == [-6, 3, -12, 0]
+
+    def test_out_of_box_exponent_reads_zero(self):
+        # n = 2: (x + 1, lo_2 - 1) packs to the key of (x, hi_2), a term of
+        # the product; the box check is what tells them apart
+        f = g = LaurentPoly.variable(2, 1) + LaurentPoly.variable(2, 2)
+        _, radix, lo, hi = _packed_product(2, f.terms, g.terms)
+        inside, outside = (0, hi[1]), (1, lo[1] - 1)
+        assert sum(map(operator.mul, outside, radix)) == sum(map(operator.mul, inside, radix))
+        assert (f * g).terms[inside] == 1
+        assert f._product_coeffs(g, [outside, inside]) == [0, 1]
+        self.check(f, g, [outside, inside, (3, -1), (-1, 3)])
 
 
 class TestTransforms:
@@ -257,3 +300,23 @@ class TestInputChecks:
         # a float or bool exponent hashes like an int and found x1's coefficient
         with pytest.raises(ValueError, match=r"exponent .*must be an integer"):
             (3 * x(2, 1)).coeff(exp)
+
+    @pytest.mark.parametrize("other", [1.5, True, False, "x"])
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul],
+        ids=["add", "sub", "mul"],
+    )
+    def test_arithmetic_operand(self, op, other):
+        # x1 + 1.5 and x1 * 1.5 were AttributeErrors; x1 * True was x1
+        f = x(2, 1) + 1
+        with pytest.raises(ValueError, match=f"operand must be an integer, got {other!r}"):
+            op(f, other)
+        with pytest.raises(ValueError, match=f"operand must be an integer, got {other!r}"):
+            op(other, f)
+
+    def test_integer_operands_on_either_side(self):
+        f = x(2, 1) + 1
+        assert 3 + f == f + 3 == x(2, 1) + 4
+        assert 3 - f == -(f - 3) == 2 - x(2, 1)
+        assert 3 * f == f * 3 == 3 * x(2, 1) + 3
+        assert (f * 0).is_zero() and (0 - f) == -f and f + 0 == f

@@ -395,6 +395,12 @@ class TestWeightWindow:
         for a, b in zip(window, window[1:]):
             assert compare(a, b) == LESS
 
+    @pytest.mark.parametrize("lam", [(1.0, 0), (1.5, 0), (0, True)])
+    def test_rejects_non_integer_weight(self, lam):
+        # (1.0, 0) failed inside standard_key, whose name the message carried
+        with pytest.raises(ValueError, match=r"weight_window weight .*must be an integer"):
+            weight_window(lam)
+
 
 class TestPattern:
     def test_2143_itself(self):

@@ -17,7 +17,7 @@ from kpmod.schubert import (
     schubert_poly,
     vandermonde,
 )
-from reference import reference_dual_pairing
+from reference import reference_divided_difference, reference_dual_pairing
 
 
 def x(n, i):
@@ -102,6 +102,57 @@ class TestDividedDifference:
     def test_rejects_non_integer_index(self, i):
         with pytest.raises(ValueError, match="divided difference index must be an integer"):
             divided_difference(i, x(2, 1))
+
+
+class TestDividedDifferenceAgainstReference:
+    """``divided_difference`` works on f - s_i f and skips what cancels; the
+    reference emits the geometric sum of every term.  Their terms must be
+    equal as dicts."""
+
+    def check(self, f):
+        for i in range(1, f.n):
+            want = reference_divided_difference(i, f).terms
+            assert divided_difference(i, f).terms == want, (i, f)
+
+    def test_every_s6_schubert_polynomial(self):
+        for w in all_permutations(6):
+            self.check(schubert_poly(code(w, 6)))
+
+    def test_seeded_laurent_polynomials(self):
+        # negative exponents; mirrors present or absent, gaps of 0 to 5
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            f = random_poly(rng, n, nterms=rng.randint(1, 8))
+            self.check(f)
+            for i in range(1, n):
+                # f + s_i f is symmetric in x_i, x_{i+1}: every term cancels
+                sym = f + f.swap_adjacent(i)
+                assert divided_difference(i, sym).is_zero()
+                self.check(sym)
+
+    def test_mirror_absent_and_wide_gaps(self):
+        # p < q with no mirror enters as the mirror with -c; gaps 1 to 4 on
+        # either side, with and without the mirror's coefficient differing
+        f = LaurentPoly(4, {
+            (0, 1, 2, 0): 3, (-1, 3, 0, 1): -2, (2, -2, 1, 1): 5,
+            (4, 0, -1, 0): 1, (0, 4, -1, 0): 4, (1, 2, 3, 4): 7,
+        })
+        self.check(f)
+        assert divided_difference(2, LaurentPoly.monomial(3, (0, 0, 2), 3)) == -3 * (x(3, 2) + x(3, 3))
+
+    def test_equal_sums_cancel(self):
+        # x1^3 and x1^2 x2 share p + q = 3: their geometric sums overlap at
+        # x1 x2 and cancel there, since the signs differ
+        f = LaurentPoly(2, {(3, 0): 1, (2, 1): -1})
+        assert divided_difference(1, f) == x(2, 1) ** 2 + x(2, 2) ** 2
+        self.check(f)
+        g = LaurentPoly(3, {(3, 0, 1): 2, (2, 1, 1): -2, (0, 3, 1): 1, (-1, 4, 1): -1, (5, -2, 0): 1})
+        self.check(g)
+
+    def test_zero_polynomial(self):
+        for n in range(2, 7):
+            self.check(LaurentPoly.zero(n))
 
 
 @pytest.mark.parametrize("lam", [(1.5, 0), (1.0, 0), (0, True)])
