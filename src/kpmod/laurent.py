@@ -190,7 +190,8 @@ class LaurentPoly:
         return res
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        # a bool is no int here, as in arithmetic
+        if type(other) is int:
             return self.terms == ({} if other == 0 else {(0,) * self.n: other})
         return (
             isinstance(other, LaurentPoly)
@@ -365,6 +366,11 @@ def _require_int(value, field: str) -> None:
     # The exact-type test comes first: it is the common case on hot paths.
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _require_poly(value, field: str) -> None:
+    if not isinstance(value, LaurentPoly):
+        raise ValueError(f"{field} must be a LaurentPoly, got {value!r}")
 
 
 def int_tuple(values, what: str) -> tuple:

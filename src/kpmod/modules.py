@@ -720,14 +720,17 @@ def _sl3_cached(a: int, b: int, cap: int) -> WeightModule:
 
 E12, E13, E23 = (1, 2), (1, 3), (2, 3)
 
+#: Largest exponent the rank-3 checks accept.
+_SL3_BOUND = 10
 
-def sl3_presentation_check(a: int, b: int, bound: int = 10) -> Sl3Report:
+
+def sl3_presentation_check(a: int, b: int) -> Sl3Report:
     """The generator of S^a(Lambda^2 K^3) (x) S^b(K^3) is annihilated by
     e_12^{a+1} and e_23^{b+1}, sharply, and its cyclic closure has the Weyl
     dimension (a+1)(b+1)(a+b+2)/2 -- so the closure is the quotient of the
     enveloping algebra of the strict upper triangle by exactly those powers."""
-    if not (0 <= a <= bound and 0 <= b <= bound):
-        raise ValueError(f"parameters must lie in [0, {bound}]")
+    if not (0 <= a <= _SL3_BOUND and 0 <= b <= _SL3_BOUND):
+        raise ValueError(f"parameters must lie in [0, {_SL3_BOUND}]")
     M, g = _sl3_module(a, b)
     checks = [
         (f"e12^{a + 1} annihilates the generator", not M.apply_power(E12, g, a + 1)),
@@ -756,7 +759,7 @@ def _proportional(u: dict, v: dict) -> bool:
     return u == scaled(v, r)
 
 
-def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None, bound: int = 10) -> Sl3Report:
+def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None) -> Sl3Report:
     """Operator congruences in the strict upper triangle of gl_3, verified by
     acting on the generator of the cyclic module that realizes the quotient
     by <e_12^{a+1}, e_23^{b+1}>.
@@ -776,8 +779,8 @@ def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None, bound: int =
         if x is not None:
             _require_int(x, f"sl3_identity_check {name}")
     vals = [N, M] + [x for x in (N2, M2) if x is not None]
-    if any(x < 0 or x > bound for x in vals):
-        raise ValueError(f"parameters must lie in [0, {bound}]")
+    if any(x < 0 or x > _SL3_BOUND for x in vals):
+        raise ValueError(f"parameters must lie in [0, {_SL3_BOUND}]")
     if case in (1, 2):
         if N2 is None or M2 is None:
             raise ValueError("cases 1 and 2 need the primed exponents")

@@ -1,13 +1,13 @@
 """Schubert polynomial calculus over exact integers.
 
 Covers divided differences, the two constructions of Schubert polynomials
-(staircase descent and the transition recursion, extended to arbitrary
-integer weights by monomial shifts; the recursion works on one-line window
-tuples and builds no ``Permutation``), expansion of a Laurent polynomial in the
+(staircase descent and the transition recursion, both on the code's
+one-line window with no permutation object, extended to arbitrary integer
+weights by monomial shifts), expansion of a Laurent polynomial in the
 Schubert basis, the dual coefficient-extraction pairing, Kostant weight
 multiplicities of the strictly-upper-triangular enveloping algebra, the
 finite Cauchy-window identity relating the two, and Schur-polynomial
-plethysm of a nonnegative polynomial.
+plethysm of a nonnegative polynomial by the sign-free branching rule.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from .laurent import LaurentPoly, _require_int, int_tuple
-from .permutations import (
-    Permutation,
-    _code_window,
-    _transition_window,
-    _window_code,
-    longest_element,
-    perm_of,
-    rho,
-)
+from .laurent import LaurentPoly, _require_int, _require_poly, int_tuple
+from .permutations import _code_window, _transition_window, _window_code, rho
 
 
 def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -42,6 +34,7 @@ def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
     '1'
     """
     _require_int(i, "divided difference index")
+    _require_poly(f, "divided_difference polynomial")
     n = f.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"divided difference index {i} out of range for n={n}")
@@ -124,13 +117,13 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _schubert_staircase(lam: tuple) -> LaurentPoly:
-    n = len(lam)
-    w = perm_of(lam)
-    m = max(w.size, 1)
-    u = longest_element(m) * w  # the longest element is an involution
-    # peel a reduced word of u from the right
+    win = _code_window(lam)
+    while len(win) > 1 and win[-1] == len(win):
+        win.pop()
+    m = len(win)
+    # the window of u = w0 * w; peel a reduced word of u from the right
+    win = [m + 1 - x for x in win]
     word = []
-    win = list(u.one_line(m))
     while True:
         for i in range(1, m):
             if win[i - 1] > win[i]:
@@ -139,12 +132,11 @@ def _schubert_staircase(lam: tuple) -> LaurentPoly:
                 break
         else:
             break
-    word.reverse()
     poly = LaurentPoly.monomial(m, tuple(range(m - 1, -1, -1)))
-    for i in word:
+    for i in reversed(word):
         poly = divided_difference(i, poly)
     # a permutation increasing beyond n has a polynomial in x_1..x_n only
-    return poly.restrict(n)
+    return poly.restrict(len(lam))
 
 
 # shared cache; plain-dict updates are atomic, so concurrent workers can at
@@ -197,6 +189,7 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
     before it and >= 0 there, would give mu_i > nu_i, so nu would be
     lexicographically smaller than mu.
     """
+    _require_poly(f, "expand_in_schubert polynomial")
     res: dict = {}
     work = f
     while work.terms:
@@ -233,6 +226,7 @@ def dual_pairing(f: LaurentPoly, mu) -> int:
     without decoding it (``LaurentPoly._product_coeffs``); an exponent
     outside the product's exponent box reads 0.
     """
+    _require_poly(f, "dual_pairing polynomial")
     mu = int_tuple(mu, "dual_pairing weight")
     if len(mu) != f.n:
         raise ValueError("weight length must match the variable count")
@@ -379,37 +373,32 @@ def _check_partition(sigma) -> tuple:
 
 
 def plethysm_eval(sigma, f: LaurentPoly) -> LaurentPoly:
-    """The Schur polynomial s_sigma evaluated at the monomial multiset of f.
+    """s_sigma at the monomials of f, each taken as often as its coefficient,
+    which must be nonnegative.
 
-    Requires f to have nonnegative coefficients.  Computed via the
-    Jacobi-Trudi determinant in complete homogeneous sums of the monomials,
-    which avoids any auxiliary Schubert computation in many variables.
+    By the branching rule (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I (5.11)), s_sigma(y_1, ..., y_N) sums, with no signs, over
+    the chains of partitions inside sigma in which y_k adds a horizontal
+    strip, y_k per box.  ``layer`` maps each partition to its sum so far.  A
+    value grows the rows bottom first, a box at a time, so a box enters row r
+    while the row above keeps its old length: the strip condition.  With one
+    row this is the recursion h_k += y * h_{k-1}.
+
+    >>> plethysm_eval((1, 1), LaurentPoly(2, {(1, 0): 1, (0, 1): 1})).text()
+    'x1*x2'
     """
     sigma = _check_partition(sigma)
+    _require_poly(f, "plethysm_eval polynomial")
     if any(c < 0 for c in f.terms.values()):
         raise ValueError("plethysm requires nonnegative coefficients")
-    if not sigma:
-        return LaurentPoly.one(f.n)
-    values = [exp for exp, c in sorted(f.terms.items()) for _ in range(c)]
     ell = len(sigma)
-    top = sigma[0] + ell - 1
-    h = [LaurentPoly.zero(f.n) for _ in range(top + 1)]
-    h[0] = LaurentPoly.one(f.n)
-    for exp in values:
-        v = LaurentPoly.monomial(f.n, exp)
-        for k in range(1, top + 1):
-            h[k] = h[k] + v * h[k - 1]
-
-    def entry(i: int, j: int) -> LaurentPoly:
-        d = sigma[i] - i + j
-        return h[d] if 0 <= d <= top else LaurentPoly.zero(f.n)
-
-    det = LaurentPoly.zero(f.n)
-    for perm in itertools.permutations(range(ell)):
-        term = LaurentPoly.one(f.n)
-        for i in range(ell):
-            term = term * entry(i, perm[i])
-            if term.is_zero():
-                break
-        det = det + term * Permutation([p + 1 for p in perm]).sign()
-    return det
+    layer = {(0,) * ell: LaurentPoly.one(f.n)}
+    for exp in (e for e, c in f.terms.items() for _ in range(c)):
+        for r in range(ell - 1, -1, -1):
+            for t in range(sigma[r]):
+                grow = [nu for nu in layer if nu[r] == t and (not r or t < nu[r - 1])]
+                for nu in grow:
+                    key = nu[:r] + (t + 1,) + nu[r + 1 :]
+                    p = layer[nu].shift(exp)
+                    layer[key] = layer[key] + p if key in layer else p
+    return layer.get(sigma) or LaurentPoly.zero(f.n)

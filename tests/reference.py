@@ -15,10 +15,14 @@ against which the tests check ``dual_pairing``, which reads one product
 f * S_{rho-mu} at the alternant's exponents.  ``reference_divided_difference``
 emits the geometric sum of every term of f, its mirror's included, against
 which the tests check ``divided_difference``, which works on f - s_i f.
+``reference_plethysm_eval`` expands the Jacobi-Trudi determinant in the
+complete homogeneous sums over all ell! permutations, against which the
+tests check ``plethysm_eval``, which runs the branching rule.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +30,7 @@ from kpmod.laurent import LaurentPoly, _require_int
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import WeightModule, _raised
 from kpmod.permutations import Permutation, rho
-from kpmod.schubert import schubert_poly, vandermonde
+from kpmod.schubert import _check_partition, schubert_poly, vandermonde
 
 
 class ReferenceEchelon:
@@ -288,3 +292,40 @@ def reference_divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
             else:
                 del out[key]
     return LaurentPoly._of(f.n, out)
+
+
+def reference_plethysm_eval(sigma, f: LaurentPoly) -> LaurentPoly:
+    """The Schur polynomial s_sigma evaluated at the monomial multiset of f.
+
+    Requires f to have nonnegative coefficients.  Computed via the
+    Jacobi-Trudi determinant in complete homogeneous sums of the monomials,
+    which avoids any auxiliary Schubert computation in many variables.
+    """
+    sigma = _check_partition(sigma)
+    if any(c < 0 for c in f.terms.values()):
+        raise ValueError("plethysm requires nonnegative coefficients")
+    if not sigma:
+        return LaurentPoly.one(f.n)
+    values = [exp for exp, c in sorted(f.terms.items()) for _ in range(c)]
+    ell = len(sigma)
+    top = sigma[0] + ell - 1
+    h = [LaurentPoly.zero(f.n) for _ in range(top + 1)]
+    h[0] = LaurentPoly.one(f.n)
+    for exp in values:
+        v = LaurentPoly.monomial(f.n, exp)
+        for k in range(1, top + 1):
+            h[k] = h[k] + v * h[k - 1]
+
+    def entry(i: int, j: int) -> LaurentPoly:
+        d = sigma[i] - i + j
+        return h[d] if 0 <= d <= top else LaurentPoly.zero(f.n)
+
+    det = LaurentPoly.zero(f.n)
+    for perm in itertools.permutations(range(ell)):
+        term = LaurentPoly.one(f.n)
+        for i in range(ell):
+            term = term * entry(i, perm[i])
+            if term.is_zero():
+                break
+        det = det + term * Permutation([p + 1 for p in perm]).sign()
+    return det

@@ -320,3 +320,10 @@ class TestInputChecks:
         assert 3 - f == -(f - 3) == 2 - x(2, 1)
         assert 3 * f == f * 3 == 3 * x(2, 1) + 3
         assert (f * 0).is_zero() and (0 - f) == -f and f + 0 == f
+
+    def test_equality_with_an_int_is_not_with_a_bool(self):
+        # one(2) == True and zero(2) == False held, though arithmetic refuses a bool
+        one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
+        assert one != True and zero != False
+        assert one == 1 and zero == 0 and 3 * x(2, 1) != 3
+        assert one != 1.0

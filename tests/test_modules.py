@@ -756,7 +756,7 @@ class TestSl3:
 
     def test_parameter_bound(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 10\]"):
-            sl3_presentation_check(20, 0, bound=10)
+            sl3_presentation_check(20, 0)
 
     def test_module_is_cached_and_generator_is_fresh(self):
         from kpmod.modules import _sl3_cached, _sl3_module

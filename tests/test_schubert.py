@@ -17,7 +17,7 @@ from kpmod.schubert import (
     schubert_poly,
     vandermonde,
 )
-from reference import reference_divided_difference, reference_dual_pairing
+from reference import reference_divided_difference, reference_dual_pairing, reference_plethysm_eval
 
 
 def x(n, i):
@@ -571,3 +571,66 @@ class TestPlethysm:
     def test_exterior_vanishing(self):
         f = x(2, 1) + x(2, 2)
         assert plethysm_eval((1, 1, 1), f).is_zero()
+
+
+def partitions(k, largest):
+    """Partitions of k with parts at most ``largest``, largest part first."""
+    if k == 0:
+        yield ()
+    for p in range(min(k, largest), 0, -1):
+        for rest in partitions(k - p, p):
+            yield (p,) + rest
+
+
+class TestPlethysmAgainstReference:
+    """``plethysm_eval`` adds horizontal strips by the branching rule; the
+    reference expands the Jacobi-Trudi determinant.  The polynomials must
+    be equal."""
+
+    def check(self, sigma, f):
+        assert plethysm_eval(sigma, f) == reference_plethysm_eval(sigma, f), (sigma, f)
+
+    def test_every_s4_schubert_polynomial_up_to_size_6(self):
+        shapes = [s for k in range(7) for s in partitions(k, k)]
+        for w in all_permutations(4):
+            f = schubert_poly(code(w, 4))
+            for sigma in shapes:
+                self.check(sigma, f)
+
+    def test_seeded_repeated_monomials_and_negative_exponents(self):
+        rng = random.Random(31)
+        shapes = [s for k in range(1, 5) for s in partitions(k, k)]
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            f = LaurentPoly(n, [
+                (tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            ])
+            self.check(rng.choice(shapes), f)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_zero_empty_partition_and_few_variables(self, n):
+        for sigma in [(), (1,), (2,), (1, 1), (2, 1), (3, 2, 1)]:
+            self.check(sigma, LaurentPoly.zero(n))
+            self.check(sigma, LaurentPoly.one(n) * 3)
+            self.check(sigma, LaurentPoly.monomial(n, (-1,) * n, 2) + LaurentPoly.one(n))
+        assert plethysm_eval((), LaurentPoly.zero(n)) == 1
+        assert plethysm_eval((2, 1), LaurentPoly.zero(n)).is_zero()
+        # three copies of the value 1: s_(2,1)(1, 1, 1) = 8
+        assert plethysm_eval((2, 1), LaurentPoly.one(n) * 3) == 8
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: plethysm_eval((2,), 5), "plethysm_eval"),
+        (lambda: expand_in_schubert(5), "expand_in_schubert"),
+        (lambda: dual_pairing(5, (0,)), "dual_pairing"),
+        (lambda: divided_difference(1, 5), "divided_difference"),
+    ],
+    ids=["plethysm_eval", "expand_in_schubert", "dual_pairing", "divided_difference"],
+)
+def test_non_polynomial_argument(call, name):
+    # each was an AttributeError on 'terms' or 'n'
+    with pytest.raises(ValueError, match=f"{name} polynomial must be a LaurentPoly, got 5"):
+        call()

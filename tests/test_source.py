@@ -15,3 +15,13 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src: {found}"
+
+
+def test_schubert_layer_builds_no_permutation():
+    # the staircase reads the code's window and the plethysm runs the
+    # branching rule: neither needs a Permutation, a sign or all of S_ell
+    tree = ast.parse((SRC / "schubert.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"Permutation", "perm_of", "longest_element", "permutations", "sign"}
