@@ -68,15 +68,16 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty the process-wide memos (KP modules, wedge factors, rank-3
-    modules, criterion exponent tables, Schubert polynomials, Vandermonde
-    products); results stay equal."""
+    modules, criterion exponent tables, Vandermonde products, and the
+    staircase's and the transition's Schubert polynomials); results stay
+    equal."""
     for memo in (
         modules._kp_cached,
         filtration._annihilator_exponents,
         modules._wedge_factor,
         modules._sl3_cached,
-        schubert._schubert_staircase,
         schubert.vandermonde,
     ):
         memo.cache_clear()
+    schubert._staircase_memo.clear()
     schubert._transition_memo.clear()

@@ -218,8 +218,6 @@ def _cmd_u3(args) -> int:
 def _cmd_filtration(args) -> int:
     if args.tensor is not None:
         lam, mu = args.tensor
-        if args.n is not None and args.n != len(lam):
-            raise ValueError(f"-n {args.n} contradicts length-{len(lam)} weights")
         rep = kp_filtration_extract(tensor_many([kp_module(lam), kp_module(mu)]))
     elif args.kp is not None:
         rep = kp_filtration_extract(kp_module(args.kp))
@@ -394,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", type=_pair, help="lam:mu for KP(lam) (x) KP(mu)")
     p.add_argument("--kp", type=_weight)
     p.add_argument("--one-dim", dest="one_dim", type=_weight)
-    p.add_argument("-n", type=int)
     p.add_argument("--expect-ok", action="store_true")
 
     p = add("tensor-exp", _cmd_tensor_exp, "tensor-product filtration experiment")

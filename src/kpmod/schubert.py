@@ -95,8 +95,10 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
     For nonnegative lam this is the classical polynomial indexed by
     perm(lam); in general it is x^{-k*1} times the polynomial of lam + k*1,
     independent of the shift k.  Both methods agree exactly; ``staircase``
-    descends from the longest element by divided differences, ``transition``
-    recurses on the maximal-descent identity with memoization.
+    climbs from perm(lam) by first ascents to a permutation it has built, or
+    to the longest element, and divides back down, S_w = d_i S_{w s_i},
+    keeping each polynomial it builds; ``transition`` recurses on the
+    maximal-descent identity with memoization.
 
     >>> schubert_poly((1, 0, 1, 0)).text()
     'x1^2 + x1*x2 + x1*x3'
@@ -115,32 +117,32 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
     return p.shift((-k,) * len(lam)) if k else p
 
 
-@lru_cache(maxsize=None)
+# a one-line window -> its Schubert polynomial in len(window) variables, built
+# once by the staircase; emptied by clear_caches
+_staircase_memo: dict = {}
+
+
 def _schubert_staircase(lam: tuple) -> LaurentPoly:
     win = _code_window(lam)
     while len(win) > 1 and win[-1] == len(win):
         win.pop()
     m = len(win)
-    # the window of u = w0 * w; peel a reduced word of u from the right
-    win = [m + 1 - x for x in win]
-    word = []
-    while True:
-        for i in range(1, m):
-            if win[i - 1] > win[i]:
-                word.append(i)
-                win[i - 1], win[i] = win[i], win[i - 1]
-                break
-        else:
-            break
-    poly = LaurentPoly.monomial(m, tuple(range(m - 1, -1, -1)))
-    for i in reversed(word):
-        poly = divided_difference(i, poly)
+    top = tuple(range(m, 0, -1))
+    # climb by the first ascent i (S_w = d_i S_{w s_i}) to a known window or
+    # to w0, whose polynomial is x^rho, then divide back down
+    cur, chain = tuple(win), []
+    while cur not in _staircase_memo and cur != top:
+        i = next(t for t in range(1, m) if cur[t - 1] < cur[t])
+        chain.append((cur, i))
+        cur = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
+    poly = _staircase_memo[cur] if cur in _staircase_memo else LaurentPoly.monomial(m, rho(m))
+    for cur, i in reversed(chain):
+        poly = _staircase_memo[cur] = divided_difference(i, poly)
     # a permutation increasing beyond n has a polynomial in x_1..x_n only
     return poly.restrict(len(lam))
 
 
-# shared cache; plain-dict updates are atomic, so concurrent workers can at
-# worst duplicate work, never corrupt entries
+# the transition's memo; emptied by clear_caches
 _transition_memo: dict = {}
 
 
@@ -181,9 +183,10 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
     """Write f exactly as sum c_mu * S_mu; returns {mu: c_mu} (ints, possibly
     negative).
 
-    Repeatedly subtracts the Schubert polynomial of the lexicographically
-    least exponent of the running support; supports stay inside finite
-    dominance intervals, so the loop terminates.  That exponent mu is
+    Repeatedly subtracts c times the Schubert polynomial of the
+    lexicographically least exponent of the running support, term by term
+    from one running remainder; supports stay inside finite dominance
+    intervals, so the loop terminates.  That exponent mu is
     dominance-minimal in the support: if mu dominated some nu != mu, then at
     the first index where they differ the partial sums of mu - nu, zero
     before it and >= 0 there, would give mu_i > nu_i, so nu would be
@@ -191,12 +194,17 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
     """
     _require_poly(f, "expand_in_schubert polynomial")
     res: dict = {}
-    work = f
-    while work.terms:
-        pick = min(work.terms)
-        c = work.terms[pick]
+    work = dict(f.terms)
+    while work:
+        pick = min(work)
+        c = work[pick]
         res[pick] = res.get(pick, 0) + c
-        work = work - schubert_poly(pick) * c
+        for exp, a in schubert_poly(pick).terms.items():
+            acc = work.get(exp, 0) - c * a
+            if acc:
+                work[exp] = acc
+            else:
+                del work[exp]
     return {mu: c for mu, c in res.items() if c}
 
 
@@ -324,30 +332,15 @@ class CauchyReport:
         }
 
 
-def cauchy_window_check(mu, nu, window=None) -> CauchyReport:
+def cauchy_window_check(mu, nu) -> CauchyReport:
     """Check that sum_kappa [x^{rho-mu}] S_{rho-kappa} * [y^nu] S_kappa equals
-    the Kostant multiplicity of nu - mu, the sum running over a window that
-    must contain every kappa with nu >= kappa >= mu in dominance order."""
+    the Kostant multiplicity of nu - mu, the sum running over the window of
+    every kappa with nu >= kappa >= mu in dominance order (its only
+    contributors)."""
     mu = int_tuple(mu, "cauchy_window_check mu")
     nu = int_tuple(nu, "cauchy_window_check nu")
-    if len(mu) != len(nu):
-        raise ValueError("weight vectors must share a length")
-    n = len(mu)
-    needed = dominance_interval(mu, nu)
-    if window is None:
-        window = needed
-    else:
-        window = [int_tuple(k, "cauchy_window_check window weight") for k in window]
-        for k in window:
-            if len(k) != n:
-                raise ValueError(f"window weight {k} has length != {n}")
-        have = set(window)
-        missing = [k for k in needed if k not in have]
-        if missing:
-            raise ValueError(
-                f"window misses contributing weights: {sorted(missing)}"
-            )
-    r = rho(n)
+    window = dominance_interval(mu, nu)
+    r = rho(len(mu))
     rmu = tuple(a - b for a, b in zip(r, mu))
     lhs = 0
     for kappa in window:

@@ -18,6 +18,12 @@ which the tests check ``divided_difference``, which works on f - s_i f.
 ``reference_plethysm_eval`` expands the Jacobi-Trudi determinant in the
 complete homogeneous sums over all ell! permutations, against which the
 tests check ``plethysm_eval``, which runs the branching rule.
+``reference_staircase`` peels a reduced word of w0 * w for each code and
+divides x^rho down it, against which the tests check the staircase of
+``schubert_poly``, which builds each window's polynomial once.
+``reference_expand_in_schubert`` builds a new remainder every round,
+against which the tests check ``expand_in_schubert``, which subtracts from
+one.
 """
 
 from __future__ import annotations
@@ -26,11 +32,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from kpmod.laurent import LaurentPoly, _require_int
+from kpmod.laurent import LaurentPoly, _require_int, _require_poly
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import WeightModule, _raised
-from kpmod.permutations import Permutation, rho
-from kpmod.schubert import _check_partition, schubert_poly, vandermonde
+from kpmod.permutations import Permutation, _code_window, rho
+from kpmod.schubert import _check_partition, divided_difference, schubert_poly, vandermonde
 
 
 class ReferenceEchelon:
@@ -329,3 +335,42 @@ def reference_plethysm_eval(sigma, f: LaurentPoly) -> LaurentPoly:
                 break
         det = det + term * Permutation([p + 1 for p in perm]).sign()
     return det
+
+
+def reference_staircase(lam: tuple) -> LaurentPoly:
+    """The Schubert polynomial of a nonnegative code: x^rho divided down a
+    reduced word of w0 * w, peeled by bubble sort."""
+    win = _code_window(lam)
+    while len(win) > 1 and win[-1] == len(win):
+        win.pop()
+    m = len(win)
+    # the window of u = w0 * w; peel a reduced word of u from the right
+    win = [m + 1 - x for x in win]
+    word = []
+    while True:
+        for i in range(1, m):
+            if win[i - 1] > win[i]:
+                word.append(i)
+                win[i - 1], win[i] = win[i], win[i - 1]
+                break
+        else:
+            break
+    poly = LaurentPoly.monomial(m, tuple(range(m - 1, -1, -1)))
+    for i in reversed(word):
+        poly = divided_difference(i, poly)
+    # a permutation increasing beyond n has a polynomial in x_1..x_n only
+    return poly.restrict(len(lam))
+
+
+def reference_expand_in_schubert(f: LaurentPoly) -> dict:
+    """Write f exactly as sum c_mu * S_mu, subtracting the Schubert
+    polynomial of the least exponent into a new remainder each round."""
+    _require_poly(f, "expand_in_schubert polynomial")
+    res: dict = {}
+    work = f
+    while work.terms:
+        pick = min(work.terms)
+        c = work.terms[pick]
+        res[pick] = res.get(pick, 0) + c
+        work = work - schubert_poly(pick) * c
+    return {mu: c for mu, c in res.items() if c}

@@ -106,7 +106,7 @@ class TestBasicCommands:
 
 class TestFiltrationCommands:
     def test_tensor_filtration_json(self, capsys):
-        rc, out = run(capsys, "filtration", "--tensor", "0,1:0,1", "-n", "2")
+        rc, out = run(capsys, "filtration", "--tensor", "0,1:0,1")
         assert rc == 0
         data = json.loads(out)
         assert data["ok"] is True
@@ -120,6 +120,14 @@ class TestFiltrationCommands:
         assert rc == 1
         data = json.loads(out)
         assert data["ok"] is False and data["witness"]["nu"] == [0, 1]
+
+    def test_n_is_not_an_option(self, capsys):
+        # -n was accepted and ignored with --kp and --one-dim
+        rc = main(["filtration", "--kp", "1,0", "-n", "7"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "-n" in captured.err
 
     def test_failure_without_expect_ok_is_reported_not_fatal(self, capsys):
         rc, out = run(capsys, "filtration", "--one-dim", "0,1")
@@ -245,8 +253,8 @@ class TestVerify:
 
 class TestProtocol:
     def test_byte_identical_reruns(self, capsys):
-        _, out1 = run(capsys, "filtration", "--tensor", "1,0,1:0,1,0", "-n", "3")
-        _, out2 = run(capsys, "filtration", "--tensor", "1,0,1:0,1,0", "-n", "3")
+        _, out1 = run(capsys, "filtration", "--tensor", "1,0,1:0,1,0")
+        _, out2 = run(capsys, "filtration", "--tensor", "1,0,1:0,1,0")
         assert out1 == out2
 
     def test_unknown_subcommand_exits_2(self, capsys):
