@@ -18,7 +18,6 @@ from .filtration import (
     schur_functor_experiment,
     sort_weights,
     tensor_experiment,
-    young_symmetrizer_image,
 )
 from .laurent import LaurentPoly
 from .modules import (
@@ -37,6 +36,7 @@ from .modules import (
     symmetric_power,
     tensor_many,
     vector_rep,
+    young_symmetrizer_image,
 )
 from .permutations import (
     MTable,

@@ -1,5 +1,6 @@
 """Filtration machinery: deciding and extracting filtrations whose layers are
-Kraskiewicz-Pragacz modules.
+Kraskiewicz-Pragacz modules.  The modules tested here, tensor products and
+Schur-functor images of KP modules, are built in ``modules``.
 
 The extractor builds the quotient tower along the increasing list of weights
 of M: with N_i the submodule generated by all weight spaces above the i-th
@@ -20,9 +21,6 @@ Hom space into the twisted dual (``tests/reference.py``).
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,13 +30,9 @@ from .modules import (
     SubmoduleCloser,
     WeightModule,
     _raised,
-    _submodule_from_closure,
-    _too_large,
-    _WedgeAmbient,
-    _weight_sum,
     kp_module,
-    max_dim,
     tensor_many,
+    young_symmetrizer_image,
 )
 from .permutations import m_table, perm_of, rho, standard_key
 from .schubert import _check_partition, expand_in_schubert, plethysm_eval, schubert_poly
@@ -277,63 +271,6 @@ def tensor_experiment(lam, mu) -> TensorExperimentReport:
         sorted(expand_in_schubert(product).items(), key=lambda t: t[0])
     )
     return TensorExperimentReport(lam, mu, ext, crit, expansion)
-
-
-def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
-    """The Schur functor S^sigma(M), the image of the Young symmetrizer
-    a_sigma b_sigma (rows symmetrized, columns antisymmetrized) on
-    M^{(x) k}, k = |sigma|, closed in a ``_WedgeAmbient`` over the columns
-    of sigma.  Wedging each column's factors is injective on im(b_sigma) and
-    turns b_sigma into a sign, so it carries im(b_sigma a_sigma), a copy of
-    S^sigma(M), onto the span of the wedged a_sigma x; if M = U(n+) g, the x
-    whose first index lies in the support of ``M.generator`` suffice.  More
-    rows than dim M give the zero module.  Raises ValueError unless sigma is
-    a partition, and ModuleTooLargeError when the row terms (the product of
-    the factorials of the parts), the seed tuples x (counted before any is
-    wedged), the basis of an exterior power of M over a column (counted
-    before the ambient is built) or the closure rank exceed KP_MAX_DIM.
-    """
-    sigma = _check_partition(sigma)
-    cap = max_dim()
-    what = f"young_symmetrizer_image of sigma {sigma}"
-    for size in itertools.accumulate((f for p in sigma for f in range(2, p + 1)), operator.mul):
-        if size > cap:
-            raise _too_large(what, "symmetrizer terms >=", size, cap)
-    if len(sigma) > M.dim:
-        return WeightModule(M.n, [])
-    slots = [range(M.dim)] * sum(sigma)
-    if slots and M.generator:
-        slots[0] = sorted(M.generator)
-    tuples = math.prod(map(len, slots))
-    if tuples > cap:
-        raise _too_large(what, "seed tuples", tuples, cap)
-    lengths = [sum(p > c for p in sigma) for c in range(sigma[0] if sigma else 0)]
-    for k in dict.fromkeys(lengths):
-        size = math.comb(M.dim, k)
-        if k > 1 and size > cap:
-            raise _too_large(what, f"exterior_power {k} basis size", size, cap)
-    amb = _WedgeAmbient(lengths, M.n, M)
-    # a row term permutes slots within each row; column c takes each row's slot c
-    rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
-    placements = [
-        [[row[c] for row in term if len(row) > c] for c in range(len(lengths))]
-        for term in itertools.product(*map(itertools.permutations, rows))
-    ]
-
-    def seeds():
-        for x in itertools.product(*slots):
-            acc: dict = {}
-            for place in placements:
-                wedged = amb.wedge([[x[s] for s in col] for col in place])
-                if wedged:
-                    acc[wedged[0]] = acc.get(wedged[0], 0) + wedged[1]
-            v = {key: c for key, c in acc.items() if c}
-            if v:  # of the weight of x: wedging and permuting keep weights
-                yield _weight_sum(M.n, (M.weights[b] for b in x)), v
-
-    closer = SubmoduleCloser(amb, what)
-    closer.add(seeds())
-    return _submodule_from_closure(amb, closer)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ class LaurentPoly:
 
     def __init__(self, n: int, terms=None):
         _require_int(n, "variable count")
+        if n < 0:
+            raise ValueError(f"variable count must be nonnegative, got {n}")
         self.n = n
         clean: dict = {}
         if terms:
@@ -264,6 +266,8 @@ class LaurentPoly:
     def restrict(self, m: int) -> "LaurentPoly":
         """Drop trailing variables, which must not occur."""
         _require_int(m, "variable count")
+        if m < 0:
+            raise ValueError(f"variable count must be nonnegative, got {m}")
         if m > self.n:
             return self.extend(m)
         out = {}

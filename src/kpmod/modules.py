@@ -7,13 +7,13 @@ sparse exact-rational column, the first time it is asked for, and the
 module caches it.  Submodules are closed under the simple e_{i,i+1} alone,
 which generate U(n+), starting from weight vectors that enter with their
 weights: e_ij sends weight wt to wt + eps_i - eps_j, so a closure follows
-its vectors' weights and never looks one up.  On top of the plain
-constructors this module provides cyclic submodules and closures of vector
-sets, annihilator verification for the diagram generator, and the rank-3
-operator-identity checks used by the verification suites.
-Kraskiewicz-Pragacz and Demazure (key) modules both come from
-``diagram_module``: the cyclic closure of a column-wedge vector inside a
-tensor of exterior powers that is never enumerated.
+its vectors' weights and never looks one up (``_close``).  Three closures
+run in a ``_WedgeAmbient``, a tensor of exterior powers never enumerated:
+Kraskiewicz-Pragacz and Demazure (key) modules from the column-wedge vector
+of a diagram (``diagram_module``), and Schur-functor images S^sigma(M) from
+wedged row-symmetrized tuples (``young_symmetrizer_image``).  Cyclic
+submodules, annihilator checks of the diagram generator and the rank-3
+operator identities of the verification suites complete the module.
 
 Modules are immutable once constructed (lazy column caches only fill in);
 every operation is a pure function, safe for data-parallel sweeps.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from functools import lru_cache
 from .laurent import LaurentPoly, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled
 from .permutations import Permutation, _code_window, code, m_table
-from .schubert import schubert_poly
+from .schubert import _check_partition, schubert_poly
 
 
 class ModuleTooLargeError(RuntimeError):
@@ -407,12 +408,15 @@ class SubmoduleCloser:
                     self._insert(_raised(wt, pair), img, queue, added)
         return added
 
-def _submodule_from_closure(M, closer, generator=None) -> WeightModule:
-    """The closed subspace on its echelon rows, sorted by weight and pivot.
-    A column, the image of a row of weight wt under e_ij, lies in the weight
-    space of wt + eps_i - eps_j and is expressed there on demand (ValueError
-    if it leaves the subspace).  ``generator``, a (weight, vector) pair in
-    the subspace, becomes the module's generator."""
+
+def _close(M, seeds, what: str, generator=None) -> WeightModule:
+    """The closure in M of ``seeds`` (as ``SubmoduleCloser.add`` takes them,
+    ``what`` naming it in a size error) on its echelon rows, by weight and
+    pivot.  The image of a row of weight wt under e_ij is expressed in the
+    weight space of wt + eps_i - eps_j on demand (ValueError if it leaves the
+    closure).  ``generator``, a (weight, vector) pair in it, generates."""
+    closer = SubmoduleCloser(M, what)
+    closer.add(seeds)
     basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
     pos = {key: t for t, key in enumerate(basis)}
 
@@ -453,9 +457,7 @@ def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
                 "is not a nonzero int or Fraction"
             )
     gen = [(M.weight_of(vec), vec)] if vec else []
-    closer = SubmoduleCloser(M, "cyclic_submodule")
-    closer.add(gen)
-    return _submodule_from_closure(M, closer, *gen)
+    return _close(M, gen, "cyclic_submodule", *gen)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +524,7 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
         if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
             raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
     amb, gen = _diagram_generator(columns, n)
-    closer = SubmoduleCloser(amb, what)
-    closer.add([gen])
-    return _submodule_from_closure(amb, closer, gen)
+    return _close(amb, [gen], what, gen)
 
 
 def _diagram_generator(columns, n: int) -> tuple:
@@ -534,6 +534,61 @@ def _diagram_generator(columns, n: int) -> tuple:
     amb = _WedgeAmbient([len(rows) for rows in columns], n)
     wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
     return amb, (wt, {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE})
+
+
+def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
+    """The Schur functor S^sigma(M), the image of the Young symmetrizer
+    a_sigma b_sigma (rows symmetrized, columns antisymmetrized) on
+    M^{(x) k}, k = |sigma|, closed in a ``_WedgeAmbient`` over the columns
+    of sigma.  Wedging each column's factors is injective on im(b_sigma) and
+    turns b_sigma into a sign, so it carries im(b_sigma a_sigma), a copy of
+    S^sigma(M), onto the span of the wedged a_sigma x; if M = U(n+) g, the x
+    whose first index lies in the support of ``M.generator`` suffice.  More
+    rows than dim M give the zero module.  Raises ValueError unless sigma is
+    a partition, and ModuleTooLargeError when the row terms (the product of
+    the factorials of the parts), the seed tuples x (counted before any is
+    wedged), the basis of an exterior power of M over a column (counted
+    before the ambient is built) or the closure rank exceed KP_MAX_DIM.
+    """
+    sigma = _check_partition(sigma)
+    cap = max_dim()
+    what = f"young_symmetrizer_image of sigma {sigma}"
+    for size in itertools.accumulate((f for p in sigma for f in range(2, p + 1)), operator.mul):
+        if size > cap:
+            raise _too_large(what, "symmetrizer terms >=", size, cap)
+    if len(sigma) > M.dim:
+        return WeightModule(M.n, [])
+    slots = [range(M.dim)] * sum(sigma)
+    if slots and M.generator:
+        slots[0] = sorted(M.generator)
+    tuples = math.prod(map(len, slots))
+    if tuples > cap:
+        raise _too_large(what, "seed tuples", tuples, cap)
+    lengths = [sum(p > c for p in sigma) for c in range(sigma[0] if sigma else 0)]
+    for k in dict.fromkeys(lengths):
+        size = math.comb(M.dim, k)
+        if k > 1 and size > cap:
+            raise _too_large(what, f"exterior_power {k} basis size", size, cap)
+    amb = _WedgeAmbient(lengths, M.n, M)
+    # a row term permutes slots within each row; column c takes each row's slot c
+    rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
+    placements = [
+        [[row[c] for row in term if len(row) > c] for c in range(len(lengths))]
+        for term in itertools.product(*map(itertools.permutations, rows))
+    ]
+
+    def seeds():
+        for x in itertools.product(*slots):
+            acc: dict = {}
+            for place in placements:
+                wedged = amb.wedge([[x[s] for s in col] for col in place])
+                if wedged:
+                    acc[wedged[0]] = acc.get(wedged[0], 0) + wedged[1]
+            v = {key: c for key, c in acc.items() if c}
+            if v:  # of the weight of x: wedging and permuting keep weights
+                yield _weight_sum(M.n, (M.weights[b] for b in x)), v
+
+    return _close(amb, seeds(), what)
 
 
 def _kp_columns(lam: tuple) -> list:
@@ -747,16 +802,22 @@ def sl3_presentation_check(a: int, b: int) -> Sl3Report:
 
 
 def _proportional(u: dict, v: dict) -> bool:
-    """True when u lies in the span of v."""
-    if not u:
-        return True
+    """True when v is nonzero and u lies in its span."""
     if not v:
         return False
-    k = min(u)
-    if k not in v:
-        return False
-    r = Fraction(u[k]) / v[k]
-    return u == scaled(v, r)
+    k = min(v)
+    return u == scaled(v, Fraction(u.get(k, 0)) / v[k])
+
+
+def _apply_word(mod, g: dict, word) -> dict:
+    """A word, (pair, power) factors acting right to left, applied to g."""
+    for pair, k in reversed(word):
+        g = mod.apply_power(pair, g, k)
+    return g
+
+
+def _word_text(word) -> str:
+    return " ".join(f"e{i}{j}^{k}" for (i, j), k in word)
 
 
 def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None) -> Sl3Report:
@@ -764,7 +825,9 @@ def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None) -> Sl3Report
     acting on the generator of the cyclic module that realizes the quotient
     by <e_12^{a+1}, e_23^{b+1}>.
 
-    Cases (products act right to left; all mod the ideal of the stated (a,b)):
+    Cases, each one row ((a, b), lhs word, (phrase, scalar), rhs word) of a
+    table that both computes the check and prints it (words act right to
+    left; all mod the ideal of the stated (a,b)):
       1: e_13^N e_23^M = 0            in (a,b) = (N', M') when N+M > N'+M'
       2: e_12^N e_13^M = 0            likewise
       3: e_13^N = (-1)^N/N! e_23^N e_12^N   in (a,b) = (M, 0)
@@ -787,48 +850,27 @@ def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None) -> Sl3Report
         if N + M <= N2 + M2:
             raise ValueError("cases 1 and 2 require N + M > N' + M'")
         params.update({"N2": N2, "M2": M2})
-        mod, g = _sl3_module(N2, M2)
-        if case == 1:
-            v = mod.apply_power(E13, mod.apply_power(E23, g, M), N)
-            desc = f"e13^{N} e23^{M} vanishes on (a,b)=({N2},{M2})"
-        else:
-            v = mod.apply_power(E12, mod.apply_power(E13, g, M), N)
-            desc = f"e12^{N} e13^{M} vanishes on (a,b)=({N2},{M2})"
-        return Sl3Report("identity", params, ((desc, not v),))
-    if case == 3:
-        mod, g = _sl3_module(M, 0)
-        lhs = mod.apply_power(E13, g, N)
-        rhs = scaled(
-            mod.apply_power(E23, mod.apply_power(E12, g, N), N),
-            Fraction((-1) ** N, math.factorial(N)),
-        )
-        desc = f"e13^{N} matches (-1)^{N}/{N}! e23^{N} e12^{N} on (a,b)=({M},0)"
-        return Sl3Report("identity", params, ((desc, lhs == rhs),))
-    if case == 4:
-        mod, g = _sl3_module(0, M)
-        lhs = mod.apply_power(E13, g, N)
-        rhs = scaled(
-            mod.apply_power(E12, mod.apply_power(E23, g, N), N),
-            Fraction(1, math.factorial(N)),
-        )
-        desc = f"e13^{N} matches 1/{N}! e12^{N} e23^{N} on (a,b)=(0,{M})"
-        return Sl3Report("identity", params, ((desc, lhs == rhs),))
-    if case == 5:
-        mod, g = _sl3_module(N, M)
-        v = mod.apply_power(E12, mod.apply_power(E23, g, M), N + M + 1)
-        desc = f"e12^{N + M + 1} e23^{M} vanishes on (a,b)=({N},{M})"
-        return Sl3Report("identity", params, ((desc, not v),))
-    if case == 6:
-        mod, g = _sl3_module(0, M)
-        lhs = mod.apply_power(E12, mod.apply_power(E23, g, M), N)
-        if N > M:
-            desc = f"e12^{N} e23^{M} vanishes on (a,b)=(0,{M})"
-            return Sl3Report("identity", params, ((desc, not lhs),))
-        wit = mod.apply_power(E23, mod.apply_power(E13, g, N), M - N)
-        desc = (
-            f"e12^{N} e23^{M} is a multiple of e23^{M - N} e13^{N} on (a,b)=(0,{M})"
-        )
-        return Sl3Report(
-            "identity", params, ((desc, bool(wit) and _proportional(lhs, wit)),)
-        )
-    raise ValueError(f"unknown identity case {case}")
+    vanishes = ("vanishes", None)
+    inverse = Fraction(1, math.factorial(N))
+    witness = (vanishes, ()) if N > M else (("is a multiple of", None), ((E23, M - N), (E13, N)))
+    table = {
+        1: ((N2, M2), ((E13, N), (E23, M)), vanishes, ()),
+        2: ((N2, M2), ((E12, N), (E13, M)), vanishes, ()),
+        3: ((M, 0), ((E13, N),), (f"matches (-1)^{N}/{N}!", (-1) ** N * inverse), ((E23, N), (E12, N))),
+        4: ((0, M), ((E13, N),), (f"matches 1/{N}!", inverse), ((E12, N), (E23, N))),
+        5: ((N, M), ((E12, N + M + 1), (E23, M)), vanishes, ()),
+        6: ((0, M), ((E12, N), (E23, M)), *witness),
+    }
+    if case not in table:
+        raise ValueError(f"unknown identity case {case}")
+    (a, b), lhs, (phrase, scalar), rhs = table[case]
+    mod, g = _sl3_module(a, b)
+    u, v = _apply_word(mod, g, lhs), _apply_word(mod, g, rhs)
+    if scalar is not None:
+        passed = u == scaled(v, scalar)
+    elif rhs:
+        passed = _proportional(u, v)
+    else:
+        passed = not u
+    desc = " ".join(filter(None, (_word_text(lhs), phrase, _word_text(rhs))))
+    return Sl3Report("identity", params, ((f"{desc} on (a,b)=({a},{b})", passed),))

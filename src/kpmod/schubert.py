@@ -297,7 +297,7 @@ def dominance_interval(mu, nu) -> list:
     n = len(mu)
     if sum(mu) != sum(nu):
         return []
-    if n == 1:
+    if n <= 1:
         return [mu]
     s = [sum(nu[: t + 1]) - sum(mu[: t + 1]) for t in range(n - 1)]
     if any(x < 0 for x in s):
@@ -339,6 +339,8 @@ def cauchy_window_check(mu, nu) -> CauchyReport:
     contributors)."""
     mu = int_tuple(mu, "cauchy_window_check mu")
     nu = int_tuple(nu, "cauchy_window_check nu")
+    if not mu:
+        raise ValueError("cauchy_window_check needs a nonempty mu, got ()")
     window = dominance_interval(mu, nu)
     r = rho(len(mu))
     rmu = tuple(a - b for a, b in zip(r, mu))

@@ -271,6 +271,13 @@ class TestProtocol:
         assert main(["pairing", "--poly", "null", "--mu", "0"]) == 2
         capsys.readouterr()
 
+    def test_negative_variable_count_exits_2(self, capsys):
+        # printed {"terms": []} and exited 0
+        assert main(["expand", "--poly", '{"n": -1, "terms": []}']) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "variable count must be nonnegative, got -1" in captured.err
+
     def test_contradictory_n_exits_2(self, capsys):
         rc = main(["schubert", "--code", "1,0", "-n", "3"])
         assert rc == 2

@@ -25,7 +25,7 @@ from kpmod.modules import (
     ModuleTooLargeError,
     SubmoduleCloser,
     WeightModule,
-    _submodule_from_closure,
+    _close,
     cyclic_submodule,
     exterior_power,
     kp_module,
@@ -497,9 +497,8 @@ def projected_reference_image(M, sigma):
     reduced echelon basis must equal that of the new route byte for byte."""
     _, closer = reference_image_closure(M, sigma)
     L, pi = column_wedge_projection(M, sigma)
-    image = SubmoduleCloser(L)
-    image.add((wt, pi(row)) for wt, ech in closer.echelons.items() for row in ech.rows.values())
-    return _submodule_from_closure(L, image)
+    seeds = ((wt, pi(row)) for wt, ech in closer.echelons.items() for row in ech.rows.values())
+    return _close(L, seeds, "projected reference image")
 
 
 def column_wedge_projection(M, sigma):

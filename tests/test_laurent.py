@@ -295,6 +295,21 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"variable count must be an integer, got {m}"):
             x(2, 1).restrict(m)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LaurentPoly(-1),
+            lambda: LaurentPoly.zero(-1),
+            lambda: LaurentPoly.from_json({"n": -1, "terms": []}),
+            lambda: LaurentPoly(2, {(1, 0): 1, (0, 0): 2}).restrict(-1),
+        ],
+        ids=["constructor", "zero", "from_json", "restrict"],
+    )
+    def test_negative_variable_count(self, make):
+        # each was accepted; restrict(-1) sliced from the end to n = -1
+        with pytest.raises(ValueError, match="variable count must be nonnegative, got -1"):
+            make()
+
     @pytest.mark.parametrize("exp", [(True, 0), (1.0, 0)])
     def test_coeff(self, exp):
         # a float or bool exponent hashes like an int and found x1's coefficient

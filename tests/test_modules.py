@@ -754,6 +754,23 @@ class TestSl3:
         with pytest.raises(ValueError, match="N' \\+ M'"):
             sl3_identity_check(1, 1, 0, 1, 1)
 
+    @pytest.mark.parametrize("args, desc", [
+        ((1, 2, 1, 1, 1), "e13^2 e23^1 vanishes on (a,b)=(1,1)"),
+        ((2, 1, 2, 1, 1), "e12^1 e13^2 vanishes on (a,b)=(1,1)"),
+        ((3, 2, 1), "e13^2 matches (-1)^2/2! e23^2 e12^2 on (a,b)=(1,0)"),
+        ((4, 2, 1), "e13^2 matches 1/2! e12^2 e23^2 on (a,b)=(0,1)"),
+        ((5, 1, 1), "e12^3 e23^1 vanishes on (a,b)=(1,1)"),
+        ((6, 2, 1), "e12^2 e23^1 vanishes on (a,b)=(0,1)"),
+        ((6, 1, 2), "e12^1 e23^2 is a multiple of e23^1 e13^1 on (a,b)=(0,2)"),
+    ])
+    def test_identity_descriptions(self, args, desc):
+        assert sl3_identity_check(*args).checks == ((desc, True),)
+
+    @pytest.mark.parametrize("case", [0, 7, -1])
+    def test_unknown_identity_case(self, case):
+        with pytest.raises(ValueError, match=f"^unknown identity case {case}$"):
+            sl3_identity_check(case, 1, 1)
+
     def test_parameter_bound(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 10\]"):
             sl3_presentation_check(20, 0)
@@ -984,6 +1001,7 @@ class TestIntegerEntries:
         # as a float, the ratio 1/3 would make 7 * r differ from Fraction(7, 3)
         assert _proportional({0: 1, 1: Fraction(7, 3)}, {0: 3, 1: 7})
         assert not _proportional({0: 1, 1: 2}, {0: 3, 1: 7})
+        assert _proportional({}, {0: 3}) and not _proportional({}, {})
 
     @pytest.mark.parametrize("case", [3, 4])
     def test_factorial_identity_cases(self, case):

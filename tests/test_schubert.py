@@ -569,6 +569,12 @@ class TestCauchyWindow:
         with pytest.raises(ValueError, match=message):
             cauchy_window_check(mu, nu)
 
+    def test_empty_weights(self):
+        # both raised IndexError
+        assert dominance_interval((), ()) == [()]
+        with pytest.raises(ValueError, match=r"cauchy_window_check needs a nonempty mu, got \(\)"):
+            cauchy_window_check((), ())
+
     def test_dominance_interval_rejects_non_integer_weights(self):
         with pytest.raises(ValueError, match=r"dominance_interval weight .*must be an integer"):
             dominance_interval((1.0, 0), (0, 1))

@@ -25,3 +25,16 @@ def test_schubert_layer_builds_no_permutation():
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not names & {"Permutation", "perm_of", "longest_element", "permutations", "sign"}
+
+
+def test_filtration_imports_only_the_criterion_privately_from_modules():
+    # the closure steps live in modules.py; filtration.py reads _raised alone
+    tree = ast.parse((SRC / "filtration.py").read_text())
+    private = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "modules"
+        for a in node.names
+        if a.name.startswith("_")
+    }
+    assert private == {"_raised"}
