@@ -68,9 +68,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty the process-wide memos (KP modules, wedge factors, rank-3
-    modules, criterion exponent tables, Vandermonde products, and the
-    staircase's and the transition's Schubert polynomials); results stay
-    equal."""
+    modules, criterion exponent tables, Vandermonde products, the
+    staircase's and the transition's Schubert polynomials, and the pool of
+    exponent tuples those two share); results stay equal."""
     for memo in (
         modules._kp_cached,
         filtration._annihilator_exponents,
@@ -81,3 +81,4 @@ def clear_caches() -> None:
         memo.cache_clear()
     schubert._staircase_memo.clear()
     schubert._transition_memo.clear()
+    schubert._exponent_pool.clear()

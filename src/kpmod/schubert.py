@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 
 from .laurent import LaurentPoly, _require_int, _require_poly, int_tuple
@@ -106,15 +107,25 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
     lam = int_tuple(lam, "schubert_poly weight")
     if not lam:
         raise ValueError("empty weight vector")
-    k = max(0, -min(lam))
-    core = tuple(x + k for x in lam)
     if method == "transition":
-        p = _schubert_transition(core)
-    elif method == "staircase":
-        p = _schubert_staircase(core)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        return _at_weight(_schubert_transition, lam)
+    if method == "staircase":
+        return _at_weight(_schubert_staircase, lam)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _at_weight(build, lam: tuple) -> LaurentPoly:
+    """x^{-k*1} times build's polynomial of the code lam + k*1, for the least
+    k >= 0 that makes it nonnegative; lam is a nonempty tuple of ints."""
+    k = max(0, -min(lam))
+    p = build(tuple(x + k for x in lam))
     return p.shift((-k,) * len(lam)) if k else p
+
+
+# one tuple object per exponent value held by either memo below: a memo
+# polynomial's keys are entries of this dict, so the thousands of terms that
+# share an exponent share its tuple; emptied by clear_caches with the memos
+_exponent_pool: dict = {}
 
 
 # a one-line window -> its Schubert polynomial in len(window) variables, built
@@ -136,8 +147,13 @@ def _schubert_staircase(lam: tuple) -> LaurentPoly:
         chain.append((cur, i))
         cur = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
     poly = _staircase_memo[cur] if cur in _staircase_memo else LaurentPoly.monomial(m, rho(m))
+    pool = _exponent_pool.setdefault
     for cur, i in reversed(chain):
-        poly = _staircase_memo[cur] = divided_difference(i, poly)
+        # the division makes a fresh tuple per term: keep its terms, in its
+        # order, under the pool's tuples
+        terms = divided_difference(i, poly).terms
+        pooled = dict(zip(map(pool, terms, terms), terms.values()))
+        poly = _staircase_memo[cur] = LaurentPoly._of(m, pooled)
     # a permutation increasing beyond n has a polynomial in x_1..x_n only
     return poly.restrict(len(lam))
 
@@ -150,6 +166,7 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
     if lam in _transition_memo:
         return _transition_memo[lam]
     n = len(lam)
+    pool = _exponent_pool.setdefault
     # an entry keeps its transition step, taken once, until its children are known
     stack = [(lam, None)]
     while stack:
@@ -158,7 +175,7 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
             continue
         if all(cur[t] >= cur[t + 1] for t in range(n - 1)):
             # weakly decreasing code: the polynomial is the single monomial
-            _transition_memo[cur] = LaurentPoly.monomial(n, cur)
+            _transition_memo[cur] = LaurentPoly._of(n, {pool(cur, cur): 1})
             continue
         if step is None:
             j, _, v, branches = _transition_window(_code_window(cur))
@@ -167,9 +184,13 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
             stack.extend((c, None) for c in (step[1], *step[2]) if c not in _transition_memo)
             continue
         j, vcode, bcodes = step
-        ej = [0] * n
-        ej[j - 1] = 1
-        poly = _transition_memo[vcode].shift(tuple(ej))
+        # x_j * S_v, as LaurentPoly.shift builds it, each exponent pooled; the
+        # children's keys are pooled already, so the sum adds no new tuple
+        terms = {}
+        for e, c in _transition_memo[vcode].terms.items():
+            e = e[: j - 1] + (e[j - 1] + 1,) + e[j:]
+            terms[pool(e, e)] = c
+        poly = LaurentPoly._of(n, terms)
         for c in bcodes:
             poly = poly + _transition_memo[c]
         _transition_memo[cur] = poly
@@ -195,16 +216,30 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
     _require_poly(f, "expand_in_schubert polynomial")
     res: dict = {}
     work = dict(f.terms)
+    if work and not f.n:
+        # a constant in no variables: there is no empty-weight S_mu
+        raise ValueError("empty weight vector")
+    # every key of work is on the heap, pushed as it enters, so the least
+    # live entry is min(work); an entry popped after its key left is stale
+    heap = list(work)
+    heapify(heap)
+    get = work.get
     while work:
-        pick = min(work)
-        c = work[pick]
+        pick = heappop(heap)
+        c = get(pick)
+        if c is None:
+            continue
         res[pick] = res.get(pick, 0) + c
-        for exp, a in schubert_poly(pick).terms.items():
-            acc = work.get(exp, 0) - c * a
-            if acc:
-                work[exp] = acc
-            else:
+        for exp, a in _at_weight(_schubert_transition, pick).terms.items():
+            d = c * a
+            old = get(exp)
+            if old is None:
+                heappush(heap, exp)
+                work[exp] = -d
+            elif old == d:
                 del work[exp]
+            else:
+                work[exp] = old - d
     return {mu: c for mu, c in res.items() if c}
 
 

@@ -904,6 +904,7 @@ class TestClearCaches:
         assert filtration._annihilator_exponents.cache_info().currsize == 0
         assert not schubert._transition_memo
         assert not schubert._staircase_memo
+        assert not schubert._exponent_pool
         assert schubert.vandermonde.cache_info().currsize == 0
         assert snapshot() == before
 

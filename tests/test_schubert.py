@@ -371,6 +371,47 @@ class TestStaircaseAgainstReference:
         assert schubert_poly((60,), "staircase") == LaurentPoly.monomial(1, (60,))
 
 
+class TestExponentPool:
+    """Both Schubert memos keep their exponents through one pool, so a value
+    held by many terms is one tuple; the transition builds x_j * S_v itself,
+    and its terms keep the order of shift-then-add."""
+
+    def test_cold_s6_sweeps_store_pool_entries(self, monkeypatch):
+        for memo in ("_transition_memo", "_staircase_memo", "_exponent_pool"):
+            monkeypatch.setattr(schubert, memo, {})
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                for method in ("transition", "staircase"):
+                    schubert_poly(code(w, n), method)
+        pool = schubert._exponent_pool
+        polys = [*schubert._transition_memo.values(), *schubert._staircase_memo.values()]
+        keys = [e for p in polys for e in p.terms]
+        assert all(pool[e] is e for e in keys)
+        # the pool holds what the memos hold and no more: the transition's
+        # sums never cancel, so no pooled exponent is dropped from a memo
+        assert set(pool) == set(keys)
+        # the sharing is real: terms outnumber distinct exponents here
+        assert len(keys) > 5 * len(pool)
+
+    def test_transition_keeps_the_identity_order(self):
+        # S_w = x_j * S_v + sum of S_b over the branches, term order included
+        checked = 0
+        for w in all_permutations(6):
+            lam = code(w, 6)
+            if all(lam[t] >= lam[t + 1] for t in range(5)):
+                continue
+            td = transition(w)
+            ej = [0] * 6
+            ej[td.j - 1] = 1
+            rhs = schubert_poly(code(td.v, 6)).shift(tuple(ej))
+            for _, wa in td.branches:
+                rhs = rhs + schubert_poly(code(wa, 6))
+            assert list(schubert_poly(lam).terms.items()) == list(rhs.terms.items()), lam
+            checked += 1
+        # the other 132 codes, a Catalan number, are weakly decreasing
+        assert checked == 588
+
+
 class TestExpandAgainstReference:
     """``expand_in_schubert`` subtracts from one running remainder; the
     reference builds a new remainder each round.  Picks, coefficients and
