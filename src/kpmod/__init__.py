@@ -67,14 +67,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the process-wide memos (KP modules, wedge factors, rank-3
+    """Empty the process-wide memos (KP modules, diagram ambients, rank-3
     modules, criterion exponent tables, Vandermonde products, the
     staircase's and the transition's Schubert polynomials, and the pool of
     exponent tuples those two share); results stay equal."""
     for memo in (
         modules._kp_cached,
         filtration._annihilator_exponents,
-        modules._wedge_factor,
+        modules._diagram_ambient,
         modules._sl3_cached,
         schubert.vandermonde,
     ):

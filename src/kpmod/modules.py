@@ -8,10 +8,11 @@ module caches it.  Submodules are closed under the simple e_{i,i+1} alone,
 which generate U(n+), starting from weight vectors that enter with their
 weights: e_ij sends weight wt to wt + eps_i - eps_j, so a closure follows
 its vectors' weights and never looks one up (``_close``).  Three closures
-run in a ``_WedgeAmbient``, a tensor of exterior powers never enumerated:
-Kraskiewicz-Pragacz and Demazure (key) modules from the column-wedge vector
-of a diagram (``diagram_module``), and Schur-functor images S^sigma(M) from
-wedged row-symmetrized tuples (``young_symmetrizer_image``).  Cyclic
+run in a tensor of exterior powers never enumerated: Kraskiewicz-Pragacz
+and Demazure (key) modules from the column-wedge vector of a diagram
+(``diagram_module``, on one bit field of absent rows per column), and
+Schur-functor images S^sigma(M) from wedged row-symmetrized tuples
+(``young_symmetrizer_image``, on move tables of Lambda^k M).  Cyclic
 submodules, annihilator checks of the diagram generator and the rank-3
 operator identities of the verification suites complete the module.
 
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled
-from .permutations import Permutation, _code_window, code, m_table
+from .permutations import Permutation, _code_window, _perm_window, _window_m_table, code
 from .schubert import _check_partition, schubert_poly
 
 
@@ -83,6 +84,10 @@ class _Action:
                 return vec
             vec = self.apply(pair, vec)
         return vec
+
+    def simple_images(self, vec: dict) -> list:
+        """Images of a sparse vector under the ``simple_pairs``, in order."""
+        return [self.apply((i, i + 1), vec) for i in range(1, self.n)]
 
     def simple_pairs(self) -> tuple:
         return tuple((i, i + 1) for i in range(1, self.n))
@@ -402,8 +407,7 @@ class SubmoduleCloser:
         pairs = self.module.simple_pairs()
         while queue:
             wt, v = queue.pop()
-            for pair in pairs:
-                img = self.module.apply(pair, v)
+            for pair, img in zip(pairs, self.module.simple_images(v)):
                 if img:
                     self._insert(_raised(wt, pair), img, queue, added)
         return added
@@ -463,27 +467,15 @@ def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
 # ---------------------------------------------------------------------------
 # Diagram modules: KP and Demazure
 
-@lru_cache(maxsize=None)
-def _wedge_factor(n: int, k: int) -> WeightModule:
-    """Lambda^k K^n; at most C(n, n/2) vectors, so outside KP_MAX_DIM."""
-    return _power(vector_rep(n), list(itertools.combinations(range(n), k)), _wedge_place)
-
-
 class _WedgeAmbient(_Tensor):
-    """The tensor of Lambda^k M over the column lengths k of a diagram,
-    keyed like ``tensor_many`` over the ``exterior_power(M, k)``; M is
-    ``base``, or K^n, and a length-one column is M itself.  Nothing is
-    enumerated and no key has a stored weight: a closure derives every
-    weight from those of the vectors it starts from.  The action walks the
-    factors' move tables; the Lambda^k K^n factors are shared by every
-    ambient over K^n, and so are their tables."""
+    """The tensor of Lambda^k M, M = ``base``, over the column lengths k of
+    a diagram, keyed like ``tensor_many`` over the ``exterior_power(M, k)``
+    (a length-one column is M itself) and acting by their move tables.  No
+    key is enumerated or weighed: a closure derives every weight."""
 
-    def __init__(self, lengths, n: int, base=None):
-        self.d = n if base is None else base.dim
-        if base is None:
-            factors = {k: _wedge_factor(n, k) for k in lengths}
-        else:
-            factors = {k: base if k == 1 else exterior_power(base, k) for k in lengths}
+    def __init__(self, lengths, n: int, base):
+        self.d = base.dim
+        factors = {k: base if k == 1 else exterior_power(base, k) for k in lengths}
         super().__init__([factors[k] for k in lengths], n)
 
     def wedge(self, columns):
@@ -505,10 +497,81 @@ class _WedgeAmbient(_Tensor):
         return key, sign
 
 
+class _DiagramAmbient(_Action):
+    """The tensor of the Lambda^k K^n over the columns of a diagram, keyed
+    by one n-bit field per column, column 0 the highest, with bit n - r set
+    when row r is absent; integer order on keys is that of the mixed-radix
+    keys of ``tensor_many`` over the ``exterior_power(vector_rep(n), k)``.
+    e_ij moves row j of a column to row i: with A_i the bit n - i of every
+    field, ``key & A_i & ~(key << (j - i))`` has one bit per column holding
+    j but not i, and the sign is the parity of its rows between i and j."""
+
+    __slots__ = ("n", "_pairs", "_simple")
+
+    def __init__(self, ncols: int, n: int):
+        self.n = n
+        every = sum(1 << n * c for c in range(ncols))  # bit 0 of every field
+        self._pairs = {(i, j): (every << n - i, j - i) for i, j in self.raising_pairs()}  # A_i, j - i
+        self._simple = every * ((1 << n) - 2)  # A_1 | ... | A_{n-1}
+
+    def key(self, columns) -> int:
+        """Key of the column wedge of ``columns``, sets of rows 1..n."""
+        n, key = self.n, 0
+        for rows in columns:
+            key = key << n | ((1 << n) - 1) ^ sum(1 << n - r for r in rows)
+        return key
+
+    def apply(self, pair, vec: dict) -> dict:
+        try:
+            a, d = self._pairs[pair]
+        except KeyError:
+            raise KeyError(f"operator {pair} is not a raising pair of n = {self.n}") from None
+        out: dict = {}
+        for key, c in vec.items():
+            cand = key & a & ~(key << d)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                img = key ^ low ^ low >> d
+                # the d - 1 bits below low are the rows between; set = absent
+                odd = (d - 1 + (key & low - (low >> d - 1)).bit_count()) & 1
+                acc = out.get(img, 0) + (-c if odd else c)
+                if acc:
+                    out[img] = acc
+                else:
+                    del out[img]
+        return out
+
+    def simple_images(self, vec: dict) -> list:
+        """One pass over the keys: every sign is +1, a bit's field place names the pair."""
+        n = self.n
+        images = [{} for _ in range(n - 1)]
+        for key, c in vec.items():
+            cand = key & self._simple & ~(key << 1)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                img = images[n - 1 - (low.bit_length() - 1) % n]
+                k = key ^ low ^ low >> 1
+                acc = img.get(k, 0) + c
+                if acc:
+                    img[k] = acc
+                else:
+                    del img[k]
+        return images
+
+    def column(self, pair, idx: int) -> dict:
+        return self.apply(pair, {idx: ONE})
+
+
+#: One ambient per (column count, n): the masks depend on nothing else.
+_diagram_ambient = lru_cache(maxsize=None)(_DiagramAmbient)
+
+
 def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightModule:
     """Cyclic U(n+)-module generated by the column-wedge vector of a diagram:
     ``columns`` lists one set of rows (1..n) per column, and the generator
-    is the tensor of the wedges of their rows, in a ``_WedgeAmbient``.  The
+    is the tensor of the wedges of their rows, in a ``_DiagramAmbient``.  The
     closure starts from the generator's weight and never enumerates or
     weighs the ambient.  KP_MAX_DIM caps the closure rank; ``what`` names
     the construction in that error.
@@ -528,12 +591,12 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
 
 
 def _diagram_generator(columns, n: int) -> tuple:
-    """The ``_WedgeAmbient`` of a diagram's column lengths and its
-    column-wedge generator, a (weight, vector) pair whose weight counts the
-    columns that hold each row."""
-    amb = _WedgeAmbient([len(rows) for rows in columns], n)
+    """The ``_DiagramAmbient`` of a diagram and its column-wedge generator,
+    a (weight, vector) pair whose weight counts the columns that hold each
+    row."""
+    amb = _diagram_ambient(len(columns), n)
     wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
-    return amb, (wt, {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE})
+    return amb, (wt, {amb.key(columns): ONE})
 
 
 def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
@@ -685,8 +748,9 @@ class AnnihilatorReport:
 
 
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
+    win = _perm_window(w, "annihilator_check")
     lam = code(w, n)
-    table = m_table(w, n)
+    table = _window_m_table(win, n)
     amb, (_, gen) = _diagram_generator(_kp_columns(lam), n)
     failed = []
     non_sharp = []

@@ -147,10 +147,18 @@ def code(w: Permutation, n: int) -> tuple:
     >>> code(Permutation([2, 1, 4, 3]), 4)
     (1, 0, 1, 0)
     """
+    win = _perm_window(w, "code")
     _require_int(n, "code n")
     if n < 1:
         raise ValueError("n must be positive")
-    return _window_code(w.window, n)
+    return _window_code(win, n)
+
+
+def _perm_window(w, fn: str) -> tuple:
+    """The window of w; a ValueError naming ``fn`` unless w is a Permutation."""
+    if not isinstance(w, Permutation):
+        raise ValueError(f"{fn}: argument w must be a Permutation, got {w!r}")
+    return w.window
 
 
 def _window_code(win, n: int) -> tuple:
@@ -218,9 +226,15 @@ class MTable:
 
 
 def m_table(w: Permutation, n: int) -> MTable:
+    win = _perm_window(w, "m_table")
     _require_int(n, "m_table n")
     code(w, n)  # validates membership
-    win = w.one_line(max(w.size, n))
+    return _window_m_table(win, n)
+
+
+def _window_m_table(win, n: int) -> MTable:
+    """:func:`m_table` of the window of a permutation increasing past n."""
+    win = tuple(win) + tuple(range(len(win) + 1, n + 1))
     # the identity tail past the window never lies strictly between two images
     entries = {}
     for i in range(n):
@@ -262,7 +276,7 @@ class TransitionData:
 
 
 def transition(w: Permutation) -> TransitionData:
-    j, k, v, branches = _transition_window(w.window)
+    j, k, v, branches = _transition_window(_perm_window(w, "transition"))
     return TransitionData(
         j, k, Permutation(v), tuple((i, Permutation(b)) for i, b in branches)
     )
@@ -426,7 +440,7 @@ def rho(n: int) -> tuple:
 def contains_2143(w: Permutation) -> bool:
     """Does w contain the pattern 2143 (positions i<j<k<l with
     w(j) < w(i) < w(l) < w(k))?"""
-    win = w.window
+    win = _perm_window(w, "contains_2143")
     N = len(win)
     for j in range(1, N):
         for i in range(j):

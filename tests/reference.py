@@ -23,19 +23,38 @@ divides x^rho down it, against which the tests check the staircase of
 ``schubert_poly``, which builds each window's polynomial once.
 ``reference_expand_in_schubert`` builds a new remainder every round,
 against which the tests check ``expand_in_schubert``, which subtracts from
-one.
+one.  ``ReferenceWedgeAmbient`` is the tensor of the Lambda^k K^n on
+mixed-radix keys, walking one move table per factor, and
+``reference_diagram_module`` and ``reference_annihilator_check`` close and
+annihilate the diagram generator in it, against which the tests check
+``diagram_module`` and ``annihilator_check``, which run on the bit-field
+keys of ``_DiagramAmbient``; ``mixed_radix_key`` translates one key into
+the other.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from kpmod.laurent import LaurentPoly, _require_int, _require_poly
 from kpmod.linalg import ONE, Echelon, axpy
-from kpmod.modules import WeightModule, _raised
-from kpmod.permutations import Permutation, _code_window, rho
+from kpmod.modules import (
+    AnnihilatorReport,
+    WeightModule,
+    _close,
+    _kp_columns,
+    _power,
+    _raised,
+    _Tensor,
+    _wedge_place,
+    exterior_power,
+    vector_rep,
+)
+from kpmod.permutations import Permutation, _code_window, code, m_table, rho
 from kpmod.schubert import _check_partition, divided_difference, schubert_poly, vandermonde
 
 
@@ -374,3 +393,94 @@ def reference_expand_in_schubert(f: LaurentPoly) -> dict:
         res[pick] = res.get(pick, 0) + c
         work = work - schubert_poly(pick) * c
     return {mu: c for mu, c in res.items() if c}
+
+
+@lru_cache(maxsize=None)
+def reference_wedge_factor(n: int, k: int) -> WeightModule:
+    """Lambda^k K^n; at most C(n, n/2) vectors, so outside KP_MAX_DIM."""
+    return _power(vector_rep(n), list(itertools.combinations(range(n), k)), _wedge_place)
+
+
+class ReferenceWedgeAmbient(_Tensor):
+    """The tensor of Lambda^k M over the column lengths k of a diagram,
+    keyed like ``tensor_many`` over the ``exterior_power(M, k)``; M is
+    ``base``, or K^n, and a length-one column is M itself.  Nothing is
+    enumerated and no key has a stored weight: a closure derives every
+    weight from those of the vectors it starts from.  The action walks the
+    factors' move tables; the Lambda^k K^n factors are shared by every
+    ambient over K^n, and so are their tables."""
+
+    def __init__(self, lengths, n: int, base=None):
+        self.d = n if base is None else base.dim
+        if base is None:
+            factors = {k: reference_wedge_factor(n, k) for k in lengths}
+        else:
+            factors = {k: base if k == 1 else exterior_power(base, k) for k in lengths}
+        super().__init__([factors[k] for k in lengths], n)
+
+    def wedge(self, columns):
+        """(key, sign) of the tensor of the wedges of ``columns``, lists of
+        basis indices of M, the sign that of sorting them; None on a repeat."""
+        key, sign, d = 0, 1, self.d
+        for (_, size, stride), col in zip(self.slots, columns):
+            if len(col) == 1:
+                key += col[0] * stride
+                continue
+            combo = sorted(col)
+            if len(set(combo)) < len(combo):
+                return None
+            if combo != col:
+                sign *= (-1) ** sum(a > b for t, a in enumerate(col) for b in col[t + 1:])
+            # the place of combo among the combinations of range(d)
+            lex = sum(math.comb(d - 1 - c, len(col) - t) for t, c in enumerate(combo))
+            key += (size - 1 - lex) * stride
+        return key, sign
+
+
+def mixed_radix_key(key: int, lengths, n: int) -> int:
+    """The ``ReferenceWedgeAmbient(lengths, n)`` key of the tensor of wedges
+    whose ``_DiagramAmbient`` key is ``key``: n bits per column, column 0
+    the highest, bit n - r set when row r is absent.  Each column's digit is
+    the place of its rows among the combinations of range(n)."""
+    out = 0
+    for c, k in enumerate(lengths):
+        field = key >> n * (len(lengths) - 1 - c) & (1 << n) - 1
+        rows = tuple(r for r in range(n) if not field >> n - 1 - r & 1)
+        combos = list(itertools.combinations(range(n), k))
+        out = out * len(combos) + combos.index(rows)
+    return out
+
+
+def _reference_generator(columns, n: int) -> tuple:
+    amb = ReferenceWedgeAmbient([len(rows) for rows in columns], n)
+    wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
+    return amb, (wt, {amb.wedge([[r - 1 for r in rows] for rows in columns])[0]: ONE})
+
+
+def reference_diagram_module(columns, n: int) -> WeightModule:
+    """``diagram_module`` of a diagram, the library's closure run in the
+    ``ReferenceWedgeAmbient``."""
+    amb, gen = _reference_generator(columns, n)
+    return _close(amb, [gen], "reference_diagram_module", gen)
+
+
+def reference_annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
+    """``annihilator_check``, its powers applied in the
+    ``ReferenceWedgeAmbient`` and its dimension that of
+    ``reference_diagram_module``."""
+    lam = code(w, n)
+    table = m_table(w, n)
+    columns = _kp_columns(lam)
+    amb, (_, gen) = _reference_generator(columns, n)
+    failed = []
+    non_sharp = []
+    for (i, j), m in sorted(table.entries.items()):
+        v = amb.apply_power((i, j), gen, m)
+        if m >= 1 and not v:
+            non_sharp.append((i, j))
+        if amb.apply((i, j), v):
+            failed.append((i, j))
+    pruned_ok = all(p not in set(failed) for p in table.pruned)
+    dim = reference_diagram_module(columns, n).dim
+    sval = schubert_poly(lam).eval_ones()
+    return AnnihilatorReport(w, n, table, tuple(failed), tuple(non_sharp), pruned_ok, dim, sval)

@@ -20,6 +20,7 @@ from kpmod.modules import (
     _proportional,
     _Tensor,
     _WedgeAmbient,
+    _diagram_ambient,
     _kp_columns,
     annihilator_check,
     cyclic_submodule,
@@ -48,7 +49,18 @@ from kpmod.permutations import (
     rho,
 )
 from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
-from reference import ModuleMap, ReferenceEchelon, dual_twist, hom_dim, hom_space, inversion_data
+from reference import (
+    ModuleMap,
+    ReferenceEchelon,
+    ReferenceWedgeAmbient,
+    dual_twist,
+    hom_dim,
+    hom_space,
+    inversion_data,
+    mixed_radix_key,
+    reference_annihilator_check,
+    reference_diagram_module,
+)
 
 
 def x(n, i):
@@ -248,9 +260,13 @@ class TestConstructors:
         for pair in [(2, 1), (1, 4), (2, 2)]:
             with pytest.raises(KeyError, match=r"not a raising pair of n = 3"):
                 V.column(pair, 0)
-        # the tensor action reads the factors' move tables, which check too
-        amb = _WedgeAmbient([2, 1], 3)
-        gen = {amb.wedge([[0, 1], [2]])[0]: ONE}
+        # the diagram ambient checks too, and so does the tensor action,
+        # which reads the factors' move tables
+        amb = _diagram_ambient(2, 3)
+        key = amb.key([[1, 2], [3]])
+        ref_key = ReferenceWedgeAmbient([2, 1], 3).wedge([[0, 1], [2]])[0]
+        assert mixed_radix_key(key, [2, 1], 3) == ref_key
+        gen = {key: ONE}
         T = tensor_many([kp_module((0, 1, 0)), kp_module((1, 0, 1))])
         for act in (lambda: amb.apply((2, 1), gen), lambda: T.column((2, 1), 0)):
             with pytest.raises(KeyError, match=r"operator \(2, 1\) is not a raising pair of n = 3"):
@@ -540,15 +556,19 @@ class TestDiagramEngine:
         n = 4
         for lam in [(1, 0, 1, 0), (0, 2, 1, 0), (2, 0, 1, 0), (3, 2, 0, 0)]:
             columns = inversion_columns(lam)
-            amb = _WedgeAmbient([len(c) for c in columns], n)
-            gen = {amb.wedge([[r - 1 for r in c] for c in columns])[0]: ONE}
+            lengths = [len(c) for c in columns]
+            view = RadixView(_diagram_ambient(len(columns), n), lengths)
+            gen_key = view.amb.key(columns)
+            gen = {view.radix(gen_key): ONE}
+            ref = ReferenceWedgeAmbient(lengths, n)
+            assert list(gen) == [ref.wedge([[r - 1 for r in c] for c in columns])[0]]
             eager = tensor_many([exterior_power(vector_rep(n), len(c)) for c in columns], n)
             frontier = list(gen)
             seen = set(frontier)
             while frontier:
                 key = frontier.pop()
-                for pair in amb.raising_pairs():
-                    col = amb.column(pair, key)
+                for pair in view.raising_pairs():
+                    col = view.column(pair, key)
                     assert col == eager.column(pair, key)
                     frontier.extend(k for k in col if k not in seen)
                     seen.update(col)
@@ -557,12 +577,13 @@ class TestDiagramEngine:
             assert gen_wt == tuple(sum(r in c for c in columns) for r in range(1, n + 1))
             # every basis weight of diagram_module is the eager weight at
             # the pivot key of its echelon row, and at the row's other keys
-            closer = SubmoduleCloser(amb)
-            closer.add([(gen_wt, gen)])
+            closer = SubmoduleCloser(view.amb)
+            closer.add([(gen_wt, {gen_key: ONE})])
             basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
             assert list(diagram_module(columns, n).weights) == [wt for wt, _ in basis]
             for wt, p in basis:
-                assert all(eager.weights[key] == wt for key in closer.echelons[wt].rows[p])
+                assert all(eager.weights[view.radix(key)] == wt for key in closer.echelons[wt].rows[p])
+            view.assert_order_kept()
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_demazure_character_is_key_polynomial(self, m):
@@ -685,9 +706,64 @@ def check_against_reference(action, ref, starts, rng) -> int:
     return cancelled
 
 
+class RadixView:
+    """A ``_DiagramAmbient`` read on the mixed-radix keys of the reference
+    ambients: keys are translated both ways, and every bit key met is kept
+    with its translation, for ``assert_order_kept``."""
+
+    def __init__(self, amb, lengths):
+        self.amb, self.lengths, self.n = amb, list(lengths), amb.n
+        self.seen: dict = {}  # bit key -> mixed-radix key
+
+    def raising_pairs(self):
+        return self.amb.raising_pairs()
+
+    def radix(self, key: int) -> int:
+        out = self.seen[key] = mixed_radix_key(key, self.lengths, self.n)
+        return out
+
+    def bits(self, radix: int) -> int:
+        rest, columns = radix, []
+        for k in reversed(self.lengths):
+            combos = list(itertools.combinations(range(1, self.n + 1), k))
+            rest, digit = divmod(rest, len(combos))
+            columns.append(combos[digit])
+        key = self.amb.key(columns[::-1])
+        assert self.radix(key) == radix
+        return key
+
+    def apply(self, pair, vec: dict) -> dict:
+        image = self.amb.apply(pair, {self.bits(k): c for k, c in vec.items()})
+        return {self.radix(k): c for k, c in image.items()}
+
+    def column(self, pair, radix: int) -> dict:
+        return self.apply(pair, {radix: ONE})
+
+    def assert_order_kept(self):
+        """The translation is strictly increasing on every key met."""
+        radix = [self.seen[k] for k in sorted(self.seen)]
+        assert all(a < b for a, b in zip(radix, radix[1:]))
+
+
+class SimpleImagesView:
+    """``simple_images`` of an action read one simple pair at a time."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def raising_pairs(self):
+        return self.action.simple_pairs()
+
+    def apply(self, pair, vec: dict) -> dict:
+        images = self.action.simple_images(vec)
+        assert len(images) == self.action.n - 1
+        return images[pair[0] - 1]
+
+
 class TestFusedTensorAction:
-    """``_Tensor.apply`` (the move tables) against ``ReferenceTensor``, on
-    multi-key vectors whose images cancel."""
+    """``_Tensor.apply`` (the move tables) and the bit-field action of
+    ``_DiagramAmbient`` against ``ReferenceTensor``, on multi-key vectors
+    whose images cancel."""
 
     def test_diagram_ambients_of_s5_and_an_s6_slice(self):
         rng = random.Random(15)
@@ -696,10 +772,22 @@ class TestFusedTensorAction:
         cancelled = 0
         for lam, n in codes:
             columns = inversion_columns(lam)
-            amb = _WedgeAmbient([len(c) for c in columns], n)
+            view = RadixView(_diagram_ambient(len(columns), n), [len(c) for c in columns])
             ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
-            gen = amb.wedge([[r - 1 for r in c] for c in columns])[0]
-            cancelled += check_against_reference(amb, ref, [gen], rng)
+            gen = view.radix(view.amb.key(columns))
+            cancelled += check_against_reference(view, ref, [gen], rng)
+            view.assert_order_kept()
+        assert cancelled > 0
+
+    def test_simple_images_match_per_pair_apply(self):
+        rng = random.Random(25)
+        codes = [(code(w, 5), 5) for w in all_permutations(5)]
+        codes += [(code(w, 6), 6) for w in rng.sample(list(all_permutations(6)), 40)]
+        cancelled = 0
+        for lam, n in codes:
+            columns = inversion_columns(lam)
+            amb = _diagram_ambient(len(columns), n)
+            cancelled += check_against_reference(SimpleImagesView(amb), amb, [amb.key(columns)], rng)
         assert cancelled > 0
 
     @pytest.mark.parametrize(
@@ -728,6 +816,32 @@ class TestFusedTensorAction:
             cancelled += check_against_reference(_Tensor(factors, len(lam)), ref, starts, rng)
             cancelled += check_against_reference(T, ref, starts, rng)
         assert cancelled > 0
+
+
+class TestMixedRadixReference:
+    """``diagram_module`` and ``annihilator_check`` against the same
+    closures and powers run in the ``ReferenceWedgeAmbient`` of
+    tests/reference.py, byte for byte."""
+
+    def assert_same(self, M, R):
+        assert dumps(M) == dumps(R)
+        assert M.generator == R.generator
+
+    def test_every_s5_code(self):
+        for w in all_permutations(5):
+            lam = code(w, 5)
+            self.assert_same(kp_module(lam), reference_diagram_module(_kp_columns(lam), 5))
+
+    def test_seeded_s6_slice(self):
+        for w in random.Random(25).sample(list(all_permutations(6)), 60):
+            lam = code(w, 6)
+            self.assert_same(kp_module(lam), reference_diagram_module(_kp_columns(lam), 6))
+            assert annihilator_check(w, 6).to_json() == reference_annihilator_check(w, 6).to_json()
+
+    def test_demazure_box(self):
+        for lam in itertools.product(range(3), repeat=4):
+            columns = [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
+            self.assert_same(demazure_module(lam), reference_diagram_module(columns, 4))
 
 
 class TestSl3:

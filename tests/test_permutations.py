@@ -5,7 +5,7 @@ from functools import cmp_to_key
 import pytest
 
 from kpmod.filtration import sort_weights
-from kpmod.modules import WeightModule
+from kpmod.modules import WeightModule, annihilator_check
 from kpmod.permutations import (
     EQUAL,
     GREATER,
@@ -539,6 +539,23 @@ class TestIntegerArguments:
     def test_rejects_negative_sizes(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (code, (3,)),
+            (m_table, (3,)),
+            (transition, ()),
+            (contains_2143, ()),
+            (annihilator_check, (3,)),
+        ],
+        ids=["code", "m_table", "transition", "contains_2143", "annihilator_check"],
+    )
+    def test_rejects_a_tuple_for_a_permutation(self, fn, args):
+        # each was an AttributeError on 'window'
+        message = rf"^{fn.__name__}: argument w must be a Permutation, got \(2, 1, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            fn((2, 1, 3), *args)
 
     def test_smallest_arguments_still_accepted(self):
         assert rho(0) == ()
