@@ -34,18 +34,12 @@ from .modules import (
     tensor_many,
     young_symmetrizer_image,
 )
-from .permutations import m_table, perm_of, rho, standard_key
+from .permutations import _code_window, _window_m_table, rho, standard_key
 from .schubert import _check_partition, expand_in_schubert, plethysm_eval, schubert_poly
 
 
 class MixedDegreeError(ValueError):
     pass
-
-
-def degree_components(M: WeightModule):
-    """Total degrees occurring among the weights of M (the action preserves
-    them, so mixed modules split degree by degree)."""
-    return sorted({sum(w) for w in M.weights})
 
 
 def sort_weights(M: WeightModule) -> list:
@@ -118,7 +112,7 @@ def kp_filtration_extract(M: WeightModule) -> FiltrationReport:
     ok = True
     witness = None
     factors = []
-    zero = rhs = LaurentPoly.zero(M.n)
+    zero = rhs = LaurentPoly._of(M.n, {})
     for t, nu in enumerate(reversed(levels)):
         added = closer.add([(nu, {i: ONE}) for i in spaces[nu]])
         d = added.get(nu, 0)
@@ -127,7 +121,7 @@ def kp_filtration_extract(M: WeightModule) -> FiltrationReport:
             expected = schubert_poly(nu) * d
             rhs = rhs + expected
             factors.append((nu, d))
-        actual = LaurentPoly(M.n, added)
+        actual = LaurentPoly._of(M.n, added)
         if ok and actual != expected:
             ok = False
             witness = FiltrationWitness(len(levels) - t, nu, expected, actual)
@@ -160,8 +154,9 @@ def _annihilator_exponents(core: tuple) -> tuple:
     """The m_ij + 1 of kp(core), m = m_table(perm(core)), for a nonnegative
     code, over the pairs (i, j) in ``raising_pairs`` order; the criterion
     asks for the same shifted rho - nu once per weight of every module it
-    tests."""
-    return tuple(m + 1 for m in m_table(perm_of(core), len(core)).entries.values())
+    tests.  The untrimmed window of the code serves: a trailing fixed point
+    exceeds every earlier image, so never lies between w(i) < w(j)."""
+    return tuple(m + 1 for m in _window_m_table(_code_window(core), len(core)).entries.values())
 
 
 def _twisted_dual_hom_dim(M: WeightModule, nu: tuple) -> int:
@@ -205,7 +200,7 @@ def char_criterion(M: WeightModule) -> CriterionReport:
     out: it would mean a bug in the module or in this computation.
     """
     lhs = M.character()
-    rhs = LaurentPoly.zero(M.n)
+    rhs = LaurentPoly._of(M.n, {})
     mults = []
     for nu in sort_weights(M):
         h = _twisted_dual_hom_dim(M, nu)

@@ -36,9 +36,7 @@ class LaurentPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        _require_int(n, "variable count")
-        if n < 0:
-            raise ValueError(f"variable count must be nonnegative, got {n}")
+        _require_count(n, "variable count")
         self.n = n
         clean: dict = {}
         if terms:
@@ -211,9 +209,6 @@ class LaurentPoly:
     def coeff(self, exp) -> int:
         return self.terms.get(int_tuple(exp, "exponent"), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degrees(self) -> set:
         return {sum(e) for e in self.terms}
 
@@ -265,9 +260,7 @@ class LaurentPoly:
 
     def restrict(self, m: int) -> "LaurentPoly":
         """Drop trailing variables, which must not occur."""
-        _require_int(m, "variable count")
-        if m < 0:
-            raise ValueError(f"variable count must be nonnegative, got {m}")
+        _require_count(m, "variable count")
         if m > self.n:
             return self.extend(m)
         out = {}
@@ -370,6 +363,12 @@ def _require_int(value, field: str) -> None:
     # The exact-type test comes first: it is the common case on hot paths.
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _require_count(value, field: str) -> None:
+    _require_int(value, field)
+    if value < 0:
+        raise ValueError(f"{field} must be nonnegative, got {value}")
 
 
 def _require_poly(value, field: str) -> None:

@@ -12,7 +12,8 @@ run in a tensor of exterior powers never enumerated: Kraskiewicz-Pragacz
 and Demazure (key) modules from the column-wedge vector of a diagram
 (``diagram_module``, on one bit field of absent rows per column), and
 Schur-functor images S^sigma(M) from wedged row-symmetrized tuples
-(``young_symmetrizer_image``, on move tables of Lambda^k M).  Cyclic
+(``young_symmetrizer_image``, in a ``_Tensor`` of the Lambda^k M, each
+wedge keyed through the basis index its power is built on).  Cyclic
 submodules, annihilator checks of the diagram generator and the rank-3
 operator identities of the verification suites complete the module.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly, _require_int, int_tuple
+from .laurent import LaurentPoly, _require_count, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled
 from .permutations import Permutation, _code_window, _perm_window, _window_m_table, code
 from .schubert import _check_partition, schubert_poly
@@ -87,13 +88,20 @@ class _Action:
 
     def simple_images(self, vec: dict) -> list:
         """Images of a sparse vector under the ``simple_pairs``, in order."""
-        return [self.apply((i, i + 1), vec) for i in range(1, self.n)]
+        return [self.apply(pair, vec) for pair in _pairs(self.n)[0]]
 
     def simple_pairs(self) -> tuple:
-        return tuple((i, i + 1) for i in range(1, self.n))
+        return _pairs(self.n)[0]
 
     def raising_pairs(self) -> tuple:
-        return tuple((i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1))
+        return _pairs(self.n)[1]
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """(simple pairs (i, i + 1), raising pairs (i, j), i < j) of n, built once."""
+    raising = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return tuple(p for p in raising if p[1] == p[0] + 1), raising
 
 
 class WeightModule(_Action):
@@ -112,9 +120,7 @@ class WeightModule(_Action):
     __slots__ = ("n", "weights", "generator", "_cols", "_moves", "_builder", "_wspaces", "_levels")
 
     def __init__(self, n, weights, builder=None, generator=None):
-        _require_int(n, "WeightModule n")
-        if n < 0:
-            raise ValueError(f"WeightModule n must be nonnegative, got {n}")
+        _require_count(n, "WeightModule n")
         self.n = n
         self.weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
         for w in self.weights:
@@ -171,7 +177,7 @@ class WeightModule(_Action):
         counts: dict = {}
         for w in self.weights:
             counts[w] = counts.get(w, 0) + 1
-        return LaurentPoly(self.n, counts)
+        return LaurentPoly._of(self.n, counts)
 
     def to_json(self) -> dict:
         actions = {}
@@ -233,9 +239,7 @@ def tensor_many(factors, n=None) -> WeightModule:
     """
     factors = list(factors)
     if n is not None:
-        _require_int(n, "tensor_many n")
-        if n < 0:
-            raise ValueError(f"tensor_many n must be nonnegative, got {n}")
+        _require_count(n, "tensor_many n")
     if not factors:
         if n is None:
             raise ValueError("empty tensor product needs an explicit n")
@@ -293,10 +297,11 @@ class _Tensor(_Action):
         return self.apply(pair, {idx: ONE})
 
 
-def _power(M: WeightModule, combos: list, place) -> WeightModule:
-    """A power of M on the index tuples ``combos``: ``place(others, r, t)``
-    is the tuple and sign once slot t becomes r, or None if that vanishes."""
-    index = {c: t for t, c in enumerate(combos)}
+def _power(M: WeightModule, index: dict, place) -> WeightModule:
+    """A power of M on the index tuples of ``index``, each mapped to its
+    place in the basis: ``place(others, r, t)`` is the tuple and sign once
+    slot t becomes r, or None if that vanishes."""
+    combos = list(index)
     weights = [_weight_sum(M.n, (M.weights[b] for b in combo)) for combo in combos]
 
     def builder(pair, idx):
@@ -319,6 +324,11 @@ def _power(M: WeightModule, combos: list, place) -> WeightModule:
     return WeightModule(M.n, weights, builder)
 
 
+def _index(combos) -> dict:
+    """{tuple: place} over ``combos``, the basis order of a power."""
+    return {c: t for t, c in enumerate(combos)}
+
+
 def _wedge_place(others, r, t):
     if r in others:
         return None
@@ -336,7 +346,7 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
     if k > M.dim:
         return WeightModule(M.n, [])
     _check_dim(math.comb(M.dim, k), f"exterior_power {k} of a {M.dim}-dim module")
-    return _power(M, list(itertools.combinations(range(M.dim), k)), _wedge_place)
+    return _power(M, _index(itertools.combinations(range(M.dim), k)), _wedge_place)
 
 
 def symmetric_power(M: WeightModule, k: int) -> WeightModule:
@@ -346,8 +356,8 @@ def symmetric_power(M: WeightModule, k: int) -> WeightModule:
         raise ValueError("negative symmetric power")
     # C(dim + k - 1, k) multisets; the max covers dim = k = 0, one empty tuple
     _check_dim(math.comb(max(M.dim + k - 1, 0), k), f"symmetric_power {k} of a {M.dim}-dim module")
-    combos = list(itertools.combinations_with_replacement(range(M.dim), k))
-    return _power(M, combos, lambda others, r, t: (tuple(sorted(others + (r,))), 1))
+    combos = itertools.combinations_with_replacement(range(M.dim), k)
+    return _power(M, _index(combos), lambda others, r, t: (tuple(sorted(others + (r,))), 1))
 
 
 def shift_weights(M: WeightModule, delta) -> WeightModule:
@@ -467,36 +477,6 @@ def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
 # ---------------------------------------------------------------------------
 # Diagram modules: KP and Demazure
 
-class _WedgeAmbient(_Tensor):
-    """The tensor of Lambda^k M, M = ``base``, over the column lengths k of
-    a diagram, keyed like ``tensor_many`` over the ``exterior_power(M, k)``
-    (a length-one column is M itself) and acting by their move tables.  No
-    key is enumerated or weighed: a closure derives every weight."""
-
-    def __init__(self, lengths, n: int, base):
-        self.d = base.dim
-        factors = {k: base if k == 1 else exterior_power(base, k) for k in lengths}
-        super().__init__([factors[k] for k in lengths], n)
-
-    def wedge(self, columns):
-        """(key, sign) of the tensor of the wedges of ``columns``, lists of
-        basis indices of M, the sign that of sorting them; None on a repeat."""
-        key, sign, d = 0, 1, self.d
-        for (_, size, stride), col in zip(self.slots, columns):
-            if len(col) == 1:
-                key += col[0] * stride
-                continue
-            combo = sorted(col)
-            if len(set(combo)) < len(combo):
-                return None
-            if combo != col:
-                sign *= (-1) ** sum(a > b for t, a in enumerate(col) for b in col[t + 1:])
-            # the place of combo among the combinations of range(d)
-            lex = sum(math.comb(d - 1 - c, len(col) - t) for t, c in enumerate(combo))
-            key += (size - 1 - lex) * stride
-        return key, sign
-
-
 class _DiagramAmbient(_Action):
     """The tensor of the Lambda^k K^n over the columns of a diagram, keyed
     by one n-bit field per column, column 0 the highest, with bit n - r set
@@ -602,16 +582,18 @@ def _diagram_generator(columns, n: int) -> tuple:
 def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     """The Schur functor S^sigma(M), the image of the Young symmetrizer
     a_sigma b_sigma (rows symmetrized, columns antisymmetrized) on
-    M^{(x) k}, k = |sigma|, closed in a ``_WedgeAmbient`` over the columns
-    of sigma.  Wedging each column's factors is injective on im(b_sigma) and
-    turns b_sigma into a sign, so it carries im(b_sigma a_sigma), a copy of
-    S^sigma(M), onto the span of the wedged a_sigma x; if M = U(n+) g, the x
-    whose first index lies in the support of ``M.generator`` suffice.  More
-    rows than dim M give the zero module.  Raises ValueError unless sigma is
-    a partition, and ModuleTooLargeError when the row terms (the product of
+    M^{(x) k}, k = |sigma|, closed in the ``_Tensor`` of the Lambda^k M
+    over the columns of sigma (M itself for a length-one column), where each
+    column wedge finds its key in the basis index of its power.  Wedging
+    each column's factors is injective on im(b_sigma) and turns b_sigma into
+    a sign, so it carries im(b_sigma a_sigma), a copy of S^sigma(M), onto
+    the span of the wedged a_sigma x; if M = U(n+) g, the x whose first
+    index lies in the support of ``M.generator`` suffice.  More rows than
+    dim M give the zero module.  Raises ValueError unless sigma is a
+    partition, and ModuleTooLargeError when the row terms (the product of
     the factorials of the parts), the seed tuples x (counted before any is
     wedged), the basis of an exterior power of M over a column (counted
-    before the ambient is built) or the closure rank exceed KP_MAX_DIM.
+    before the power is built) or the closure rank exceed KP_MAX_DIM.
     """
     sigma = _check_partition(sigma)
     cap = max_dim()
@@ -628,25 +610,41 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     if tuples > cap:
         raise _too_large(what, "seed tuples", tuples, cap)
     lengths = [sum(p > c for p in sigma) for c in range(sigma[0] if sigma else 0)]
-    for k in dict.fromkeys(lengths):
+    indexes = {}
+    for k in dict.fromkeys(k for k in lengths if k > 1):
         size = math.comb(M.dim, k)
-        if k > 1 and size > cap:
+        if size > cap:
             raise _too_large(what, f"exterior_power {k} basis size", size, cap)
-    amb = _WedgeAmbient(lengths, M.n, M)
+        indexes[k] = _index(itertools.combinations(range(M.dim), k))
+    powers = {k: _power(M, index, _wedge_place) for k, index in indexes.items()}
+    amb = _Tensor([powers.get(k, M) for k in lengths], M.n)
     # a row term permutes slots within each row; column c takes each row's slot c
     rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
     placements = [
         [[row[c] for row in term if len(row) > c] for c in range(len(lengths))]
         for term in itertools.product(*map(itertools.permutations, rows))
     ]
+    columns = [(indexes.get(k), stride) for k, (_, _, stride) in zip(lengths, amb.slots)]
 
     def seeds():
         for x in itertools.product(*slots):
             acc: dict = {}
             for place in placements:
-                wedged = amb.wedge([[x[s] for s in col] for col in place])
-                if wedged:
-                    acc[wedged[0]] = acc.get(wedged[0], 0) + wedged[1]
+                key, sign = 0, 1
+                for (index, stride), slot in zip(columns, place):
+                    if index is None:  # a length-one column
+                        key += x[slot[0]] * stride
+                        continue
+                    col = [x[s] for s in slot]
+                    combo = sorted(col)
+                    t = index.get(tuple(combo))
+                    if t is None:  # a repeated index wedges to zero
+                        break
+                    if combo != col:
+                        sign *= (-1) ** sum(a > b for i, a in enumerate(col) for b in col[i + 1:])
+                    key += t * stride
+                else:
+                    acc[key] = acc.get(key, 0) + sign
             v = {key: c for key, c in acc.items() if c}
             if v:  # of the weight of x: wedging and permuting keep weights
                 yield _weight_sum(M.n, (M.weights[b] for b in x)), v

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .laurent import _require_int, int_tuple
+from .laurent import _require_count, _require_int, int_tuple
 
 LESS = "less"
 EQUAL = "equal"
@@ -60,9 +60,7 @@ class Permutation:
 
     def one_line(self, n: int) -> tuple:
         """(w(1), ..., w(n)): the window cut or extended by the identity tail."""
-        _require_int(n, "one_line n")
-        if n < 0:
-            raise ValueError(f"one_line n must be nonnegative, got {n}")
+        _require_count(n, "one_line n")
         win = self.window
         return win[:n] + tuple(range(len(win) + 1, n + 1))
 
@@ -93,11 +91,6 @@ class Permutation:
     def sign(self) -> int:
         return -1 if self.length() % 2 else 1
 
-    def descents(self) -> tuple:
-        """Positions j with w(j) > w(j+1) (all lie inside the window)."""
-        win = self.window
-        return tuple(j for j in range(1, len(win)) if win[j - 1] > win[j])
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.window == other.window
 
@@ -123,9 +116,7 @@ def transposition(i: int, j: int) -> Permutation:
 
 
 def longest_element(m: int) -> Permutation:
-    _require_int(m, "longest_element m")
-    if m < 0:
-        raise ValueError(f"longest_element m must be nonnegative, got {m}")
+    _require_count(m, "longest_element m")
     return Permutation(range(m, 0, -1))
 
 
@@ -431,9 +422,7 @@ def weight_window(lam) -> list:
 
 def rho(n: int) -> tuple:
     """The staircase weight (n-1, n-2, ..., 0)."""
-    _require_int(n, "rho n")
-    if n < 0:
-        raise ValueError(f"rho n must be nonnegative, got {n}")
+    _require_count(n, "rho n")
     return tuple(range(n - 1, -1, -1))
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 
-from .laurent import LaurentPoly, _require_int, _require_poly, int_tuple
+from .laurent import LaurentPoly, _require_count, _require_int, _require_poly, int_tuple
 from .permutations import _code_window, _transition_window, _window_code, rho
 
 
@@ -247,9 +247,7 @@ def expand_in_schubert(f: LaurentPoly) -> dict:
 def vandermonde(n: int) -> LaurentPoly:
     """The product of (x_i - x_j) over 1 <= i < j <= n."""
     # typed: a cached vandermonde(1) must not answer vandermonde(True)
-    _require_int(n, "vandermonde n")
-    if n < 0:
-        raise ValueError(f"vandermonde n must be nonnegative, got {n}")
+    _require_count(n, "vandermonde n")
     poly = LaurentPoly.one(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -1,0 +1,131 @@
+"""Differential checks of the library against the slower routes of
+``reference.py``, past the sizes tier-1 reaches.
+
+    PYTHONPATH=src python tests/differential.py
+
+Each comparison is one function over one shared ``Tally``; the defaults are
+the full sizes, and the tests call every function at a small bound.  Every
+mismatch is printed, and the script exits nonzero on any mismatch or
+negative Schubert coefficient.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import sys
+
+from kpmod.modules import _kp_columns, annihilator_check, demazure_module, kp_module, young_symmetrizer_image
+from kpmod.permutations import all_permutations, code
+from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
+from reference import (
+    reference_annihilator_check,
+    reference_diagram_module,
+    reference_expand_in_schubert,
+    reference_plethysm_eval,
+    reference_young_symmetrizer_image,
+)
+
+
+class Tally:
+    """Checks made and failed; each failure is printed as it happens."""
+
+    def __init__(self):
+        self.checked = self.failed = 0
+
+    def require(self, ok: bool, what: str) -> None:
+        self.checked += 1
+        if not ok:
+            self.failed += 1
+            print(what)
+
+
+def dumps(M) -> str:
+    """The module's JSON and its generator, for a byte-for-byte comparison."""
+    gen = None if M.generator is None else {str(k): str(c) for k, c in M.generator.items()}
+    return json.dumps([M.to_json(), gen], sort_keys=True)
+
+
+def partitions(k: int, top: int):
+    if k == 0:
+        yield ()
+    for p in range(min(k, top), 0, -1):
+        for rest in partitions(k - p, p):
+            yield (p,) + rest
+
+
+def diagram_modules(tally: Tally, upto: int = 6, top: int = 3) -> None:
+    """Every KP module of S_1..S_upto, the S_upto annihilator reports and the
+    Demazure modules of {0..top}^4, built on the bit-field keys, against the
+    same closures and powers run on the mixed-radix keys."""
+    for n in range(1, upto + 1):
+        for w in all_permutations(n):
+            lam = code(w, n)
+            want = reference_diagram_module(_kp_columns(lam), n)
+            tally.require(dumps(kp_module(lam)) == dumps(want), f"mismatch: {lam}")
+    for w in all_permutations(upto):
+        got = json.dumps(annihilator_check(w, upto).to_json(), sort_keys=True)
+        want = json.dumps(reference_annihilator_check(w, upto).to_json(), sort_keys=True)
+        tally.require(got == want, f"mismatch: {w}")
+    for lam in itertools.product(range(top + 1), repeat=4):
+        columns = [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
+        want = reference_diagram_module(columns, 4)
+        tally.require(dumps(demazure_module(lam)) == dumps(want), f"mismatch: {lam}")
+
+
+def plethysm_jacobi_trudi(tally: Tally, sizes=((4, 6), (5, 4))) -> None:
+    """The branching rule against the Jacobi-Trudi determinant on every
+    partition of at most ``size`` over every Schubert polynomial of S_n,
+    for each (n, size)."""
+    for n, size in sizes:
+        shapes = [s for k in range(size + 1) for s in partitions(k, k)]
+        for w in all_permutations(n):
+            f = schubert_poly(code(w, n))
+            for sigma in shapes:
+                ok = plethysm_eval(sigma, f) == reference_plethysm_eval(sigma, f)
+                tally.require(ok, f"mismatch: {sigma} {code(w, n)}")
+
+
+def plethysm_expansion(tally: Tally, n: int = 6) -> None:
+    """s_sigma[S_w] for every S_n code and every |sigma| = 3, expanded in the
+    Schubert basis, against the reference expansion.  A negative coefficient
+    fails too: it would answer the paper's positivity question in the
+    negative."""
+    for w in all_permutations(n):
+        lam = code(w, n)
+        for sigma in ((3,), (2, 1), (1, 1, 1)):
+            f = plethysm_eval(sigma, schubert_poly(lam))
+            got = expand_in_schubert(f)
+            tally.require(got == reference_expand_in_schubert(f), f"mismatch: {sigma} {lam}")
+            tally.require(all(c >= 0 for c in got.values()), f"negative coefficient: {sigma} {lam}")
+
+
+def schur_images(tally: Tally, n: int = 5, size: int = 3) -> None:
+    """Every Schur image with |sigma| <= size of every S_n KP module, keyed
+    through each power's index, against the reference image, whose ambient
+    ranks each column wedge in closed form."""
+    shapes = [s for k in range(size + 1) for s in partitions(k, k)]
+    for w in all_permutations(n):
+        M = kp_module(code(w, n))
+        for sigma in shapes:
+            got = young_symmetrizer_image(M, sigma)
+            want = reference_young_symmetrizer_image(M, sigma)
+            tally.require(dumps(got) == dumps(want), f"mismatch: {sigma} {code(w, n)}")
+
+
+COMPARISONS = (diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images)
+
+
+def main() -> int:
+    tally = Tally()
+    for compare in COMPARISONS:
+        before = tally.checked, tally.failed
+        compare(tally)
+        checked, failed = tally.checked - before[0], tally.failed - before[1]
+        print(f"{compare.__name__}: {checked} checked, {failed} failed", flush=True)
+    print(f"total: {tally.checked} checked, {tally.failed} failed")
+    return 1 if tally.failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,13 +29,17 @@ mixed-radix keys, walking one move table per factor, and
 annihilate the diagram generator in it, against which the tests check
 ``diagram_module`` and ``annihilator_check``, which run on the bit-field
 keys of ``_DiagramAmbient``; ``mixed_radix_key`` translates one key into
-the other.
+the other.  ``reference_young_symmetrizer_image`` closes the Schur-functor
+image in a ``ReferenceWedgeAmbient`` over M, which ranks each column's
+combination in closed form, against which the tests check
+``young_symmetrizer_image``, which looks it up in the power's own index.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,12 +50,16 @@ from kpmod.modules import (
     AnnihilatorReport,
     WeightModule,
     _close,
+    _index,
     _kp_columns,
     _power,
     _raised,
     _Tensor,
+    _too_large,
     _wedge_place,
+    _weight_sum,
     exterior_power,
+    max_dim,
     vector_rep,
 )
 from kpmod.permutations import Permutation, _code_window, code, m_table, rho
@@ -350,7 +358,7 @@ def reference_plethysm_eval(sigma, f: LaurentPoly) -> LaurentPoly:
         term = LaurentPoly.one(f.n)
         for i in range(ell):
             term = term * entry(i, perm[i])
-            if term.is_zero():
+            if not term:
                 break
         det = det + term * Permutation([p + 1 for p in perm]).sign()
     return det
@@ -398,7 +406,7 @@ def reference_expand_in_schubert(f: LaurentPoly) -> dict:
 @lru_cache(maxsize=None)
 def reference_wedge_factor(n: int, k: int) -> WeightModule:
     """Lambda^k K^n; at most C(n, n/2) vectors, so outside KP_MAX_DIM."""
-    return _power(vector_rep(n), list(itertools.combinations(range(n), k)), _wedge_place)
+    return _power(vector_rep(n), _index(itertools.combinations(range(n), k)), _wedge_place)
 
 
 class ReferenceWedgeAmbient(_Tensor):
@@ -484,3 +492,48 @@ def reference_annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     dim = reference_diagram_module(columns, n).dim
     sval = schubert_poly(lam).eval_ones()
     return AnnihilatorReport(w, n, table, tuple(failed), tuple(non_sharp), pruned_ok, dim, sval)
+
+
+def reference_young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
+    """``young_symmetrizer_image`` closed in ``ReferenceWedgeAmbient(lengths,
+    M.n, M)``, whose ``wedge`` places each column by the closed-form rank of
+    its combination rather than through the power's index."""
+    sigma = _check_partition(sigma)
+    cap = max_dim()
+    what = f"young_symmetrizer_image of sigma {sigma}"
+    for size in itertools.accumulate((f for p in sigma for f in range(2, p + 1)), operator.mul):
+        if size > cap:
+            raise _too_large(what, "symmetrizer terms >=", size, cap)
+    if len(sigma) > M.dim:
+        return WeightModule(M.n, [])
+    slots = [range(M.dim)] * sum(sigma)
+    if slots and M.generator:
+        slots[0] = sorted(M.generator)
+    tuples = math.prod(map(len, slots))
+    if tuples > cap:
+        raise _too_large(what, "seed tuples", tuples, cap)
+    lengths = [sum(p > c for p in sigma) for c in range(sigma[0] if sigma else 0)]
+    for k in dict.fromkeys(lengths):
+        size = math.comb(M.dim, k)
+        if k > 1 and size > cap:
+            raise _too_large(what, f"exterior_power {k} basis size", size, cap)
+    amb = ReferenceWedgeAmbient(lengths, M.n, M)
+    # a row term permutes slots within each row; column c takes each row's slot c
+    rows = [range(end - part, end) for end, part in zip(itertools.accumulate(sigma), sigma)]
+    placements = [
+        [[row[c] for row in term if len(row) > c] for c in range(len(lengths))]
+        for term in itertools.product(*map(itertools.permutations, rows))
+    ]
+
+    def seeds():
+        for x in itertools.product(*slots):
+            acc: dict = {}
+            for place in placements:
+                wedged = amb.wedge([[x[s] for s in col] for col in place])
+                if wedged:
+                    acc[wedged[0]] = acc.get(wedged[0], 0) + wedged[1]
+            v = {key: c for key, c in acc.items() if c}
+            if v:  # of the weight of x: wedging and permuting keep weights
+                yield _weight_sum(M.n, (M.weights[b] for b in x)), v
+
+    return _close(amb, seeds(), what)

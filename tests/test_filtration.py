@@ -12,7 +12,6 @@ from kpmod.filtration import (
     MixedDegreeError,
     _twisted_dual_hom_dim,
     char_criterion,
-    degree_components,
     kp_filtration_extract,
     schur_functor_experiment,
     sort_weights,
@@ -34,9 +33,10 @@ from kpmod.modules import (
     tensor_many,
     vector_rep,
 )
-from kpmod.permutations import Permutation, all_permutations, code, rho
+from kpmod.permutations import Permutation, all_permutations, code, m_table, perm_of, rho
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
-from reference import dual_twist, hom_dim
+from differential import dumps as dumps_with_generator
+from reference import dual_twist, hom_dim, reference_young_symmetrizer_image
 
 
 def x(n, i):
@@ -69,7 +69,6 @@ class TestSortWeights:
         M = WeightModule(2, [(0, 0), (1, 0)])
         with pytest.raises(MixedDegreeError, match="degree"):
             sort_weights(M)
-        assert degree_components(M) == [0, 1]
 
 
 class TestExtractor:
@@ -287,7 +286,7 @@ class TestSchurFunctors:
         rep = schur_functor_experiment((1, 1, 1), (0, 1))
         assert rep.ok
         assert rep.extract.factors == ()
-        assert rep.plethysm.is_zero()
+        assert not rep.plethysm
 
     def test_hook_at_default_cap(self):
         # kp(rho - nu) for some weights of this image has a 6,144-vector
@@ -591,3 +590,38 @@ class TestYoungSymmetrizerReference:
         M = kp_module((1, 0, 1))
         assert dumps(young_symmetrizer_image(M, ())) == dumps(projected_reference_image(M, ()))
         assert young_symmetrizer_image(M, ()).dim == 1
+
+
+class TestYoungSymmetrizerIndexedWedges:
+    """``young_symmetrizer_image``, whose seeds find their keys through each
+    power's own index, against ``reference_young_symmetrizer_image``, whose
+    ambient ranks each column's combination in closed form."""
+
+    SHAPES = [(2,), (1, 1), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1)]
+
+    def test_every_s4_code(self):
+        for w in all_permutations(4):
+            M = kp_module(code(w, 4))
+            for sigma in self.SHAPES:
+                got = young_symmetrizer_image(M, sigma)
+                assert dumps_with_generator(got) == dumps_with_generator(reference_young_symmetrizer_image(M, sigma))
+
+    def test_seeded_s5_slice(self):
+        rng = random.Random(26)
+        for w in rng.sample(list(all_permutations(5)), 6):
+            M = kp_module(code(w, 5))
+            for sigma in ((2,), (1, 1), (2, 1), (1, 1, 1)):
+                got = young_symmetrizer_image(M, sigma)
+                assert dumps_with_generator(got) == dumps_with_generator(reference_young_symmetrizer_image(M, sigma))
+
+
+def test_annihilator_exponents_match_the_m_table():
+    # the untrimmed window of the code against the table of the minimal
+    # window: every code of S_1..S_6, and the codes of {0..3}^4, most of
+    # whose permutations move points past n, as the criterion's rho - nu do
+    cores = [code(w, n) for n in range(1, 7) for w in all_permutations(n)]
+    cores += list(itertools.product(range(4), repeat=4))
+    for core in cores:
+        expected = tuple(m + 1 for m in m_table(perm_of(core), len(core)).entries.values())
+        assert filtration._annihilator_exponents(core) == expected, core
+    assert len(cores) == 873 + 256

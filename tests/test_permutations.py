@@ -5,7 +5,8 @@ from functools import cmp_to_key
 import pytest
 
 from kpmod.filtration import sort_weights
-from kpmod.modules import WeightModule, annihilator_check
+from kpmod.laurent import LaurentPoly
+from kpmod.modules import WeightModule, annihilator_check, tensor_many
 from kpmod.permutations import (
     EQUAL,
     GREATER,
@@ -29,7 +30,7 @@ from kpmod.permutations import (
     transposition,
     weight_window,
 )
-from kpmod.schubert import schubert_poly
+from kpmod.schubert import schubert_poly, vandermonde
 from reference import inversion_data
 
 
@@ -436,7 +437,7 @@ def reference_code(w, n):
 def reference_transition(w):
     """(j, k, v, branches) built from Permutation products with
     transpositions, as transition() did before it read window tuples."""
-    j = w.descents()[-1]
+    j = max(j for j in range(1, w.size) if w(j) > w(j + 1))
     k = max(p for p in range(j + 1, w.size + 1) if w(p) < w(j))
     v = w * transposition(j, k)
     vj = v(j)
@@ -534,10 +535,17 @@ class TestIntegerArguments:
         [
             (lambda: rho(-1), r"rho n must be nonnegative, got -1"),
             (lambda: longest_element(-2), r"longest_element m must be nonnegative, got -2"),
+            # every count check of the package, one message each
+            (lambda: Permutation([2, 1]).one_line(-3), r"one_line n must be nonnegative, got -3"),
+            (lambda: vandermonde(-4), r"vandermonde n must be nonnegative, got -4"),
+            (lambda: LaurentPoly(-5), r"variable count must be nonnegative, got -5"),
+            (lambda: LaurentPoly.one(2).restrict(-6), r"variable count must be nonnegative, got -6"),
+            (lambda: WeightModule(-7, []), r"WeightModule n must be nonnegative, got -7"),
+            (lambda: tensor_many([], -8), r"tensor_many n must be nonnegative, got -8"),
         ],
     )
     def test_rejects_negative_sizes(self, call, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             call()
 
     @pytest.mark.parametrize(

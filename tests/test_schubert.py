@@ -68,7 +68,7 @@ def compositions(total, n):
 class TestDividedDifference:
     def test_basic_values(self):
         assert divided_difference(1, x(2, 1)) == LaurentPoly.one(2)
-        assert divided_difference(1, x(2, 1) * x(2, 2)).is_zero()
+        assert not divided_difference(1, x(2, 1) * x(2, 2))
         assert divided_difference(2, x(3, 1) ** 2 * x(3, 2)) == x(3, 1) ** 2
 
     def test_exactness_against_definition(self):
@@ -87,7 +87,7 @@ class TestDividedDifference:
             n = rng.randint(2, 4)
             i = rng.randint(1, n - 1)
             f = random_poly(rng, n)
-            assert divided_difference(i, divided_difference(i, f)).is_zero()
+            assert not divided_difference(i, divided_difference(i, f))
 
     def test_braid_and_commutation(self):
         rng = random.Random(4)
@@ -134,7 +134,7 @@ class TestDividedDifferenceAgainstReference:
             for i in range(1, n):
                 # f + s_i f is symmetric in x_i, x_{i+1}: every term cancels
                 sym = f + f.swap_adjacent(i)
-                assert divided_difference(i, sym).is_zero()
+                assert not divided_difference(i, sym)
                 self.check(sym)
 
     def test_mirror_absent_and_wide_gaps(self):
@@ -207,7 +207,7 @@ class TestSchubertPoly:
         # the sorted code in x_1..x_k; Jacobi-Trudi provides the oracle
         checked = 0
         for w in all_permutations(5):
-            descents = w.descents()
+            descents = [j for j in range(1, w.size) if w(j) > w(j + 1)]
             if len(descents) != 1:
                 continue
             k = descents[0]
@@ -700,7 +700,7 @@ class TestPlethysm:
 
     def test_exterior_vanishing(self):
         f = x(2, 1) + x(2, 2)
-        assert plethysm_eval((1, 1, 1), f).is_zero()
+        assert not plethysm_eval((1, 1, 1), f)
 
 
 def partitions(k, largest):
@@ -745,7 +745,7 @@ class TestPlethysmAgainstReference:
             self.check(sigma, LaurentPoly.one(n) * 3)
             self.check(sigma, LaurentPoly.monomial(n, (-1,) * n, 2) + LaurentPoly.one(n))
         assert plethysm_eval((), LaurentPoly.zero(n)) == 1
-        assert plethysm_eval((2, 1), LaurentPoly.zero(n)).is_zero()
+        assert not plethysm_eval((2, 1), LaurentPoly.zero(n))
         # three copies of the value 1: s_(2,1)(1, 1, 1) = 8
         assert plethysm_eval((2, 1), LaurentPoly.one(n) * 3) == 8
 
