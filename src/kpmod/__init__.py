@@ -33,7 +33,6 @@ from .modules import (
     one_dim,
     sl3_identity_check,
     sl3_presentation_check,
-    symmetric_power,
     tensor_many,
     vector_rep,
     young_symmetrizer_image,
@@ -67,15 +66,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the process-wide memos (KP modules, diagram ambients, rank-3
-    modules, criterion exponent tables, Vandermonde products, the
-    staircase's and the transition's Schubert polynomials, and the pool of
-    exponent tuples those two share); results stay equal."""
+    """Empty the process-wide memos (KP modules, the diagram ambients of KP,
+    Demazure and rank-3 modules, criterion exponent tables, Vandermonde
+    products, the staircase's and the transition's Schubert polynomials, and
+    the pool of exponent tuples those two share); results stay equal."""
     for memo in (
         modules._kp_cached,
         filtration._annihilator_exponents,
         modules._diagram_ambient,
-        modules._sl3_cached,
         schubert.vandermonde,
     ):
         memo.cache_clear()

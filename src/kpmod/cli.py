@@ -208,6 +208,8 @@ def _cmd_cauchy(args) -> int:
 def _cmd_u3(args) -> int:
     if args.check == "presentation":
         rep = sl3_presentation_check(args.a, args.b)
+    elif args.case is None:
+        raise ValueError("--check identity needs --case")
     else:
         rep = sl3_identity_check(args.case, args.N, args.M, args.N2, args.M2)
     text = "\n".join(f"[{'PASS' if ok else 'FAIL'}] {name}" for name, ok in rep.checks)

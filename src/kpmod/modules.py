@@ -7,15 +7,14 @@ sparse exact-rational column, the first time it is asked for, and the
 module caches it.  Submodules are closed under the simple e_{i,i+1} alone,
 which generate U(n+), starting from weight vectors that enter with their
 weights: e_ij sends weight wt to wt + eps_i - eps_j, so a closure follows
-its vectors' weights and never looks one up (``_close``).  Three closures
-run in a tensor of exterior powers never enumerated: Kraskiewicz-Pragacz
-and Demazure (key) modules from the column-wedge vector of a diagram
-(``diagram_module``, on one bit field of absent rows per column), and
-Schur-functor images S^sigma(M) from wedged row-symmetrized tuples
-(``young_symmetrizer_image``, in a ``_Tensor`` of the Lambda^k M, each
-wedge keyed through the basis index its power is built on).  Cyclic
-submodules, annihilator checks of the diagram generator and the rank-3
-operator identities of the verification suites complete the module.
+its vectors' weights and never looks one up (``_close``).  Two ambients are
+never enumerated.  Kraskiewicz-Pragacz, Demazure (key) and the rank-3
+modules close from the column-wedge vector of a diagram (``diagram_module``)
+on one bit field of absent rows per column, equal columns kept as orbit
+sums.  Schur-functor images S^sigma(M) close from wedged row-symmetrized
+tuples (``young_symmetrizer_image``, in a ``_Tensor`` of the Lambda^k M,
+each wedge keyed through the basis index its power is built on).  Cyclic
+submodules and annihilator checks of the diagram generator complete it.
 
 Modules are immutable once constructed (lazy column caches only fill in);
 every operation is a pure function, safe for data-parallel sweeps.
@@ -126,7 +125,7 @@ class WeightModule(_Action):
         for w in self.weights:
             if len(w) != n:
                 raise ValueError(f"WeightModule weight {w} has length {len(w)}, not n = {n}")
-        self._cols = {p: {} for p in self.raising_pairs()}
+        self._cols: dict = {}  # pair -> {basis index: column}, a pair's dict made on first use
         self._moves: dict = {}
         self._builder = builder
         self.generator = dict(generator) if generator is not None else None
@@ -138,10 +137,11 @@ class WeightModule(_Action):
         return len(self.weights)
 
     def column(self, pair, idx) -> dict:
-        try:
-            col = self._cols[pair]
-        except KeyError:
-            raise KeyError(f"operator {pair} is not a raising pair of n = {self.n}") from None
+        col = self._cols.get(pair)
+        if col is None:
+            if pair not in self.raising_pairs():
+                raise KeyError(f"operator {pair} is not a raising pair of n = {self.n}")
+            col = self._cols[pair] = {}
         if idx not in col:
             if self._builder is None:
                 return {}
@@ -349,31 +349,6 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
     return _power(M, _index(itertools.combinations(range(M.dim), k)), _wedge_place)
 
 
-def symmetric_power(M: WeightModule, k: int) -> WeightModule:
-    """S^k M in the monomial basis of weakly increasing index tuples."""
-    _require_int(k, "symmetric_power k")
-    if k < 0:
-        raise ValueError("negative symmetric power")
-    # C(dim + k - 1, k) multisets; the max covers dim = k = 0, one empty tuple
-    _check_dim(math.comb(max(M.dim + k - 1, 0), k), f"symmetric_power {k} of a {M.dim}-dim module")
-    combos = itertools.combinations_with_replacement(range(M.dim), k)
-    return _power(M, _index(combos), lambda others, r, t: (tuple(sorted(others + (r,))), 1))
-
-
-def shift_weights(M: WeightModule, delta) -> WeightModule:
-    """Tensor with the one-dimensional module of weight delta (same actions,
-    all weights shifted)."""
-    delta = int_tuple(delta, "shift_weights delta")
-    if len(delta) != M.n:
-        raise ValueError(f"shift_weights delta {delta} has length {len(delta)}, not n = {M.n}")
-    return WeightModule(
-        M.n,
-        [tuple(a + b for a, b in zip(w, delta)) for w in M.weights],
-        M.column,
-        generator=M.generator,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Submodules
 
@@ -484,15 +459,34 @@ class _DiagramAmbient(_Action):
     keys of ``tensor_many`` over the ``exterior_power(vector_rep(n), k)``.
     e_ij moves row j of a column to row i: with A_i the bit n - i of every
     field, ``key & A_i & ~(key << (j - i))`` has one bit per column holding
-    j but not i, and the sign is the parity of its rows between i and j."""
+    j but not i, and the sign is the parity of its rows between i and j.
 
-    __slots__ = ("n", "_pairs", "_simple")
+    ``classes`` labels each column; columns of one label are equal in the
+    generator, so every vector met is symmetric under permuting them and is
+    kept as orbit sums: only at the least key of each orbit, whose fields
+    rise along each class, with the coefficient every key of the orbit has
+    there.  That reading is injective, keeps key order and the least key of
+    every vector, so echelon rows, pivots and columns are those of the full
+    tensor.  A move u -> w counts at the first column of its class holding
+    u; its image is re-sorted into the least key c', where it occurs once
+    per column of the class holding w in c'."""
 
-    def __init__(self, ncols: int, n: int):
+    __slots__ = ("n", "_pairs", "_simple", "_single", "_fold")
+
+    def __init__(self, classes: tuple, n: int):
         self.n = n
-        every = sum(1 << n * c for c in range(ncols))  # bit 0 of every field
+        every = sum(1 << n * c for c in range(len(classes)))  # bit 0 of every field
         self._pairs = {(i, j): (every << n - i, j - i) for i, j in self.raising_pairs()}  # A_i, j - i
         self._simple = every * ((1 << n) - 2)  # A_1 | ... | A_{n-1}
+        shifts: dict = {}  # label -> the shifts of its fields, in column order
+        for c, label in enumerate(classes):
+            shifts.setdefault(label, []).append(n * (len(classes) - 1 - c))
+        self._single = sum((1 << n) - 1 << s[0] for s in shifts.values() if len(s) == 1)
+        # field f, from the lowest -> (its shift, the shift before it in its class, the class)
+        self._fold = [None] * len(classes)
+        for s in shifts.values():
+            for t, shift in enumerate(s):
+                self._fold[shift // n] = (shift, s[t - 1] if t else None, s)
 
     def key(self, columns) -> int:
         """Key of the column wedge of ``columns``, sets of rows 1..n."""
@@ -501,12 +495,30 @@ class _DiagramAmbient(_Action):
             key = key << n | ((1 << n) - 1) ^ sum(1 << n - r for r in rows)
         return key
 
+    def _orbit(self, key: int, img: int, pos: int, c):
+        """(least key, coefficient) of the move of ``key`` to ``img``, with
+        coefficient c, at bit pos of a repeated column: 0 where an earlier
+        column of its class holds the same field."""
+        n, mask = self.n, (1 << self.n) - 1
+        shift, prev, s = self._fold[pos // n]
+        before = -1 if prev is None else key >> prev & mask
+        if before == key >> shift & mask:
+            return img, 0
+        w = img >> shift & mask
+        if before < w:  # the class still rises, and no other column holds w
+            return img, c
+        fields = sorted([img >> t & mask for t in s])
+        for t, f in zip(s, fields):
+            img ^= ((img >> t ^ f) & mask) << t
+        return img, c * fields.count(w)
+
     def apply(self, pair, vec: dict) -> dict:
         try:
             a, d = self._pairs[pair]
         except KeyError:
             raise KeyError(f"operator {pair} is not a raising pair of n = {self.n}") from None
         out: dict = {}
+        single = self._single
         for key, c in vec.items():
             cand = key & a & ~(key << d)
             while cand:
@@ -515,36 +527,40 @@ class _DiagramAmbient(_Action):
                 img = key ^ low ^ low >> d
                 # the d - 1 bits below low are the rows between; set = absent
                 odd = (d - 1 + (key & low - (low >> d - 1)).bit_count()) & 1
-                acc = out.get(img, 0) + (-c if odd else c)
+                s = -c if odd else c
+                if not low & single:
+                    img, s = self._orbit(key, img, low.bit_length() - 1, s)
+                acc = out.get(img, 0) + s
                 if acc:
                     out[img] = acc
-                else:
-                    del out[img]
+                else:  # cancelled, or a move that did not count
+                    out.pop(img, None)
         return out
 
     def simple_images(self, vec: dict) -> list:
         """One pass over the keys: every sign is +1, a bit's field place names the pair."""
         n = self.n
         images = [{} for _ in range(n - 1)]
+        single = self._single
         for key, c in vec.items():
             cand = key & self._simple & ~(key << 1)
             while cand:
                 low = cand & -cand
                 cand ^= low
-                img = images[n - 1 - (low.bit_length() - 1) % n]
-                k = key ^ low ^ low >> 1
-                acc = img.get(k, 0) + c
+                pos = low.bit_length() - 1
+                img = images[n - 1 - pos % n]
+                k, s = key ^ low ^ low >> 1, c
+                if not low & single:
+                    k, s = self._orbit(key, k, pos, c)
+                acc = img.get(k, 0) + s
                 if acc:
                     img[k] = acc
                 else:
-                    del img[k]
+                    img.pop(k, None)
         return images
 
-    def column(self, pair, idx: int) -> dict:
-        return self.apply(pair, {idx: ONE})
 
-
-#: One ambient per (column count, n): the masks depend on nothing else.
+#: One ambient per (column classes, n): the masks depend on nothing else.
 _diagram_ambient = lru_cache(maxsize=None)(_DiagramAmbient)
 
 
@@ -571,10 +587,11 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
 
 
 def _diagram_generator(columns, n: int) -> tuple:
-    """The ``_DiagramAmbient`` of a diagram and its column-wedge generator,
-    a (weight, vector) pair whose weight counts the columns that hold each
-    row."""
-    amb = _diagram_ambient(len(columns), n)
+    """The ``_DiagramAmbient`` of a diagram, its equal columns one class,
+    and its column-wedge generator, a (weight, vector) pair whose weight
+    counts the columns that hold each row."""
+    first: dict = {}
+    amb = _diagram_ambient(tuple(first.setdefault(frozenset(rows), c) for c, rows in enumerate(columns)), n)
     wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
     return amb, (wt, {amb.key(columns): ONE})
 
@@ -669,14 +686,12 @@ _KP_CACHE_SIZE = 1024
 @lru_cache(maxsize=_KP_CACHE_SIZE)
 def _kp_cached(lam: tuple, cap: int) -> WeightModule:
     # cap, the KP_MAX_DIM in force, is part of the key only: a module built
-    # under one cap is never handed out under another
-    n = len(lam)
+    # under one cap is never handed out under another.  A negative code
+    # closes its lifted code's generator at that weight minus k.
     k = max(0, -min(lam))
-    core = tuple(x + k for x in lam)
-    sub = diagram_module(_kp_columns(core), n, what=f"kp_module{lam}")
-    if k:
-        sub = shift_weights(sub, (-k,) * n)
-    return sub
+    amb, (wt, gen) = _diagram_generator(_kp_columns(tuple(x + k for x in lam)), len(lam))
+    seed = (tuple(x - k for x in wt), gen)
+    return _close(amb, [seed], f"kp_module{lam}", seed)
 
 
 def kp_module(lam) -> WeightModule:
@@ -812,27 +827,12 @@ class Sl3Report:
 
 
 def _sl3_module(a: int, b: int):
-    """S^a(Lambda^2 K^3) (x) S^b(K^3) and its generator
-    (u_2 ^ u_3)^a (x) u_3^b, which is the last basis vector: u_2 ^ u_3 and
-    u_3 are the last basis vectors of their factors.  The module is shared
-    between calls; the generator is a fresh dict each time."""
-    # checked before the cache, where 1.0 or True would find the entry of 1
+    """The ``_DiagramAmbient`` of a columns {2, 3} and b columns {3}, whose
+    orbit sums are S^a(Lambda^2 K^3) (x) S^b(K^3), and its generator
+    (u_2 ^ u_3)^a (x) u_3^b, a (weight, vector) pair with a fresh dict."""
     _require_int(a, "rank-3 module a")
     _require_int(b, "rank-3 module b")
-    M = _sl3_cached(a, b, max_dim())
-    return M, {M.dim - 1: ONE}
-
-
-#: Most rank-3 modules kept: the 16 with a, b <= 3 of the default ``u3``
-#: suite.  A larger grid evicts; each module holds its column caches.
-_SL3_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=_SL3_CACHE_SIZE)
-def _sl3_cached(a: int, b: int, cap: int) -> WeightModule:
-    # keyed by the cap in force, like _kp_cached
-    base = vector_rep(3)
-    return tensor_many([symmetric_power(exterior_power(base, 2), a), symmetric_power(base, b)], 3)
+    return _diagram_generator([(2, 3)] * a + [(3,)] * b, 3)
 
 
 E12, E13, E23 = (1, 2), (1, 3), (2, 3)
@@ -848,7 +848,7 @@ def sl3_presentation_check(a: int, b: int) -> Sl3Report:
     enveloping algebra of the strict upper triangle by exactly those powers."""
     if not (0 <= a <= _SL3_BOUND and 0 <= b <= _SL3_BOUND):
         raise ValueError(f"parameters must lie in [0, {_SL3_BOUND}]")
-    M, g = _sl3_module(a, b)
+    M, (wt, g) = _sl3_module(a, b)
     checks = [
         (f"e12^{a + 1} annihilates the generator", not M.apply_power(E12, g, a + 1)),
         (f"e23^{b + 1} annihilates the generator", not M.apply_power(E23, g, b + 1)),
@@ -857,7 +857,7 @@ def sl3_presentation_check(a: int, b: int) -> Sl3Report:
         checks.append((f"e12^{a} does not annihilate", bool(M.apply_power(E12, g, a))))
     if b:
         checks.append((f"e23^{b} does not annihilate", bool(M.apply_power(E23, g, b))))
-    d = cyclic_submodule(M, g).dim
+    d = _close(M, [(wt, g)], f"sl3_presentation_check{(a, b)}").dim
     weyl = (a + 1) * (b + 1) * (a + b + 2) // 2
     checks.append((f"cyclic closure dimension {d} equals {weyl}", d == weyl))
     return Sl3Report("presentation", {"a": a, "b": b}, tuple(checks))
@@ -926,7 +926,7 @@ def sl3_identity_check(case: int, N: int, M: int, N2=None, M2=None) -> Sl3Report
     if case not in table:
         raise ValueError(f"unknown identity case {case}")
     (a, b), lhs, (phrase, scalar), rhs = table[case]
-    mod, g = _sl3_module(a, b)
+    mod, (_, g) = _sl3_module(a, b)
     u, v = _apply_word(mod, g, lhs), _apply_word(mod, g, rhs)
     if scalar is not None:
         passed = u == scaled(v, scalar)

@@ -15,7 +15,16 @@ import itertools
 import json
 import sys
 
-from kpmod.modules import _kp_columns, annihilator_check, demazure_module, kp_module, young_symmetrizer_image
+from kpmod.modules import (
+    _kp_columns,
+    annihilator_check,
+    cyclic_submodule,
+    demazure_module,
+    kp_module,
+    sl3_identity_check,
+    sl3_presentation_check,
+    young_symmetrizer_image,
+)
 from kpmod.permutations import all_permutations, code
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from reference import (
@@ -23,6 +32,8 @@ from reference import (
     reference_diagram_module,
     reference_expand_in_schubert,
     reference_plethysm_eval,
+    reference_sl3_module,
+    reference_sl3_report,
     reference_young_symmetrizer_image,
 )
 
@@ -113,7 +124,38 @@ def schur_images(tally: Tally, n: int = 5, size: int = 3) -> None:
             tally.require(dumps(got) == dumps(want), f"mismatch: {sigma} {code(w, n)}")
 
 
-COMPARISONS = (diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images)
+def sl3_calls(upto: int):
+    """(check, args) for every rank-3 check of ``kp verify --suite u3``
+    with exponents up to ``upto``."""
+    grid = range(upto + 1)
+    for a, b in itertools.product(grid, repeat=2):
+        yield sl3_presentation_check, (a, b)
+    for N, M in itertools.product(grid, repeat=2):
+        for case in (3, 4, 5, 6):
+            yield sl3_identity_check, (case, N, M)
+        for N2, M2 in itertools.product(grid, repeat=2):
+            if N + M > N2 + M2:
+                yield from ((sl3_identity_check, (case, N, M, N2, M2)) for case in (1, 2))
+
+
+def repeated_columns(tally: Tally, upto: int = 5, top: int = 6) -> None:
+    """Diagrams with equal columns, closed as orbit sums, against the
+    enumerated symmetric powers: every rank-3 check with exponents up to
+    ``upto`` (its verdict, description and closure dimension), and the
+    Demazure module of (0, a, a + b), a, b <= top, whose key diagram has a
+    columns {2, 3} and b columns {3}, against the cyclic submodule of the
+    generator of S^a(Lambda^2 K^3) (x) S^b(K^3)."""
+    for check, args in sl3_calls(upto):
+        ok = check(*args).to_json() == reference_sl3_report(check, *args).to_json()
+        tally.require(ok, f"mismatch: {check.__name__}{args}")
+    for a, b in itertools.product(range(top + 1), repeat=2):
+        M, (_, g) = reference_sl3_module(a, b)
+        want, got = cyclic_submodule(M, g), demazure_module((0, a, a + b))
+        ok = got.dim == want.dim and got.character() == want.character()
+        tally.require(ok, f"mismatch: demazure_module{(0, a, a + b)}")
+
+
+COMPARISONS = (diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns)
 
 
 def main() -> int:

@@ -33,6 +33,10 @@ the other.  ``reference_young_symmetrizer_image`` closes the Schur-functor
 image in a ``ReferenceWedgeAmbient`` over M, which ranks each column's
 combination in closed form, against which the tests check
 ``young_symmetrizer_image``, which looks it up in the power's own index.
+``reference_sl3_module`` is the rank-3 module S^a(Lambda^2 K^3) (x)
+S^b(K^3) built eagerly from ``reference_symmetric_power``, and
+``reference_sl3_report`` runs a rank-3 check on it, against which the tests
+check the checks run on the orbit sums of a ``_DiagramAmbient``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from kpmod import modules
 from kpmod.laurent import LaurentPoly, _require_int, _require_poly
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
@@ -55,11 +60,13 @@ from kpmod.modules import (
     _power,
     _raised,
     _Tensor,
+    _check_dim,
     _too_large,
     _wedge_place,
     _weight_sum,
     exterior_power,
     max_dim,
+    tensor_many,
     vector_rep,
 )
 from kpmod.permutations import Permutation, _code_window, code, m_table, rho
@@ -537,3 +544,39 @@ def reference_young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
                 yield _weight_sum(M.n, (M.weights[b] for b in x)), v
 
     return _close(amb, seeds(), what)
+
+
+def reference_symmetric_power(M: WeightModule, k: int) -> WeightModule:
+    """S^k M in the monomial basis of weakly increasing index tuples."""
+    _require_int(k, "symmetric_power k")
+    if k < 0:
+        raise ValueError("negative symmetric power")
+    # C(dim + k - 1, k) multisets; the max covers dim = k = 0, one empty tuple
+    _check_dim(math.comb(max(M.dim + k - 1, 0), k), f"symmetric_power {k} of a {M.dim}-dim module")
+    combos = itertools.combinations_with_replacement(range(M.dim), k)
+    return _power(M, _index(combos), lambda others, r, t: (tuple(sorted(others + (r,))), 1))
+
+
+@lru_cache(maxsize=None)
+def _reference_sl3_tensor(a: int, b: int) -> WeightModule:
+    base = vector_rep(3)
+    return tensor_many([reference_symmetric_power(exterior_power(base, 2), a), reference_symmetric_power(base, b)], 3)
+
+
+def reference_sl3_module(a: int, b: int):
+    """S^a(Lambda^2 K^3) (x) S^b(K^3), enumerated, and its generator
+    (u_2 ^ u_3)^a (x) u_3^b, the last basis vector, as ``_sl3_module``
+    returns them."""
+    M = _reference_sl3_tensor(a, b)
+    return M, ((0, a, a + b), {M.dim - 1: ONE})
+
+
+def reference_sl3_report(check, *args):
+    """``check``, ``sl3_presentation_check`` or ``sl3_identity_check``, run
+    on ``reference_sl3_module``."""
+    saved = modules._sl3_module
+    modules._sl3_module = reference_sl3_module
+    try:
+        return check(*args)
+    finally:
+        modules._sl3_module = saved

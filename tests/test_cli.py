@@ -84,6 +84,14 @@ class TestBasicCommands:
         )
         assert rc == 0 and json.loads(out)["ok"]
 
+    def test_u3_identity_without_case_is_usage_error(self, capsys):
+        # it printed "unknown identity case None"
+        rc = main(["u3", "--check", "identity", "--N", "1", "--M", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: --check identity needs --case" in captured.err
+
     def test_annihilator(self, capsys):
         rc, out = run(capsys, "annihilator", "--perm", "2,1,4,3", "-n", "4")
         assert rc == 0

@@ -10,6 +10,7 @@ from differential import (
     diagram_modules,
     plethysm_expansion,
     plethysm_jacobi_trudi,
+    repeated_columns,
     schur_images,
 )
 
@@ -21,8 +22,9 @@ from differential import (
         (plethysm_jacobi_trudi, {"sizes": ((3, 4), (4, 2))}),
         (plethysm_expansion, {"n": 4}),
         (schur_images, {"n": 4, "size": 3}),
+        (repeated_columns, {"upto": 2, "top": 3}),
     ],
-    ids=["diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images"],
+    ids=["diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns"],
 )
 def test_comparison_at_a_small_bound(compare, bound):
     tally = Tally()
@@ -31,7 +33,9 @@ def test_comparison_at_a_small_bound(compare, bound):
 
 
 def test_every_comparison_is_tested():
-    assert set(COMPARISONS) == {diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images}
+    assert set(COMPARISONS) == {
+        diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns
+    }
 
 
 def test_a_failed_check_is_counted_and_printed(capsys):

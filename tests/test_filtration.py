@@ -29,7 +29,6 @@ from kpmod.modules import (
     exterior_power,
     kp_module,
     one_dim,
-    shift_weights,
     tensor_many,
     vector_rep,
 )
@@ -117,7 +116,7 @@ class TestExtractor:
         corpus += [dual_twist(M) for M in corpus[:36]]
         corpus += [
             one_dim((0, 1)),
-            shift_weights(tensor_many([kp_module((1, 0, 1)), kp_module((0, 1, 0))]), (-1, 2, 0)),
+            tensor_many([kp_module((1, 0, 1)), kp_module((0, 1, 0)), one_dim((-1, 2, 0))]),
         ]
         reports = [kp_filtration_extract(M).to_json() for M in corpus]
         assert sum(r["witness"] is not None for r in reports) == 26

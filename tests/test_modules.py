@@ -19,7 +19,9 @@ from kpmod.modules import (
     SubmoduleCloser,
     _proportional,
     _Tensor,
+    _close,
     _diagram_ambient,
+    _diagram_generator,
     _kp_columns,
     annihilator_check,
     cyclic_submodule,
@@ -28,12 +30,11 @@ from kpmod.modules import (
     exterior_power,
     kp_module,
     one_dim,
-    shift_weights,
     sl3_identity_check,
     sl3_presentation_check,
-    symmetric_power,
     tensor_many,
     vector_rep,
+    young_symmetrizer_image,
     WeightModule,
 )
 from kpmod.permutations import (
@@ -48,6 +49,7 @@ from kpmod.permutations import (
     rho,
 )
 from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
+from differential import sl3_calls
 from reference import (
     ModuleMap,
     ReferenceEchelon,
@@ -59,6 +61,8 @@ from reference import (
     mixed_radix_key,
     reference_annihilator_check,
     reference_diagram_module,
+    reference_sl3_report,
+    reference_symmetric_power,
 )
 
 
@@ -108,10 +112,6 @@ class TestConstructors:
         with pytest.raises(ValueError, match=r"one_dim weight .*must be an integer"):
             one_dim((0.7, True))
 
-    def test_shift_weights_rejects_non_integer_delta(self):
-        with pytest.raises(ValueError, match=r"shift_weights delta .*must be an integer"):
-            shift_weights(vector_rep(2), (1.5, 0))
-
     @pytest.mark.parametrize(
         "n, weights, message",
         [
@@ -137,8 +137,6 @@ class TestConstructors:
         [
             (lambda: exterior_power(vector_rep(2), 1.5), "exterior_power k must be an integer, got 1.5"),
             (lambda: exterior_power(vector_rep(2), True), "exterior_power k must be an integer, got True"),
-            (lambda: symmetric_power(vector_rep(2), 2.0), "symmetric_power k must be an integer, got 2.0"),
-            (lambda: symmetric_power(vector_rep(2), True), "symmetric_power k must be an integer, got True"),
             (lambda: vector_rep(2.5), "vector_rep n must be an integer, got 2.5"),
             (lambda: diagram_module([[1]], 2.0), "diagram_module n must be an integer, got 2.0"),
             (lambda: diagram_module([[1.0]], 2), r"diagram_module column \(1.0,\): entry must be an integer"),
@@ -168,9 +166,6 @@ class TestConstructors:
             # accepted before, as a module over n = 2
             (lambda: WeightModule(2, [(1, 0, 0)]), r"WeightModule weight \(1, 0, 0\) has length 3, not n = 2"),
             (lambda: WeightModule(2, [(1, 0), (1,)]), r"WeightModule weight \(1,\) has length 1, not n = 2"),
-            # the weights ((2,), (1,)) over n = 2 before: zip cut them to the delta
-            (lambda: shift_weights(vector_rep(2), (1,)), r"shift_weights delta \(1,\) has length 1, not n = 2"),
-            (lambda: shift_weights(vector_rep(2), (1, 0, 0)), r"shift_weights delta \(1, 0, 0\) has length 3"),
         ],
     )
     def test_weights_must_have_length_n(self, build, message):
@@ -181,8 +176,6 @@ class TestConstructors:
         "name, build, size",
         [
             ("combinations", lambda: exterior_power(vector_rep(12), 6), 924),
-            # 82,598,880 tuples would be listed before the refusal
-            ("combinations_with_replacement", lambda: symmetric_power(vector_rep(60), 6), 82598880),
         ],
     )
     def test_powers_are_refused_before_enumerating(self, monkeypatch, name, build, size):
@@ -200,7 +193,7 @@ class TestConstructors:
         assert E.weights == ((1, 1),)
 
     def test_symmetric_square_of_plane(self):
-        S = symmetric_power(vector_rep(2), 2)
+        S = young_symmetrizer_image(vector_rep(2), (2,))
         assert S.dim == 3
         assert S.character() == x(2, 1) ** 2 + x(2, 1) * x(2, 2) + x(2, 2) ** 2
 
@@ -243,13 +236,13 @@ class TestConstructors:
             M = kp_module(lam)
             ch = M.character()
             for k in (2, 3):
-                assert symmetric_power(M, k).character() == plethysm_eval((k,), ch)
+                assert young_symmetrizer_image(M, (k,)).character() == plethysm_eval((k,), ch)
                 expected = plethysm_eval((1,) * k, ch)
                 assert exterior_power(M, k).character() == expected
 
     def test_bracket_identity_on_powers(self):
         V = vector_rep(3)
-        for M in (exterior_power(V, 2), symmetric_power(V, 2), symmetric_power(V, 3)):
+        for M in (exterior_power(V, 2), reference_symmetric_power(V, 2), reference_symmetric_power(V, 3)):
             for p1 in M.raising_pairs():
                 for p2 in M.raising_pairs():
                     assert bracket_ok(M, p1, p2)
@@ -261,7 +254,7 @@ class TestConstructors:
                 V.column(pair, 0)
         # the diagram ambient checks too, and so does the tensor action,
         # which reads the factors' move tables
-        amb = _diagram_ambient(2, 3)
+        amb = _diagram_ambient((0, 1), 3)
         key = amb.key([[1, 2], [3]])
         ref_key = ReferenceWedgeAmbient([2, 1], 3).wedge([[0, 1], [2]])[0]
         assert mixed_radix_key(key, [2, 1], 3) == ref_key
@@ -556,7 +549,7 @@ class TestDiagramEngine:
         for lam in [(1, 0, 1, 0), (0, 2, 1, 0), (2, 0, 1, 0), (3, 2, 0, 0)]:
             columns = inversion_columns(lam)
             lengths = [len(c) for c in columns]
-            view = RadixView(_diagram_ambient(len(columns), n), lengths)
+            view = RadixView(_diagram_ambient(tuple(range(len(columns))), n), lengths)
             gen_key = view.amb.key(columns)
             gen = {view.radix(gen_key): ONE}
             ref = ReferenceWedgeAmbient(lengths, n)
@@ -684,13 +677,13 @@ def check_against_reference(action, ref, starts, rng) -> int:
     pairs = action.raising_pairs()
     pool = set(starts)
     for _ in range(2):
-        pool |= {k for key in list(pool) for pair in pairs for k in ref.column(pair, key)}
+        pool |= {k for key in list(pool) for pair in pairs for k in ref.apply(pair, {key: ONE})}
     pool = sorted(pool)
     cancelled = 0
     for pair in pairs:
         hits: dict = {}
         for key in pool:
-            for out, c in ref.column(pair, key).items():
+            for out, c in ref.apply(pair, {key: ONE}).items():
                 hits.setdefault(out, []).append((key, c))
         shared = [h for h in hits.values() if len(h) > 1]
         for _ in range(3):
@@ -701,7 +694,7 @@ def check_against_reference(action, ref, starts, rng) -> int:
                 vec[k1], vec[k2] = a * c2, -a * c1
             want = ref.apply(pair, vec)
             assert action.apply(pair, vec) == want
-            cancelled += len({k for idx in vec for k in ref.column(pair, idx)} - set(want))
+            cancelled += len({k for idx in vec for k in ref.apply(pair, {idx: ONE})} - set(want))
     return cancelled
 
 
@@ -771,7 +764,7 @@ class TestFusedTensorAction:
         cancelled = 0
         for lam, n in codes:
             columns = inversion_columns(lam)
-            view = RadixView(_diagram_ambient(len(columns), n), [len(c) for c in columns])
+            view = RadixView(_diagram_ambient(tuple(range(len(columns))), n), [len(c) for c in columns])
             ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
             gen = view.radix(view.amb.key(columns))
             cancelled += check_against_reference(view, ref, [gen], rng)
@@ -785,7 +778,7 @@ class TestFusedTensorAction:
         cancelled = 0
         for lam, n in codes:
             columns = inversion_columns(lam)
-            amb = _diagram_ambient(len(columns), n)
+            amb = _diagram_generator(columns, n)[0]  # equal columns kept as orbit sums
             cancelled += check_against_reference(SimpleImagesView(amb), amb, [amb.key(columns)], rng)
         assert cancelled > 0
 
@@ -843,6 +836,94 @@ class TestMixedRadixReference:
             self.assert_same(demazure_module(lam), reference_diagram_module(columns, 4))
 
 
+def orbit(key: int, classes: tuple, n: int) -> set:
+    """The keys of a diagram ambient reached from ``key`` by permuting the
+    fields of the columns of each class."""
+    ncols, mask = len(classes), (1 << n) - 1
+    fields = [key >> n * (ncols - 1 - c) & mask for c in range(ncols)]
+    groups = [[c for c in range(ncols) if classes[c] == label] for label in dict.fromkeys(classes)]
+    out = set()
+    for perms in itertools.product(*(itertools.permutations([fields[c] for c in g]) for g in groups)):
+        new = fields[:]
+        for g, perm in zip(groups, perms):
+            for c, f in zip(g, perm):
+                new[c] = f
+        out.add(sum(f << n * (ncols - 1 - c) for c, f in enumerate(new)))
+    return out
+
+
+class TestOrbitSums:
+    """A ``_DiagramAmbient`` with column classes against the class-free one
+    on symmetric vectors, read at the least key of each orbit."""
+
+    @staticmethod
+    def diagrams():
+        for w in all_permutations(5):
+            yield _kp_columns(code(w, 5)), 5
+        for lam in itertools.product(range(3), repeat=4):
+            yield [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)], 4
+
+    def test_apply_and_simple_images_match_the_full_tensor(self):
+        rng = random.Random(27)
+        tested = 0
+        for columns, n in self.diagrams():
+            first: dict = {}
+            classes = tuple(first.setdefault(frozenset(rows), c) for c, rows in enumerate(columns))
+            if len(set(classes)) == len(classes):
+                continue
+            amb, full = _diagram_ambient(classes, n), _diagram_ambient(tuple(range(len(classes))), n)
+            # the keys within two raising steps of the generator, by orbit
+            pool = {amb.key(columns)}
+            for _ in range(2):
+                pool |= {k for key in pool for p in full.raising_pairs() for k in full.apply(p, {key: ONE})}
+            least = sorted({min(orbit(k, classes, n)) for k in pool})
+            for _ in range(4):
+                sym = {}
+                for k in rng.sample(least, min(len(least), rng.randint(1, 3))):
+                    c = rng.choice(COEFFS)
+                    sym.update(dict.fromkeys(orbit(k, classes, n), c))
+                stored = {k: c for k, c in sym.items() if min(orbit(k, classes, n)) == k}
+
+                def read(vec):
+                    # the full image is symmetric too
+                    assert all(vec.get(o) == c for k, c in vec.items() for o in orbit(k, classes, n))
+                    return {k: c for k, c in vec.items() if min(orbit(k, classes, n)) == k}
+
+                for p in amb.raising_pairs():
+                    assert amb.apply(p, stored) == read(full.apply(p, sym)), (columns, p)
+                assert amb.simple_images(stored) == [read(v) for v in full.simple_images(sym)]
+                tested += 1
+        assert tested > 100
+
+    def test_repeated_columns_close_as_in_the_full_tensor(self):
+        # the closure in the orbit sums against the closure in the full
+        # tensor of the same columns, both on the bit-field keys, with
+        # classes of three and four columns (the {0..2}^4 box has two)
+        for lam in [(0, 3, 4), (0, 4, 4, 5), (4, 0, 4, 1), (3, 3, 0, 3)]:
+            columns = [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
+            amb, (wt, gen) = _diagram_generator(columns, len(lam))
+            assert max(columns.count(rows) for rows in columns) >= 3
+            full = _diagram_ambient(tuple(range(len(columns))), len(lam))
+            got = demazure_module(lam)
+            want = _close(full, [(wt, gen)], "full", (wt, gen))
+            assert dumps(got) == dumps(want) and got.generator == want.generator
+
+    def test_negative_codes_are_shifted_closures(self):
+        for lam in itertools.product(range(-2, 3), repeat=4):
+            k = max(0, -min(lam))
+            core = tuple(x + k for x in lam)
+            S = kp_module(lam)
+            assert S.to_json() == tensor_many([kp_module(core), one_dim((-k,) * 4)]).to_json(), lam
+            assert S.generator == kp_module(core).generator
+
+    def test_capped_negative_code_names_its_own_weight(self, monkeypatch):
+        monkeypatch.setenv("KP_MAX_DIM", "4")
+        kpmod.clear_caches()
+        with pytest.raises(ModuleTooLargeError, match=r"^kp_module\(-1, 1, 0, -1\) at weight \(1, 0, -1, -1\): "
+                           "closure rank 5 exceeds"):
+            kp_module((-1, 1, 0, -1))
+
+
 class TestSl3:
     def test_presentation_adjoint_case(self):
         rep = sl3_presentation_check(1, 1)
@@ -888,24 +969,36 @@ class TestSl3:
         with pytest.raises(ValueError, match=r"lie in \[0, 10\]"):
             sl3_presentation_check(20, 0)
 
-    def test_module_is_cached_and_generator_is_fresh(self):
-        from kpmod.modules import _sl3_cached, _sl3_module
+    def test_generator_is_fresh_and_clear_caches_empties_the_ambients(self):
+        from kpmod.modules import _sl3_module
 
         kpmod.clear_caches()
-        M, g = _sl3_module(2, 1)
-        g[0] = ONE  # a caller that mutates its generator
-        M2, g2 = _sl3_module(2, 1)
-        assert M2 is M and g2 == {M.dim - 1: ONE}
+        amb, (wt, g) = _sl3_module(2, 1)
+        assert wt == (0, 2, 3) and g == {amb.key([(2, 3), (2, 3), (3,)]): ONE}
+        g[amb.key([(1, 3), (2, 3), (3,)])] = ONE  # a caller that mutates its generator
+        amb2, (_, g2) = _sl3_module(2, 1)
+        assert amb2 is amb and g2 == {amb.key([(2, 3), (2, 3), (3,)]): ONE}
         assert sl3_presentation_check(2, 1).ok
         kpmod.clear_caches()
-        assert _sl3_cached.cache_info().currsize == 0
-        assert _sl3_module(2, 1)[0] is not M
+        assert _diagram_ambient.cache_info().currsize == 0
+        assert _sl3_module(2, 1)[0] is not amb
 
-    def test_cached_module_still_meets_a_lowered_cap(self, monkeypatch):
+    def test_lowered_cap_refuses_the_presentation_at_its_closure_rank(self, monkeypatch):
         assert sl3_presentation_check(3, 3).ok
         monkeypatch.setenv("KP_MAX_DIM", "50")
-        with pytest.raises(ModuleTooLargeError, match=r"tensor_many of dimensions \[10, 10\]"):
+        with pytest.raises(ModuleTooLargeError, match=r"^sl3_presentation_check\(3, 3\) at weight "
+                           r"\(\d+, \d+, \d+\): closure rank 51 exceeds the KP_MAX_DIM cap 50$"):
             sl3_presentation_check(3, 3)
+
+    def test_identity_checks_build_nothing_so_no_cap_refuses_them(self, monkeypatch):
+        monkeypatch.setenv("KP_MAX_DIM", "1")
+        assert sl3_identity_check(5, 3, 3).ok
+        assert sl3_identity_check(1, 4, 3, 3, 3).ok
+
+    def test_checks_agree_with_the_enumerated_module(self):
+        # every presentation and identity check of the u3 suite at a, b <= 3
+        for check, args in sl3_calls(3):
+            assert check(*args).to_json() == reference_sl3_report(check, *args).to_json(), args
 
     @pytest.mark.parametrize("name, args", [
         ("case", (3.0, 1, 1)), ("case", (True, 1, 1)),
@@ -921,7 +1014,7 @@ class TestSl3:
 
     @pytest.mark.parametrize("a, b", [(1.0, 0), (True, 0), (0, 2.0)])
     def test_rejects_non_integer_parameters(self, a, b):
-        sl3_presentation_check(1, 0)  # (1, 0) cached: 1.0 and True must not find it
+        sl3_presentation_check(1, 0)  # 1.0 and True must not pass for 1
         with pytest.raises(ValueError, match="rank-3 module [ab] must be an integer"):
             sl3_presentation_check(a, b)
 
