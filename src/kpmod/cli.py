@@ -4,7 +4,8 @@ Every subcommand prints deterministic output (JSON with sorted keys, or
 plain text) and exits 0 on success, 1 on a mathematical failure (a failing
 verification, or a filtration that was required to succeed via --expect-ok),
 2 on a usage error, and 3 when the KP_MAX_DIM cap stops it: a construction
-outgrew the cap, or the variable is not a positive integer.
+outgrew the cap, or the variable is not a positive integer.  A closed
+stdout ends ``kp`` quietly (``entry``).
 
 Weight vectors are comma-separated integers, permutations comma-separated
 one-line images, and ``:`` separates the members of a pair.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 
 from .filtration import (
@@ -440,6 +442,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """``main`` on sys.argv.  A closed stdout ends it quietly, as it ends a
+    Unix filter: SIGPIPE's default action, where the platform has the signal."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

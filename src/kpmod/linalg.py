@@ -6,7 +6,8 @@ a Fraction enters only where an echelon pivot divides.  The Echelon class
 maintains an incrementally grown reduced row-echelon basis (pivot =
 smallest nonzero index, pivot entries normalized to 1 and eliminated from
 all other rows), which makes spans, membership tests, and coordinates
-deterministic.
+deterministic.  One ascending reduction pass (``Echelon.reduce``) serves
+both ``insert`` and ``express``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Residual of vec modulo the current span (a fresh dict)."""
+    def reduce(self, vec: dict, coords: dict | None = None) -> dict:
+        """Residual of vec modulo the current span (a fresh dict).
+
+        The one reduction pass: the rows are fully reduced, so one ascending
+        pass suffices, and the multiplier met at pivot p is vec[p], the
+        coordinate there, recorded in ``coords`` when that is given."""
         v = dict(vec)
-        # rows are fully reduced, so one ascending pass suffices
         for p in sorted(self.rows):
             c = v.get(p)
             if c:
+                if coords is not None:
+                    coords[p] = c
                 axpy(v, -c, self.rows[p])
         return v
 
@@ -78,20 +84,9 @@ class Echelon:
         return p
 
     def express(self, vec: dict) -> dict:
-        """Coordinates {pivot: coeff} of vec in the row basis.
-
-        Raises ValueError if vec is not in the span.  One ascending
-        reduction pass reads them: the rows are fully reduced, so the
-        multiplier met at pivot p is vec[p], the coordinate there.
-        """
-        v = dict(vec)
-        coords = {}
-        for p in sorted(self.rows):
-            c = v.get(p)
-            if c:
-                coords[p] = c
-                axpy(v, -c, self.rows[p])
-        if v:
+        """Coordinates {pivot: coeff} of vec in the row basis, read by the
+        reduction pass.  Raises ValueError if vec is not in the span."""
+        coords: dict = {}
+        if self.reduce(vec, coords):
             raise ValueError("vector is not in the span")
         return coords
-

@@ -460,6 +460,8 @@ class _DiagramAmbient(_Action):
     e_ij moves row j of a column to row i: with A_i the bit n - i of every
     field, ``key & A_i & ~(key << (j - i))`` has one bit per column holding
     j but not i, and the sign is the parity of its rows between i and j.
+    ``_move`` makes every move: ``apply`` on A_i with d = j - i, and
+    ``simple_images`` on A_1 | ... | A_{n-1} with d = 1 (every sign +1).
 
     ``classes`` labels each column; columns of one label are equal in the
     generator, so every vector met is symmetric under permuting them and is
@@ -512,51 +514,41 @@ class _DiagramAmbient(_Action):
             img ^= ((img >> t ^ f) & mask) << t
         return img, c * fields.count(w)
 
+    def _move(self, vec: dict, mask: int, d: int, images: list) -> None:
+        """The one move pass: each bit of ``mask`` at a row i absent from a key
+        of vec, row i + d present, adds that move's image to images[i - 1]."""
+        n, single = self.n, self._single
+        for key, c in vec.items():
+            cand = key & mask & ~(key << d)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                pos = low.bit_length() - 1
+                img, s = key ^ low ^ low >> d, c
+                # the d - 1 bits below low are the rows between; set = absent
+                if d > 1 and (d - 1 + (key & low - (low >> d - 1)).bit_count()) & 1:
+                    s = -c
+                if not low & single:
+                    img, s = self._orbit(key, img, pos, s)
+                out = images[n - 1 - pos % n]
+                acc = out.get(img, 0) + s
+                if acc:
+                    out[img] = acc
+                else:  # cancelled, or a move that did not count
+                    out.pop(img, None)
+
     def apply(self, pair, vec: dict) -> dict:
         try:
             a, d = self._pairs[pair]
         except KeyError:
             raise KeyError(f"operator {pair} is not a raising pair of n = {self.n}") from None
         out: dict = {}
-        single = self._single
-        for key, c in vec.items():
-            cand = key & a & ~(key << d)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                img = key ^ low ^ low >> d
-                # the d - 1 bits below low are the rows between; set = absent
-                odd = (d - 1 + (key & low - (low >> d - 1)).bit_count()) & 1
-                s = -c if odd else c
-                if not low & single:
-                    img, s = self._orbit(key, img, low.bit_length() - 1, s)
-                acc = out.get(img, 0) + s
-                if acc:
-                    out[img] = acc
-                else:  # cancelled, or a move that did not count
-                    out.pop(img, None)
+        self._move(vec, a, d, [out] * (self.n - 1))  # every bit of A_i lands at row i
         return out
 
     def simple_images(self, vec: dict) -> list:
-        """One pass over the keys: every sign is +1, a bit's field place names the pair."""
-        n = self.n
-        images = [{} for _ in range(n - 1)]
-        single = self._single
-        for key, c in vec.items():
-            cand = key & self._simple & ~(key << 1)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                pos = low.bit_length() - 1
-                img = images[n - 1 - pos % n]
-                k, s = key ^ low ^ low >> 1, c
-                if not low & single:
-                    k, s = self._orbit(key, k, pos, c)
-                acc = img.get(k, 0) + s
-                if acc:
-                    img[k] = acc
-                else:
-                    img.pop(k, None)
+        images = [{} for _ in range(self.n - 1)]
+        self._move(vec, self._simple, 1, images)
         return images
 
 

@@ -18,6 +18,7 @@ from .filtration import (
     tensor_experiment,
 )
 from .modules import (
+    _SL3_BOUND,
     annihilator_check,
     kp_module,
     one_dim,
@@ -232,31 +233,33 @@ def suite_orders(upto: int = 5, seed: int = 0) -> list:
     ]
 
 
-#: name -> (suite, smallest bound at which the suite checks something)
+#: name -> (suite, smallest bound at which it checks something, largest it accepts or None)
 SUITES = {
-    "transition-all": (suite_transition_all, 2),
-    "duality": (suite_duality, 0),
-    "cauchy": (suite_cauchy, 0),
-    "u3": (suite_u3, 1),
-    "kp-char": (suite_kp_char, 1),
-    "annihilators": (suite_annihilators, 1),
-    "filtrations": (suite_filtrations, 1),
-    "orders": (suite_orders, 2),
+    "transition-all": (suite_transition_all, 2, None),
+    "duality": (suite_duality, 0, None),
+    "cauchy": (suite_cauchy, 0, None),
+    "u3": (suite_u3, 1, _SL3_BOUND),
+    "kp-char": (suite_kp_char, 1, None),
+    "annihilators": (suite_annihilators, 1, None),
+    "filtrations": (suite_filtrations, 1, None),
+    "orders": (suite_orders, 2, None),
 }
 
 
 def run_suite(name: str, upto=None, seed: int = 0) -> list:
     """Rows of one suite, at its own default bound when upto is None.
 
-    Raises ValueError for an unknown suite, or for a bound at which the
-    suite would check nothing."""
+    Raises ValueError, before any check runs, for an unknown suite, or for a
+    bound at which it would check nothing or that it does not accept."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn, least = SUITES[name]
+    fn, least, most = SUITES[name]
     if upto is None:
         return fn(seed=seed)
     if upto < least:
         raise ValueError(f"suite {name!r} checks nothing at upto={upto}; it needs upto >= {least}")
+    if most is not None and upto > most:
+        raise ValueError(f"suite {name!r} cannot check upto={upto}; it accepts upto <= {most}")
     return fn(upto, seed)
 
 

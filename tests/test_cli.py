@@ -2,13 +2,14 @@ import hashlib
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
 import pytest
 
 import kpmod
-from kpmod import cli
+from kpmod import cli, verify
 from kpmod.cli import main
 from kpmod.verify import SUITES, run_suite
 
@@ -234,6 +235,20 @@ class TestVerify:
         assert captured.out == ""
         assert f"suite {suite!r} checks nothing at upto={upto}" in captured.err
 
+    @pytest.mark.parametrize("upto", ["11", "40"])
+    def test_bound_above_the_largest_is_usage_error(self, capsys, monkeypatch, upto):
+        # ran every check up to the bound, then failed on a parameter with no flag named
+        def no_check(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "sl3_presentation_check", no_check)
+        monkeypatch.setattr(verify, "sl3_identity_check", no_check)
+        rc = main(["verify", "--suite", "u3", "--upto", upto])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"suite 'u3' cannot check upto={upto}; it accepts upto <= 10" in captured.err
+
     def test_bound_on_suite_all_is_usage_error(self, capsys):
         rc = main(["verify", "--suite", "all", "--upto", "1"])
         captured = capsys.readouterr()
@@ -289,6 +304,26 @@ class TestProtocol:
     def test_contradictory_n_exits_2(self, capsys):
         rc = main(["schubert", "--code", "1,0", "-n", "3"])
         assert rc == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_stdout_ends_kp_quietly(self):
+        # `kp ... | head -n 1` printed a BrokenPipeError traceback and exited 1.
+        # The m-table of w0 in S_200 is about 280 kB of text, far more than a
+        # pipe holds, so kp is still writing when the reader closes
+        n = 200
+        perm = ",".join(map(str, range(n, 0, -1)))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kpmod.cli", "mtable", "--perm", perm, "-n", str(n), "--format", "text"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first == b"m[1,2] = 0\n"
+        assert proc.wait() == -signal.SIGPIPE
+        assert err == b""
 
 
 class TestSizeCap:

@@ -710,6 +710,9 @@ class RadixView:
     def raising_pairs(self):
         return self.amb.raising_pairs()
 
+    def simple_pairs(self):
+        return self.amb.simple_pairs()
+
     def radix(self, key: int) -> int:
         out = self.seen[key] = mixed_radix_key(key, self.lengths, self.n)
         return out
@@ -727,6 +730,10 @@ class RadixView:
     def apply(self, pair, vec: dict) -> dict:
         image = self.amb.apply(pair, {self.bits(k): c for k, c in vec.items()})
         return {self.radix(k): c for k, c in image.items()}
+
+    def simple_images(self, vec: dict) -> list:
+        images = self.amb.simple_images({self.bits(k): c for k, c in vec.items()})
+        return [{self.radix(k): c for k, c in image.items()} for image in images]
 
     def column(self, pair, radix: int) -> dict:
         return self.apply(pair, {radix: ONE})
@@ -768,6 +775,22 @@ class TestFusedTensorAction:
             ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
             gen = view.radix(view.amb.key(columns))
             cancelled += check_against_reference(view, ref, [gen], rng)
+            view.assert_order_kept()
+        assert cancelled > 0
+
+    def test_simple_images_of_s5_and_an_s6_slice(self):
+        # apply and simple_images run one move pass; this holds the simple
+        # images to the reference's per-pair columns, not to apply
+        rng = random.Random(28)
+        codes = [(code(w, 5), 5) for w in all_permutations(5)]
+        codes += [(code(w, 6), 6) for w in rng.sample(list(all_permutations(6)), 40)]
+        cancelled = 0
+        for lam, n in codes:
+            columns = inversion_columns(lam)
+            view = RadixView(_diagram_ambient(tuple(range(len(columns))), n), [len(c) for c in columns])
+            ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
+            gen = view.radix(view.amb.key(columns))
+            cancelled += check_against_reference(SimpleImagesView(view), ref, [gen], rng)
             view.assert_order_kept()
         assert cancelled > 0
 

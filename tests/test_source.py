@@ -38,3 +38,24 @@ def test_filtration_imports_only_the_criterion_privately_from_modules():
         if a.name.startswith("_")
     }
     assert private == {"_raised"}
+
+
+def loops_over(path: str, cls_name: str, source: str) -> list:
+    """Methods of a class that hold a for loop over ``source``, as written."""
+    tree = ast.parse((SRC / path).read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls_name)
+    return [
+        f.name
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == source
+    ]
+
+
+def test_each_closure_loop_is_written_once():
+    # every closure runs the bit-field moves (apply, simple_images) and the
+    # echelon reduction (insert, express): each is one loop, so a rule such
+    # as the orbit-sum step is said in one place
+    assert loops_over("modules.py", "_DiagramAmbient", "vec.items()") == ["_move"]
+    assert loops_over("linalg.py", "Echelon", "sorted(self.rows)") == ["reduce"]
