@@ -72,7 +72,7 @@ def clear_caches() -> None:
     the pool of exponent tuples those two share); results stay equal."""
     for memo in (
         modules._kp_cached,
-        filtration._annihilator_exponents,
+        filtration._cached_presentation,
         modules._diagram_ambient,
         schubert.vandermonde,
     ):

@@ -11,7 +11,8 @@ multiple of a Schubert polynomial.
 The character criterion compares ch(M) with the sum over weights nu of
 dim Hom(M, kp(rho - nu)^* (x) K_rho) times the Schubert polynomial of nu.  By
 the annihilator theorem, kp(lam) is U(n+) modulo the left ideal generated by
-the powers e_ij^{m_ij(lam)+1}, so that hom dimension is the codimension in
+the powers e_ij^{m_ij(lam)+1}, listed with their pairs by
+``permutations._presentation``, so that hom dimension is the codimension in
 M_nu of the sum of the images e_ij^{m_ij+1} M_{nu - (m_ij+1)(eps_i - eps_j)}:
 one rank computation inside M per weight, with no module built for rho - nu.
 The extractor and the criterion must agree, and experiments assert that they
@@ -34,7 +35,7 @@ from .modules import (
     tensor_many,
     young_symmetrizer_image,
 )
-from .permutations import _code_window, _window_m_table, rho, standard_key
+from .permutations import _presentation, rho, standard_key
 from .schubert import _check_partition, expand_in_schubert, plethysm_eval, schubert_poly
 
 
@@ -48,9 +49,10 @@ def sort_weights(M: WeightModule) -> list:
     module; each call returns a fresh list.  Requires a single total degree."""
     if M._levels is None:
         ws = set(M.weights)
-        if len({sum(w) for w in ws}) > 1:
+        degrees = sorted({sum(w) for w in ws})
+        if len(degrees) > 1:
             raise MixedDegreeError(
-                "module mixes total degrees; split into degree components first"
+                f"module mixes total degrees {degrees}; the standard order compares weights of one degree"
             )
         shift = max(0, -min((x for w in ws for x in w), default=0))
         M._levels = tuple(sorted(ws, key=lambda w: standard_key(w, shift), reverse=True))
@@ -149,35 +151,24 @@ class CriterionReport:
         }
 
 
-@lru_cache(maxsize=4096)
-def _annihilator_exponents(core: tuple) -> tuple:
-    """The m_ij + 1 of kp(core), m = m_table(perm(core)), for a nonnegative
-    code, over the pairs (i, j) in ``raising_pairs`` order; the criterion
-    asks for the same shifted rho - nu once per weight of every module it
-    tests.  The untrimmed window of the code serves: a trailing fixed point
-    exceeds every earlier image, so never lies between w(i) < w(j)."""
-    return tuple(m + 1 for m in _window_m_table(_code_window(core), len(core)).entries.values())
+#: kp(rho - nu)'s presentation, asked for once per weight of each module tested
+_cached_presentation = lru_cache(maxsize=4096)(_presentation)
 
 
 def _twisted_dual_hom_dim(M: WeightModule, nu: tuple) -> int:
     """dim Hom(M, kp(rho - nu)^* (x) K_rho), read off inside M.
 
-    With lam = rho - nu, the annihilator of the generator of kp(lam) is the
-    left ideal of the e_ij^{m_ij+1}, m = m_table(perm(lam)); shifting lam by a
-    multiple of (1, ..., 1) to make it nonnegative changes neither the module
-    action nor that table.  A map into the twisted dual is then a functional
-    on M_nu vanishing on every e_ij^{m_ij+1} M_{nu - (m_ij+1)(eps_i - eps_j)},
-    so the dimension is dim M_nu minus the rank of those images.
+    The annihilator of the generator of kp(rho - nu) is the left ideal of
+    the e_ij^{m_ij+1} (``_presentation``).  A map into the twisted dual is
+    then a functional on M_nu vanishing on every
+    e_ij^{m_ij+1} M_{nu - (m_ij+1)(eps_i - eps_j)}, so the dimension is
+    dim M_nu minus the rank of those images.
     """
-    n = M.n
-    lam = [a - b for a, b in zip(rho(n), nu)]
-    k = max(0, -min(lam))
     spaces = M.weight_spaces()
     images = Echelon()
-    exponents = _annihilator_exponents(tuple(x + k for x in lam))
-    for pair, e in zip(M.raising_pairs(), exponents):
-        for t in spaces.get(_raised(nu, pair, -e), ()):
-            v = M.apply_power(pair, {t: ONE}, e)
+    for pair, m in _cached_presentation(tuple(a - b for a, b in zip(rho(M.n), nu))):
+        for t in spaces.get(_raised(nu, pair, -m - 1), ()):
+            v = M.apply_power(pair, {t: ONE}, m + 1)
             if v:
                 images.insert(v)
     return len(spaces[nu]) - images.rank

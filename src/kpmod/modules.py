@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, _require_count, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, scaled
-from .permutations import Permutation, _code_window, _perm_window, _window_m_table, code
+from .permutations import Permutation, _code_window, _m_table, _perm_window, code
 from .schubert import _check_partition, schubert_poly
 
 
@@ -569,7 +569,7 @@ def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightMo
     >>> diagram_module([[1, 3]], 4).dim       # demazure_module((1, 0, 1, 0))
     2
     """
-    _require_int(n, f"{what} n")
+    _require_count(n, f"{what} n")
     columns = [int_tuple(rows, f"{what} column") for rows in columns]
     for rows in columns:
         if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
@@ -753,9 +753,9 @@ class AnnihilatorReport:
 
 
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
-    win = _perm_window(w, "annihilator_check")
+    _perm_window(w, "annihilator_check")
     lam = code(w, n)
-    table = _window_m_table(win, n)
+    table = _m_table(lam)
     amb, (_, gen) = _diagram_generator(_kp_columns(lam), n)
     failed = []
     non_sharp = []

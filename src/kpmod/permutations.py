@@ -12,7 +12,9 @@ window convert both ways on plain tuples (``_code_window``,
 ``_window_code``), and the transition step works on windows
 (``_transition_window``), so the Schubert transition recursion and the KP
 diagrams build no ``Permutation``; the public functions wrap the same
-helpers.
+helpers.  One routine, ``_presentation``, reads the annihilator exponents
+m_ij of kp(lam) with their pairs, for any integer weight: ``m_table``,
+``annihilator_check`` and the character criterion all read it.
 """
 
 from __future__ import annotations
@@ -217,17 +219,33 @@ class MTable:
 
 
 def m_table(w: Permutation, n: int) -> MTable:
-    win = _perm_window(w, "m_table")
+    _perm_window(w, "m_table")
     _require_int(n, "m_table n")
-    code(w, n)  # validates membership
-    return _window_m_table(win, n)
+    return _m_table(code(w, n))  # code validates membership
 
 
-def _window_m_table(win, n: int) -> MTable:
-    """:func:`m_table` of the window of a permutation increasing past n."""
-    win = tuple(win) + tuple(range(len(win) + 1, n + 1))
-    # the identity tail past the window never lies strictly between two images
-    entries = {}
+def _m_table(lam) -> MTable:
+    """:func:`_presentation` as an :class:`MTable`; raising order is sorted."""
+    entries = dict(_presentation(lam))
+    pruned = tuple(
+        (i, j)
+        for (i, j), m in entries.items()
+        if not any(m == entries[(i, q)] + entries[(q, j)] for q in range(i + 1, j))
+    )
+    return MTable(len(lam), entries, pruned)
+
+
+def _presentation(lam) -> tuple:
+    """((i, j), m_ij) for i < j <= n = len(lam), in raising order (i, then
+    j): kp(lam) is U(n+) modulo the left ideal of the e_ij^{m_ij+1}.  Any
+    integer weight reads the table of its lift lam + k(1, ..., 1),
+    k = max(0, -min lam), which has the same module action and the same m.
+    The untrimmed window of the lift's code serves: a trailing fixed point
+    exceeds every earlier image, so never lies between w(i) < w(j)."""
+    k = max(0, -min(lam, default=0))
+    win = _code_window([x + k for x in lam])
+    n = len(lam)
+    out = []
     for i in range(n):
         wi = win[i]
         for j in range(i + 1, n):
@@ -237,18 +255,8 @@ def _window_m_table(win, n: int) -> MTable:
                 for x in win[j + 1:]:
                     if wi < x < wj:
                         m += 1
-            entries[(i + 1, j + 1)] = m
-    pruned = tuple(
-        sorted(
-            (i, j)
-            for (i, j) in entries
-            if not any(
-                entries[(i, j)] == entries[(i, q)] + entries[(q, j)]
-                for q in range(i + 1, j)
-            )
-        )
-    )
-    return MTable(n, entries, pruned)
+            out.append(((i + 1, j + 1), m))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ mixed-radix keys, walking one move table per factor, and
 annihilate the diagram generator in it, against which the tests check
 ``diagram_module`` and ``annihilator_check``, which run on the bit-field
 keys of ``_DiagramAmbient``; ``mixed_radix_key`` translates one key into
-the other.  ``reference_young_symmetrizer_image`` closes the Schur-functor
-image in a ``ReferenceWedgeAmbient`` over M, which ranks each column's
+the other.  ``reference_m_table`` reads the m_ij off a permutation's
+minimal window, against which the tests check ``_presentation``, which
+reads them off the untrimmed window of a code lifted to be nonnegative.
+``reference_young_symmetrizer_image`` closes the Schur-functor image in a
+``ReferenceWedgeAmbient`` over M, which ranks each column's
 combination in closed form, against which the tests check
 ``young_symmetrizer_image``, which looks it up in the power's own index.
 ``reference_sl3_module`` is the rank-3 module S^a(Lambda^2 K^3) (x)
@@ -69,7 +72,7 @@ from kpmod.modules import (
     tensor_many,
     vector_rep,
 )
-from kpmod.permutations import Permutation, _code_window, code, m_table, rho
+from kpmod.permutations import MTable, Permutation, _code_window, code, rho
 from kpmod.schubert import _check_partition, divided_difference, schubert_poly, vandermonde
 
 
@@ -479,12 +482,40 @@ def reference_diagram_module(columns, n: int) -> WeightModule:
     return _close(amb, [gen], "reference_diagram_module", gen)
 
 
+def reference_m_table(win, n: int) -> MTable:
+    """``m_table`` of the window of a permutation increasing past n."""
+    win = tuple(win) + tuple(range(len(win) + 1, n + 1))
+    # the identity tail past the window never lies strictly between two images
+    entries = {}
+    for i in range(n):
+        wi = win[i]
+        for j in range(i + 1, n):
+            wj = win[j]
+            m = 0
+            if wi < wj:
+                for x in win[j + 1:]:
+                    if wi < x < wj:
+                        m += 1
+            entries[(i + 1, j + 1)] = m
+    pruned = tuple(
+        sorted(
+            (i, j)
+            for (i, j) in entries
+            if not any(
+                entries[(i, j)] == entries[(i, q)] + entries[(q, j)]
+                for q in range(i + 1, j)
+            )
+        )
+    )
+    return MTable(n, entries, pruned)
+
+
 def reference_annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     """``annihilator_check``, its powers applied in the
     ``ReferenceWedgeAmbient`` and its dimension that of
     ``reference_diagram_module``."""
     lam = code(w, n)
-    table = m_table(w, n)
+    table = reference_m_table(w.window, n)
     columns = _kp_columns(lam)
     amb, (_, gen) = _reference_generator(columns, n)
     failed = []

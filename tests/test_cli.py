@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -56,6 +57,12 @@ class TestBasicCommands:
         assert out.strip() == "x1^2 + x1*x2 + x1*x3"
         rc, out = run(capsys, "kp-dim", "--code", "1,0,1,0")
         assert json.loads(out)["dim"] == 3
+
+    def test_negative_weight_is_written_with_equals(self, capsys):
+        # "--code -1,0" would read -1,0 as an option and exit 2
+        rc, out = run(capsys, "kp-char", "--code=-1,0")
+        assert rc == 0
+        assert json.loads(out) == kpmod.schubert_poly((-1, 0)).to_json()
 
     def test_expand_product(self, capsys):
         rc, out = run(capsys, "expand", "--product", "0,1:0,1")
@@ -234,6 +241,13 @@ class TestVerify:
         assert rc == 2
         assert captured.out == ""
         assert f"suite {suite!r} checks nothing at upto={upto}" in captured.err
+
+    @pytest.mark.parametrize("upto", [2.5, "3", True])
+    def test_bound_that_is_not_an_int_is_refused(self, monkeypatch, upto):
+        # 2.5 and "3" failed in range or <, and True ran S_1
+        monkeypatch.setattr(verify, "kp_module", lambda *args: pytest.fail("a check ran"))
+        with pytest.raises(ValueError, match=re.escape(f"suite 'kp-char' upto must be an integer, got {upto!r}")):
+            run_suite("kp-char", upto)
 
     @pytest.mark.parametrize("upto", ["11", "40"])
     def test_bound_above_the_largest_is_usage_error(self, capsys, monkeypatch, upto):

@@ -32,10 +32,10 @@ from kpmod.modules import (
     tensor_many,
     vector_rep,
 )
-from kpmod.permutations import Permutation, all_permutations, code, m_table, perm_of, rho
+from kpmod.permutations import Permutation, _presentation, all_permutations, code, m_table, perm_of, rho
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from differential import dumps as dumps_with_generator
-from reference import dual_twist, hom_dim, reference_young_symmetrizer_image
+from reference import dual_twist, hom_dim, reference_m_table, reference_young_symmetrizer_image
 
 
 def x(n, i):
@@ -66,7 +66,7 @@ class TestSortWeights:
 
     def test_mixed_degrees_rejected(self):
         M = WeightModule(2, [(0, 0), (1, 0)])
-        with pytest.raises(MixedDegreeError, match="degree"):
+        with pytest.raises(MixedDegreeError, match=r"module mixes total degrees \[0, 1\]"):
             sort_weights(M)
 
 
@@ -614,13 +614,16 @@ class TestYoungSymmetrizerIndexedWedges:
                 assert dumps_with_generator(got) == dumps_with_generator(reference_young_symmetrizer_image(M, sigma))
 
 
-def test_annihilator_exponents_match_the_m_table():
+def test_presentation_matches_the_minimal_window_table():
     # the untrimmed window of the code against the table of the minimal
     # window: every code of S_1..S_6, and the codes of {0..3}^4, most of
-    # whose permutations move points past n, as the criterion's rho - nu do
+    # whose permutations move points past n, as the criterion's rho - nu do;
+    # a weight with a negative entry reads the table of its lift
     cores = [code(w, n) for n in range(1, 7) for w in all_permutations(n)]
     cores += list(itertools.product(range(4), repeat=4))
     for core in cores:
-        expected = tuple(m + 1 for m in m_table(perm_of(core), len(core)).entries.values())
-        assert filtration._annihilator_exponents(core) == expected, core
+        expected = reference_m_table(perm_of(core).window, len(core))
+        assert _presentation(core) == tuple(expected.entries.items()), core
+        assert m_table(perm_of(core), len(core)) == expected, core
+        assert _presentation(tuple(x - min(core) - 1 for x in core)) == _presentation(core), core
     assert len(cores) == 873 + 256

@@ -139,6 +139,9 @@ class TestConstructors:
             (lambda: exterior_power(vector_rep(2), True), "exterior_power k must be an integer, got True"),
             (lambda: vector_rep(2.5), "vector_rep n must be an integer, got 2.5"),
             (lambda: diagram_module([[1]], 2.0), "diagram_module n must be an integer, got 2.0"),
+            # a "negative shift count", and a column "not a set of rows in 1..-1"
+            (lambda: diagram_module([], -2), "diagram_module n must be nonnegative, got -2"),
+            (lambda: diagram_module([[1]], -1), "diagram_module n must be nonnegative, got -1"),
             (lambda: diagram_module([[1.0]], 2), r"diagram_module column \(1.0,\): entry must be an integer"),
             (lambda: diagram_module([[True]], 2), r"diagram_module column \(True,\): entry must be an integer"),
             (lambda: demazure_module(()), r"demazure_module needs a nonempty weight, got \(\)"),
@@ -1127,10 +1130,10 @@ class TestClearCaches:
             )
 
         before = snapshot()
-        assert filtration._annihilator_exponents.cache_info().currsize > 0
+        assert filtration._cached_presentation.cache_info().currsize > 0
         kpmod.clear_caches()
         assert kpmod.modules._kp_cached.cache_info().currsize == 0
-        assert filtration._annihilator_exponents.cache_info().currsize == 0
+        assert filtration._cached_presentation.cache_info().currsize == 0
         assert not schubert._transition_memo
         assert not schubert._staircase_memo
         assert not schubert._exponent_pool

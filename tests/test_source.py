@@ -40,6 +40,21 @@ def test_filtration_imports_only_the_criterion_privately_from_modules():
     assert private == {"_raised"}
 
 
+def test_criterion_reads_the_presentation_alone():
+    # the m_ij come from permutations._presentation with their pairs: the
+    # criterion neither reads a window nor pairs exponents with raising_pairs
+    tree = ast.parse((SRC / "filtration.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not names & {"_code_window", "_window_m_table"}
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "raising_pairs"
+    ]
+
+
 def loops_over(path: str, cls_name: str, source: str) -> list:
     """Methods of a class that hold a for loop over ``source``, as written."""
     tree = ast.parse((SRC / path).read_text())
