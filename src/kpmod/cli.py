@@ -79,28 +79,25 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _input_perm(args) -> tuple:
-    """Resolve (permutation, n) from --perm/--code and -n."""
+def _input_code(args) -> tuple:
+    """The weight named by --code as given, or by --perm as its length-n code."""
     if getattr(args, "code", None) is not None:
         lam = args.code
         if args.n is not None and args.n != len(lam):
             raise ValueError(f"-n {args.n} contradicts a length-{len(lam)} code")
-        return perm_of(lam), len(lam)
+        return lam
     if getattr(args, "perm", None) is None:
         raise ValueError("need --code or --perm")
-    w = args.perm
     if args.n is None:
         raise ValueError("--perm needs -n")
-    return w, args.n
+    return code(args.perm, args.n)
 
 
 # ---------------------------------------------------------------------------
 # Handlers
 
 def _cmd_schubert(args) -> int:
-    w, n = _input_perm(args)
-    lam = code(w, n)
-    poly = schubert_poly(lam, args.method)
+    poly = schubert_poly(_input_code(args), args.method)
     _emit(args, poly.to_json(), poly.text())
     return 0
 
@@ -134,10 +131,10 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_mtable(args) -> int:
-    w, n = _input_perm(args)
-    t = m_table(w, n)
+    lam = _input_code(args)
+    t = m_table(perm_of(lam), len(lam))
     payload = {
-        "n": n,
+        "n": t.n,
         "entries": {f"{i},{j}": m for (i, j), m in sorted(t.entries.items())},
         "pruned": [list(p) for p in t.pruned],
     }
@@ -162,8 +159,8 @@ def _cmd_kp_dim(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
-    w, n = _input_perm(args)
-    rep = annihilator_check(w, n)
+    lam = _input_code(args)
+    rep = annihilator_check(perm_of(lam), len(lam))
     _emit(
         args,
         rep.to_json(),
@@ -259,16 +256,15 @@ def _cmd_plethysm_exp(args) -> int:
 
 def _cmd_demazure_compare(args) -> int:
     if args.code is not None:
-        codes = [args.code]
+        pairs = [(perm_of(args.code), args.code)]
     else:
         m = args.upto
         if m < 1:
             raise ValueError(f"--upto must be at least 1, got {m}")
-        codes = [code(w, m) for w in all_permutations(m)]
+        pairs = [(w, code(w, m)) for w in all_permutations(m)]
     rows = []
     violations = 0
-    for lam in codes:
-        w = perm_of(lam)
+    for w, lam in pairs:
         S = kp_module(lam)
         D = demazure_module(lam)
         equal = S.character() == D.character()

@@ -108,6 +108,8 @@ def kp_filtration_extract(M: WeightModule) -> FiltrationReport:
     adds are the character of N_{i-1} / N_i, the tower's kernel generated in
     weight nu; the rank added at nu itself is the layer multiplicity d, and
     that character must be d times the Schubert polynomial of nu."""
+    if not M.n:
+        raise ValueError("kp_filtration_extract needs a module over n >= 1, got n = 0")
     levels = sort_weights(M)
     spaces = M.weight_spaces()
     closer = SubmoduleCloser(M)
@@ -138,7 +140,7 @@ class CriterionReport:
     lhs: LaurentPoly
     rhs: LaurentPoly
     hom_multiplicities: tuple  # ((nu, dim Hom(M, twisted dual of kp(rho-nu))), ...)
-    leq: bool
+    leq: bool  # always True: char_criterion raises where it would be False
     equal: bool
 
     def to_json(self) -> dict:
@@ -190,6 +192,8 @@ def char_criterion(M: WeightModule) -> CriterionReport:
     Raises RuntimeError if ch(M) exceeds the bound, which the theory rules
     out: it would mean a bug in the module or in this computation.
     """
+    if not M.n:
+        raise ValueError("char_criterion needs a module over n >= 1, got n = 0")
     lhs = M.character()
     rhs = LaurentPoly._of(M.n, {})
     mults = []
@@ -199,12 +203,11 @@ def char_criterion(M: WeightModule) -> CriterionReport:
             mults.append((nu, h))
             rhs = rhs + schubert_poly(nu) * h
     diff = rhs - lhs
-    leq = all(c >= 0 for c in diff.terms.values())
-    if not leq:
+    if any(c < 0 for c in diff.terms.values()):
         raise RuntimeError(
             f"character exceeds the hom-multiplicity bound: rhs - lhs = {diff.text()}"
         )
-    return CriterionReport(lhs, rhs, tuple(mults), leq, rhs == lhs)
+    return CriterionReport(lhs, rhs, tuple(mults), True, rhs == lhs)
 
 
 # ---------------------------------------------------------------------------

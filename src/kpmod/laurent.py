@@ -137,13 +137,13 @@ class LaurentPoly:
             return LaurentPoly._of(self.n, {})
         # A single term c*x^e shifts and scales the other factor.  Products of
         # nonzero ints are nonzero and the shifted exponents stay distinct, so
-        # this is the double loop below, in its order, without the dict work.
+        # this is the double loop below, in its order, without the dict work:
+        # with the single term first, the loop runs over the other factor.
+        if len(b) == 1:
+            a, b = b, a
         if len(a) == 1:
             ((e, c),) = a.items()
             return LaurentPoly._of(self.n, {tuple(map(add, e, f)): c * d for f, d in b.items()})
-        if len(b) == 1:
-            ((f, d),) = b.items()
-            return LaurentPoly._of(self.n, {tuple(map(add, e, f)): c * d for e, c in a.items()})
         out, radix, lo, _ = _packed_product(self.n, a, b)
         # decode each product key once: its digits in base R are e_i - lo_i
         base = sum(map(mul, lo, radix))
@@ -181,9 +181,7 @@ class LaurentPoly:
         ]
 
     def __pow__(self, k: int):
-        _require_int(k, "power")
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
+        _require_count(k, "power")
         res = LaurentPoly.one(self.n)
         for _ in range(k):
             res = res * self

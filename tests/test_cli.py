@@ -32,6 +32,7 @@ class TestBasicCommands:
         assert rc == 0
         data = json.loads(out)
         assert {"exp": [2, 0, 0, 0], "coeff": 1} in data["terms"]
+        assert (rc, out) == run(capsys, "schubert", "--code", "1,0,1,0")
 
     def test_code_and_perm_roundtrip(self, capsys):
         rc, out = run(capsys, "code", "--perm", "2,1,4,3", "-n", "4")
@@ -59,10 +60,20 @@ class TestBasicCommands:
         assert json.loads(out)["dim"] == 3
 
     def test_negative_weight_is_written_with_equals(self, capsys):
-        # "--code -1,0" would read -1,0 as an option and exit 2
-        rc, out = run(capsys, "kp-char", "--code=-1,0")
-        assert rc == 0
-        assert json.loads(out) == kpmod.schubert_poly((-1, 0)).to_json()
+        # "--code -1,0" would read -1,0 as an option and exit 2; schubert
+        # exited 2 as well, as it turned the weight into a permutation
+        for command in ("kp-char", "schubert"):
+            rc, out = run(capsys, command, "--code=-1,0")
+            assert rc == 0
+            assert json.loads(out) == kpmod.schubert_poly((-1, 0)).to_json()
+
+    @pytest.mark.parametrize("command", ["mtable", "annihilator"])
+    def test_negative_weight_is_refused_where_a_permutation_is_needed(self, capsys, command):
+        rc = main([command, "--code=-1,0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: code entries must be nonnegative" in captured.err
 
     def test_expand_product(self, capsys):
         rc, out = run(capsys, "expand", "--product", "0,1:0,1")

@@ -100,6 +100,11 @@ class TestExtractor:
         assert rep.ok
         assert rep.factors == ()
 
+    def test_module_over_zero_variables_is_refused(self):
+        # failed inside schubert_poly with "empty weight vector"
+        with pytest.raises(ValueError, match="kp_filtration_extract needs a module over n >= 1, got n = 0"):
+            kp_filtration_extract(one_dim(()))
+
     def test_reports_pinned_on_a_fixed_corpus(self):
         # every S_3 tensor pair and its twisted dual, the Schur images with
         # 2 <= |sigma| <= 3, the twisted duals of the S_3 KP modules, a line
@@ -152,6 +157,11 @@ class TestCriterion:
         assert rep.leq and not rep.equal
         assert rep.lhs == x(2, 2)
         assert rep.rhs == x(2, 1) + x(2, 2)
+
+    def test_module_over_zero_variables_is_refused(self):
+        # failed inside schubert_poly with "empty weight vector"
+        with pytest.raises(ValueError, match="char_criterion needs a module over n >= 1, got n = 0"):
+            char_criterion(one_dim(()))
 
     def test_violated_bound_raises(self, monkeypatch):
         monkeypatch.setattr(filtration, "_twisted_dual_hom_dim", lambda M, nu: 0)

@@ -273,10 +273,18 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="variable index must be an integer, got True"):
             LaurentPoly.variable(2, True)
 
-    @pytest.mark.parametrize("k", [True, 2.0])
-    def test_pow(self, k):
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (True, "power must be an integer, got True"),
+            (2.0, "power must be an integer, got 2.0"),
+            (-1, "power must be nonnegative, got -1"),
+        ],
+        ids=["True", "2.0", "-1"],
+    )
+    def test_pow(self, k, message):
         # (x1 + 1) ** True was x1 + 1
-        with pytest.raises(ValueError, match=f"power must be an integer, got {k}"):
+        with pytest.raises(ValueError, match=message):
             (x(2, 1) + 1) ** k
 
     @pytest.mark.parametrize("i", [True, 1.0])

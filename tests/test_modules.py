@@ -128,7 +128,7 @@ class TestConstructors:
 
     def test_weight_module_rejects_negative_rank(self):
         # n = 0 stays allowed: one_dim(()) is the trivial module of rank 0
-        with pytest.raises(ValueError, match="WeightModule n must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="vector_rep n must be nonnegative, got -1"):
             vector_rep(-1)
         assert one_dim(()).n == 0
 
@@ -154,6 +154,7 @@ class TestConstructors:
             (lambda: tensor_many([], -1), "tensor_many n must be nonnegative, got -1"),
             (lambda: tensor_many([], 2.0), "tensor_many n must be an integer, got 2.0"),
             (lambda: tensor_many([vector_rep(2)], 3), "tensor_many n = 3 contradicts the factors' n = 2"),
+            (lambda: exterior_power(vector_rep(2), -1), "exterior_power k must be nonnegative, got -1"),
         ],
     )
     def test_constructors_reject_bad_arguments(self, build, message):
