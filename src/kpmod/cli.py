@@ -222,10 +222,8 @@ def _cmd_filtration(args) -> int:
         rep = kp_filtration_extract(tensor_many([kp_module(lam), kp_module(mu)]))
     elif args.kp is not None:
         rep = kp_filtration_extract(kp_module(args.kp))
-    elif args.one_dim is not None:
-        rep = kp_filtration_extract(one_dim(args.one_dim))
     else:
-        raise ValueError("need --tensor, --kp, or --one-dim")
+        rep = kp_filtration_extract(one_dim(args.one_dim))
     text = f"ok={rep.ok} factors=" + " ".join(
         f"{list(nu)}x{d}" for nu, d in rep.factors
     )
@@ -389,9 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M2", type=int)
 
     p = add("filtration", _cmd_filtration, "extract a KP filtration of a module")
-    p.add_argument("--tensor", type=_pair, help="lam:mu for KP(lam) (x) KP(mu)")
-    p.add_argument("--kp", type=_weight)
-    p.add_argument("--one-dim", dest="one_dim", type=_weight)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--tensor", type=_pair, help="lam:mu for KP(lam) (x) KP(mu)")
+    which.add_argument("--kp", type=_weight)
+    which.add_argument("--one-dim", dest="one_dim", type=_weight)
     p.add_argument("--expect-ok", action="store_true")
 
     p = add("tensor-exp", _cmd_tensor_exp, "tensor-product filtration experiment")

@@ -2,12 +2,12 @@
 
 Vectors are dicts mapping basis indices to nonzero exact rationals: int, or
 Fraction where not integral.  Module actions have integer coefficients, so
-a Fraction enters only where an echelon pivot divides.  The Echelon class
-maintains an incrementally grown reduced row-echelon basis (pivot =
-smallest nonzero index, pivot entries normalized to 1 and eliminated from
-all other rows), which makes spans, membership tests, and coordinates
-deterministic.  One ascending reduction pass (``Echelon.reduce``) serves
-both ``insert`` and ``express``.
+a Fraction enters only where an echelon pivot does not divide its row.  The
+Echelon class maintains an incrementally grown reduced row-echelon basis
+(pivot = smallest nonzero index, pivot entries normalized to 1 and
+eliminated from all other rows), which makes spans, membership tests, and
+coordinates deterministic.  One ascending reduction pass
+(``Echelon.reduce``) serves both ``insert`` and ``express``.
 """
 
 from __future__ import annotations
@@ -68,10 +68,13 @@ class Echelon:
         if not v:
             return None
         p = min(v)
-        if v[p] == 1:
+        pivot = v[p]
+        if pivot == 1:
             row = v
+        elif type(pivot) is int and all(type(c) is int and not c % pivot for c in v.values()):
+            row = {i: c // pivot for i, c in v.items()}  # the ints the Fraction path gives
         else:
-            inv = Fraction(1) / v[p]
+            inv = Fraction(1) / pivot
             row = {}
             for i, c in v.items():
                 c *= inv

@@ -85,9 +85,10 @@ class _Action:
             vec = self.apply(pair, vec)
         return vec
 
-    def simple_images(self, vec: dict) -> list:
-        """Images of a sparse vector under the ``simple_pairs``, in order."""
-        return [self.apply(pair, vec) for pair in _pairs(self.n)[0]]
+    def simple_images(self, vec: dict, top: int) -> list:
+        """Images of a sparse vector under the ``simple_pairs``, in order;
+        those of e_{b,b+1} for b > top are left empty."""
+        return [self.apply(pair, vec) if pair[0] <= top else {} for pair in _pairs(self.n)[0]]
 
     def simple_pairs(self) -> tuple:
         return _pairs(self.n)[0]
@@ -120,11 +121,22 @@ class WeightModule(_Action):
 
     def __init__(self, n, weights, builder=None, generator=None):
         _require_count(n, "WeightModule n")
-        self.n = n
-        self.weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
-        for w in self.weights:
+        weights = tuple(int_tuple(w, "WeightModule weight") for w in weights)
+        for w in weights:
             if len(w) != n:
                 raise ValueError(f"WeightModule weight {w} has length {len(w)}, not n = {n}")
+        self._set(n, weights, builder, generator)
+
+    @classmethod
+    def _of(cls, n: int, weights, builder=None, generator=None) -> "WeightModule":
+        """A module on weights already clean: length-n int tuples summed
+        from checked ones.  No validation; only derived modules come here."""
+        res = cls.__new__(cls)
+        res._set(n, tuple(weights), builder, generator)
+        return res
+
+    def _set(self, n, weights, builder, generator) -> None:
+        self.n, self.weights = n, weights
         self._cols: dict = {}  # pair -> {basis index: column}, a pair's dict made on first use
         self._moves: dict = {}
         self._builder = builder
@@ -258,7 +270,7 @@ def tensor_many(factors, n=None) -> WeightModule:
         _weight_sum(n0, (F.weights[t] for F, t in zip(factors, combo)))
         for combo in itertools.product(*(range(d) for d in dims))
     ]
-    return WeightModule(n0, weights, _Tensor(factors, n0).column)
+    return WeightModule._of(n0, weights, _Tensor(factors, n0).column)
 
 
 class _Tensor(_Action):
@@ -321,7 +333,7 @@ def _power(M: WeightModule, index: dict, place) -> WeightModule:
                     del out[key]
         return out
 
-    return WeightModule(M.n, weights, builder)
+    return WeightModule._of(M.n, weights, builder)
 
 
 def _index(combos) -> dict:
@@ -352,11 +364,22 @@ def exterior_power(M: WeightModule, k: int) -> WeightModule:
 
 class SubmoduleCloser:
     """Incrementally grown submodule, held as one reduced echelon basis per
-    weight.  It is closed under the simple e_{i,i+1} only: every other e_ij
-    is an iterated bracket of simple ones, so that is the same subspace, and
-    a reduced echelon basis is unique.  Vectors enter with their weights and
-    the image of a weight-wt vector under e_ij has weight wt + eps_i - eps_j,
-    so the closure never looks up the weight of a basis key.
+    weight.  It is closed under the simple e_a = e_{a,a+1} only: every other
+    e_ij is an iterated bracket of simple ones, so that is the same
+    subspace, and a reduced echelon basis is unique.  Vectors enter with
+    their weights and the image of a weight-wt vector under e_ij has weight
+    wt + eps_i - eps_j, so the closure never looks up the weight of a basis
+    key.
+
+    A seed takes all n - 1 simple images; a vector v = e_a u queued as an
+    image takes e_b v for b <= a + 1 only.  The skipped e_b v, b >= a + 2,
+    are in the span already, as e_a and e_b commute (words in commuting
+    letters have a Cartier-Foata normal form).  By induction on the height
+    of v (e_a raises it by one), and at one height on b ascending:
+    e_b v = e_a (e_b u); e_b u is in the span by induction, a sum of queued
+    vectors q of v's height; and each e_a q, a < b, is in it, also by
+    induction.  So the span after each ``add``, and with it the rows,
+    pivots and added ranks, is unchanged; for n = 3 nothing is skipped.
 
     KP_MAX_DIM caps the closure rank, whatever the ambient; an enumerated
     ambient was checked when its basis was built."""
@@ -368,14 +391,14 @@ class SubmoduleCloser:
         self.what = what
         self.cap = max_dim()
 
-    def _insert(self, wt: tuple, vec: dict, queue: list, added: dict) -> None:
+    def _insert(self, wt: tuple, vec: dict, top: int, queue: list, added: dict) -> None:
         ech = self.echelons.setdefault(wt, Echelon())
         if ech.insert(vec) is not None:
             self.rank += 1
             if self.rank > self.cap:
                 raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
             added[wt] = added.get(wt, 0) + 1
-            queue.append((wt, vec))
+            queue.append((wt, vec, top))
 
     def add(self, vecs) -> dict:
         """Close the span of vecs together with the current subspace.
@@ -384,15 +407,17 @@ class SubmoduleCloser:
         the weight space of its weight.  Returns {weight: rank added there};
         summed over calls, these ranks are the character of the closure."""
         added: dict = {}
-        queue: list = []
+        queue: list = []  # (weight, vector, the highest simple index to take)
+        last = self.module.n - 1
         for wt, v in vecs:
-            self._insert(wt, v, queue, added)
+            self._insert(wt, v, last, queue, added)
         pairs = self.module.simple_pairs()
+        tops = [min(a + 1, last) for a, _ in pairs]
         while queue:
-            wt, v = queue.pop()
-            for pair, img in zip(pairs, self.module.simple_images(v)):
+            wt, v, top = queue.pop()
+            for pair, nxt, img in zip(pairs, tops, self.module.simple_images(v, top)):
                 if img:
-                    self._insert(_raised(wt, pair), img, queue, added)
+                    self._insert(_raised(wt, pair), img, nxt, queue, added)
         return added
 
 
@@ -422,7 +447,7 @@ def _close(M, seeds, what: str, generator=None) -> WeightModule:
         return express(_raised(basis[t][0], pair), M.apply(pair, rows[t]))
 
     gen = express(*generator) if generator else None
-    return WeightModule(M.n, [wt for wt, _ in basis], builder, generator=gen)
+    return WeightModule._of(M.n, [wt for wt, _ in basis], builder, gen)
 
 
 def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
@@ -459,7 +484,7 @@ class _DiagramAmbient(_Action):
     field, ``key & A_i & ~(key << (j - i))`` has one bit per column holding
     j but not i, and the sign is the parity of its rows between i and j.
     ``_move`` makes every move: ``apply`` on A_i with d = j - i, and
-    ``simple_images`` on A_1 | ... | A_{n-1} with d = 1 (every sign +1).
+    ``simple_images`` on A_1 | ... | A_top with d = 1 (every sign +1).
 
     ``classes`` labels each column; columns of one label are equal in the
     generator, so every vector met is symmetric under permuting them and is
@@ -477,7 +502,7 @@ class _DiagramAmbient(_Action):
         self.n = n
         every = sum(1 << n * c for c in range(len(classes)))  # bit 0 of every field
         self._pairs = {(i, j): (every << n - i, j - i) for i, j in self.raising_pairs()}  # A_i, j - i
-        self._simple = every * ((1 << n) - 2)  # A_1 | ... | A_{n-1}
+        self._simple = [every * ((1 << n) - (1 << n - b)) for b in range(n)]  # A_1 | ... | A_b
         shifts: dict = {}  # label -> the shifts of its fields, in column order
         for c, label in enumerate(classes):
             shifts.setdefault(label, []).append(n * (len(classes) - 1 - c))
@@ -544,9 +569,9 @@ class _DiagramAmbient(_Action):
         self._move(vec, a, d, [out] * (self.n - 1))  # every bit of A_i lands at row i
         return out
 
-    def simple_images(self, vec: dict) -> list:
+    def simple_images(self, vec: dict, top: int) -> list:
         images = [{} for _ in range(self.n - 1)]
-        self._move(vec, self._simple, 1, images)
+        self._move(vec, self._simple[top], 1, images)
         return images
 
 
@@ -674,13 +699,21 @@ _KP_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_KP_CACHE_SIZE)
+def _kp_generator(lam: tuple) -> tuple:
+    """(ambient, weight, key) of a nonnegative code's diagram generator, for
+    ``kp_module`` and ``annihilator_check``: each makes its own {key: ONE}."""
+    amb, (wt, (key,)) = _diagram_generator(_kp_columns(lam), len(lam))
+    return amb, wt, key
+
+
+@lru_cache(maxsize=_KP_CACHE_SIZE)
 def _kp_cached(lam: tuple, cap: int) -> WeightModule:
     # cap, the KP_MAX_DIM in force, is part of the key only: a module built
     # under one cap is never handed out under another.  A negative code
     # closes its lifted code's generator at that weight minus k.
     k = max(0, -min(lam))
-    amb, (wt, gen) = _diagram_generator(_kp_columns(tuple(x + k for x in lam)), len(lam))
-    seed = (tuple(x - k for x in wt), gen)
+    amb, wt, key = _kp_generator(tuple(x + k for x in lam))
+    seed = (tuple(x - k for x in wt), {key: ONE})
     return _close(amb, [seed], f"kp_module{lam}", seed)
 
 
@@ -756,11 +789,11 @@ def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     _perm_window(w, "annihilator_check")
     lam = code(w, n)
     table = _m_table(lam)
-    amb, (_, gen) = _diagram_generator(_kp_columns(lam), n)
+    amb, _, key = _kp_generator(lam)
     failed = []
     non_sharp = []
     for (i, j), m in table.entries.items():
-        v = amb.apply_power((i, j), gen, m)
+        v = amb.apply_power((i, j), {key: ONE}, m)
         if m >= 1 and not v:
             non_sharp.append((i, j))
         if amb.apply((i, j), v):

@@ -227,12 +227,14 @@ def m_table(w: Permutation, n: int) -> MTable:
 def _m_table(lam) -> MTable:
     """:func:`_presentation` as an :class:`MTable`; raising order is sorted."""
     entries = dict(_presentation(lam))
-    pruned = tuple(
-        (i, j)
-        for (i, j), m in entries.items()
-        if not any(m == entries[(i, q)] + entries[(q, j)] for q in range(i + 1, j))
-    )
-    return MTable(len(lam), entries, pruned)
+    pruned = []
+    for (i, j), m in entries.items():
+        for q in range(i + 1, j):
+            if m == entries[(i, q)] + entries[(q, j)]:
+                break
+        else:
+            pruned.append((i, j))
+    return MTable(len(lam), entries, tuple(pruned))
 
 
 def _presentation(lam) -> tuple:

@@ -13,21 +13,27 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import sys
 
+from kpmod.filtration import sort_weights
+from kpmod.linalg import ONE
 from kpmod.modules import (
     _kp_columns,
+    _kp_generator,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
     kp_module,
     sl3_identity_check,
     sl3_presentation_check,
+    tensor_many,
     young_symmetrizer_image,
 )
 from kpmod.permutations import all_permutations, code
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from reference import (
+    closers_agree,
     reference_annihilator_check,
     reference_diagram_module,
     reference_expand_in_schubert,
@@ -155,7 +161,28 @@ def repeated_columns(tally: Tally, upto: int = 5, top: int = 6) -> None:
         tally.require(ok, f"mismatch: demazure_module{(0, a, a + b)}")
 
 
-COMPARISONS = (diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns)
+def pruned_closure(tally: Tally, n: int = 6, extractions: int = 200, seed: int = 31) -> None:
+    """The closure that skips commuting images against the one that takes
+    every simple image (same added ranks per call, same rows after it): on
+    the generator of every S_n KP module, and on the weight spaces the
+    extractor's tower adds, largest weight first, for ``extractions`` seeded
+    tensor products of two S_{n-1} KP modules."""
+    for w in all_permutations(n):
+        amb, wt, key = _kp_generator(code(w, n))
+        tally.require(closers_agree(amb, [[(wt, {key: ONE})]]), f"mismatch: {code(w, n)}")
+    rng = random.Random(seed)
+    codes = [code(w, n - 1) for w in all_permutations(n - 1)]
+    for _ in range(extractions):
+        lam, mu = rng.choice(codes), rng.choice(codes)
+        M = tensor_many([kp_module(lam), kp_module(mu)])
+        spaces = M.weight_spaces()
+        batches = [[(nu, {i: ONE}) for i in spaces[nu]] for nu in reversed(sort_weights(M))]
+        tally.require(closers_agree(M, batches), f"mismatch: {lam} (x) {mu}")
+
+
+COMPARISONS = (
+    diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure
+)
 
 
 def main() -> int:

@@ -40,6 +40,9 @@ combination in closed form, against which the tests check
 S^b(K^3) built eagerly from ``reference_symmetric_power``, and
 ``reference_sl3_report`` runs a rank-3 check on it, against which the tests
 check the checks run on the orbit sums of a ``_DiagramAmbient``.
+``ReferenceCloser`` takes all n - 1 simple images of every vector it
+queues, against which the tests check ``SubmoduleCloser``, which skips the
+images that commuting operators already reach.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from kpmod.laurent import LaurentPoly, _require_int, _require_poly
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
     AnnihilatorReport,
+    SubmoduleCloser,
     WeightModule,
     _close,
     _index,
@@ -134,6 +138,38 @@ class ReferenceEchelon:
         if v:
             raise ValueError("vector is not in the span")
         return coeffs
+
+
+class ReferenceCloser(SubmoduleCloser):
+    """``SubmoduleCloser`` whose ``add`` takes all n - 1 simple images of
+    every vector it queues."""
+
+    def add(self, vecs) -> dict:
+        added: dict = {}
+        queue: list = []
+        last = self.module.n - 1
+        for wt, v in vecs:
+            self._insert(wt, v, last, queue, added)
+        pairs = self.module.simple_pairs()
+        while queue:
+            wt, v, _ = queue.pop()
+            for pair, img in zip(pairs, self.module.simple_images(v, last)):
+                if img:
+                    self._insert(_raised(wt, pair), img, last, queue, added)
+        return added
+
+
+def closers_agree(M, batches) -> bool:
+    """True when ``SubmoduleCloser`` and ``ReferenceCloser`` on M, fed the
+    same batches of (weight, vector) seeds in turn, add the same ranks at
+    every call and hold the same echelon rows after it."""
+    got, want = SubmoduleCloser(M), ReferenceCloser(M)
+    for batch in batches:
+        if got.add(batch) != want.add(batch):
+            return False
+        if {wt: e.rows for wt, e in got.echelons.items()} != {wt: e.rows for wt, e in want.echelons.items()}:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,22 @@ class TestFiltrationCommands:
         assert captured.out == ""
         assert "-n" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # kp(1,0)'s report was printed with exit 0, --one-dim dropped
+            (["--one-dim", "0,1", "--kp", "1,0"], "argument --kp: not allowed with argument --one-dim"),
+            (["--kp", "1,0", "--tensor", "0,1:0,1"], "argument --tensor: not allowed with argument --kp"),
+            ([], "one of the arguments --tensor --kp --one-dim is required"),
+        ],
+    )
+    def test_exactly_one_module(self, capsys, argv, message):
+        rc = main(["filtration", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_failure_without_expect_ok_is_reported_not_fatal(self, capsys):
         rc, out = run(capsys, "filtration", "--one-dim", "0,1")
         assert rc == 0

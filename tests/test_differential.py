@@ -10,6 +10,7 @@ from differential import (
     diagram_modules,
     plethysm_expansion,
     plethysm_jacobi_trudi,
+    pruned_closure,
     repeated_columns,
     schur_images,
 )
@@ -23,8 +24,12 @@ from differential import (
         (plethysm_expansion, {"n": 4}),
         (schur_images, {"n": 4, "size": 3}),
         (repeated_columns, {"upto": 2, "top": 3}),
+        (pruned_closure, {"n": 4, "extractions": 5}),
     ],
-    ids=["diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns"],
+    ids=[
+        "diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns",
+        "pruned_closure",
+    ],
 )
 def test_comparison_at_a_small_bound(compare, bound):
     tally = Tally()
@@ -34,7 +39,7 @@ def test_comparison_at_a_small_bound(compare, bound):
 
 def test_every_comparison_is_tested():
     assert set(COMPARISONS) == {
-        diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns
+        diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure
     }
 
 

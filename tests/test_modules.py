@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 import kpmod
+from kpmod import filtration, modules
 from kpmod.laurent import LaurentPoly
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
@@ -23,6 +24,7 @@ from kpmod.modules import (
     _diagram_ambient,
     _diagram_generator,
     _kp_columns,
+    _kp_generator,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
@@ -52,8 +54,10 @@ from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
 from differential import sl3_calls
 from reference import (
     ModuleMap,
+    ReferenceCloser,
     ReferenceEchelon,
     ReferenceWedgeAmbient,
+    closers_agree,
     dual_twist,
     hom_dim,
     hom_space,
@@ -175,6 +179,32 @@ class TestConstructors:
     def test_weights_must_have_length_n(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([(1.5, 0)], r"WeightModule weight \(1.5, 0\): entry must be an integer"),
+            ([(0, 1), (True, 0)], r"WeightModule weight \(True, 0\): entry must be an integer"),
+            ([(1, 0, 0)], r"WeightModule weight \(1, 0, 0\) has length 3, not n = 2"),
+        ],
+    )
+    def test_public_constructor_keeps_every_check(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightModule(2, weights)
+
+    def test_derived_weights_are_not_checked_again(self, monkeypatch):
+        # closures, powers and tensor products sum weights already checked
+        checked = []
+        real = modules.int_tuple
+        monkeypatch.setattr(modules, "int_tuple", lambda values, what: checked.append(what) or real(values, what))
+        kpmod.clear_caches()  # a cached module would not be built again
+        M = kp_module((0, 2, 1, 0))
+        derived = [M, exterior_power(M, 2), tensor_many([M, M]), young_symmetrizer_image(M, (2, 1))]
+        assert checked == ["kp_module code"]
+        for D in derived:
+            assert D.dim and all(type(w) is tuple and len(w) == 4 for w in D.weights)
+            assert all(type(x) is int for w in D.weights for x in w)
+        kpmod.clear_caches()
 
     @pytest.mark.parametrize(
         "name, build, size",
@@ -735,8 +765,8 @@ class RadixView:
         image = self.amb.apply(pair, {self.bits(k): c for k, c in vec.items()})
         return {self.radix(k): c for k, c in image.items()}
 
-    def simple_images(self, vec: dict) -> list:
-        images = self.amb.simple_images({self.bits(k): c for k, c in vec.items()})
+    def simple_images(self, vec: dict, top: int) -> list:
+        images = self.amb.simple_images({self.bits(k): c for k, c in vec.items()}, top)
         return [{self.radix(k): c for k, c in image.items()} for image in images]
 
     def column(self, pair, radix: int) -> dict:
@@ -749,7 +779,9 @@ class RadixView:
 
 
 class SimpleImagesView:
-    """``simple_images`` of an action read one simple pair at a time."""
+    """``simple_images`` of an action read one simple pair at a time; the
+    images up to e_{i,i+1} alone, as a pruned closure asks for them, are
+    those of the full call, the rest empty."""
 
     def __init__(self, action):
         self.action = action
@@ -758,9 +790,11 @@ class SimpleImagesView:
         return self.action.simple_pairs()
 
     def apply(self, pair, vec: dict) -> dict:
-        images = self.action.simple_images(vec)
-        assert len(images) == self.action.n - 1
-        return images[pair[0] - 1]
+        last, top = self.action.n - 1, pair[0]
+        images = self.action.simple_images(vec, last)
+        assert len(images) == last
+        assert self.action.simple_images(vec, top) == images[:top] + [{}] * (last - top)
+        return images[top - 1]
 
 
 class TestFusedTensorAction:
@@ -918,7 +952,7 @@ class TestOrbitSums:
 
                 for p in amb.raising_pairs():
                     assert amb.apply(p, stored) == read(full.apply(p, sym)), (columns, p)
-                assert amb.simple_images(stored) == [read(v) for v in full.simple_images(sym)]
+                assert amb.simple_images(stored, n - 1) == [read(v) for v in full.simple_images(sym, n - 1)]
                 tested += 1
         assert tested > 100
 
@@ -1170,6 +1204,11 @@ class TestClearCaches:
         assert out == "True 0\n"
 
 
+def typed_rows(ech) -> dict:
+    """The rows of an echelon with each entry's type, in key order."""
+    return {p: [(i, type(c), c) for i, c in row.items()] for p, row in ech.rows.items()}
+
+
 class TestIntegerEntries:
     """Ambient actions have integer coefficients, so module entries stay
     ints; a Fraction appears only where an echelon pivot divides."""
@@ -1231,6 +1270,42 @@ class TestIntegerEntries:
                     assert got == want and list(got) == list(want)
                     assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
+    @pytest.mark.parametrize(
+        "vecs",
+        [
+            [{0: 3, 2: 6, 5: -9}],  # the pivot divides every entry
+            [{0: 2, 1: 3}, {1: 4, 3: 6}],  # it does not
+            [{0: -4, 3: 8, 4: -12}, {1: -1, 2: 7}],  # negative pivots that divide
+            [{0: -3, 1: 2}, {1: -2, 2: 1}],  # negative pivots that do not
+            [{1: 1, 2: 2}, {1: 3, 2: 5, 3: 6}],  # reduced to {2: -1, 3: 6}
+            [{0: 4, 1: Fraction(8, 3)}, {0: Fraction(4), 1: 8}],  # rows holding Fractions
+            [{1: 2, 2: 1}, {1: 4, 2: 4, 3: 2}],  # reduced to a Fraction(2) pivot
+        ],
+    )
+    def test_integer_pivot_division_matches_the_reference(self, vecs):
+        new, ref = Echelon(), ReferenceEchelon()
+        for v in vecs:
+            assert new.insert(v) == ref.insert(v)
+            assert list(new.rows) == list(ref.rows)
+            assert typed_rows(new) == typed_rows(ref)
+
+    def test_integer_pivot_division_on_seeded_rows(self):
+        # half of the vectors are multiples of their first entry, so that
+        # many pivots divide their rows
+        rng = random.Random("integer-pivots")
+        divided = 0
+        for _ in range(200):
+            new, ref = Echelon(), ReferenceEchelon()
+            for _ in range(rng.randint(1, 6)):
+                v = {i: rng.choice([-3, -2, -1, 1, 2, 4]) for i in rng.sample(range(8), rng.randint(1, 4))}
+                if rng.random() < 0.5:
+                    v = {i: c * rng.choice([-6, -2, 3]) for i, c in v.items()}
+                p = new.insert(v)
+                assert p == ref.insert(v) and list(new.rows) == list(ref.rows)
+                assert typed_rows(new) == typed_rows(ref)
+                divided += p is not None and abs(v.get(p, 0)) > 1 and all(type(c) is int for c in new.rows[p].values())
+        assert divided > 50
+
     def test_proportional_with_a_fraction_ratio(self):
         # as a float, the ratio 1/3 would make 7 * r differ from Fraction(7, 3)
         assert _proportional({0: 1, 1: Fraction(7, 3)}, {0: 3, 1: 7})
@@ -1242,3 +1317,118 @@ class TestIntegerEntries:
         for N in range(4):
             for M in range(4):
                 assert sl3_identity_check(case, N, M).ok, (case, N, M)
+
+
+class TestPrunedClosure:
+    """``SubmoduleCloser`` skips e_b v for v = e_a u and b >= a + 2, which
+    commuting operators already reach; every closure a route makes, fed the
+    same batches, against ``ReferenceCloser``, which takes every simple
+    image: the same added ranks per call and the same rows after it."""
+
+    @staticmethod
+    def closers(monkeypatch, build) -> list:
+        """(module, batches) of every closure ``build`` makes, from cold caches."""
+        made = []
+
+        class Recording(SubmoduleCloser):
+            def __init__(self, M, what="submodule closure"):
+                super().__init__(M, what)
+                made.append((M, []))
+
+            def add(self, vecs):
+                batch = list(vecs)
+                made[-1][1].append(batch)
+                return super().add(batch)
+
+        monkeypatch.setattr(modules, "SubmoduleCloser", Recording)
+        monkeypatch.setattr(filtration, "SubmoduleCloser", Recording)
+        kpmod.clear_caches()  # a cached module would not be closed again
+        build()
+        kpmod.clear_caches()
+        return made
+
+    def check(self, monkeypatch, build, least: int) -> None:
+        made = self.closers(monkeypatch, build)
+        assert len(made) >= least
+        for M, batches in made:
+            assert closers_agree(M, batches), batches[0][:1]
+
+    def test_s5_kp_modules(self, monkeypatch):
+        self.check(monkeypatch, lambda: [kp_module(code(w, 5)) for w in all_permutations(5)], 120)
+
+    def test_demazure_modules(self, monkeypatch):
+        lams = list(itertools.product(range(4), repeat=4))
+        self.check(monkeypatch, lambda: [demazure_module(lam) for lam in lams], len(lams))
+
+    def test_rank_3_modules(self, monkeypatch):
+        grid = list(itertools.product(range(5), repeat=2))
+        self.check(monkeypatch, lambda: [sl3_presentation_check(a, b) for a, b in grid], len(grid))
+
+    def test_schur_images_of_s4_kp_modules(self, monkeypatch):
+        shapes = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+        def build():
+            for w in all_permutations(4):
+                M = kp_module(code(w, 4))
+                for sigma in shapes:
+                    young_symmetrizer_image(M, sigma)
+
+        self.check(monkeypatch, build, 24 * 4)
+
+    def test_tensor_extractions_across_the_tower(self, monkeypatch):
+        rng = random.Random(31)
+        codes = {n: [code(w, n) for w in all_permutations(n)] for n in (4, 5)}
+        pairs = [tuple(rng.choice(codes[4]) for _ in range(2)) for _ in range(24)]
+        pairs += [tuple(rng.choice(codes[5]) for _ in range(2)) for _ in range(8)]
+
+        def build():
+            for lam, mu in pairs:
+                filtration.kp_filtration_extract(tensor_many([kp_module(lam), kp_module(mu)]))
+
+        made = self.closers(monkeypatch, build)
+        assert sum(len(batches) > 1 for _, batches in made) >= 20  # towers of several steps
+        for M, batches in made:
+            assert closers_agree(M, batches)
+
+    def test_s6_kp_sweep_makes_fewer_inserts(self, monkeypatch):
+        inserts = [0]
+
+        class Counting(Echelon):
+            __slots__ = ()
+
+            def insert(self, vec):
+                inserts[0] += 1
+                return super().insert(vec)
+
+        monkeypatch.setattr(modules, "Echelon", Counting)
+        counts = []
+        for closer in (SubmoduleCloser, ReferenceCloser):
+            inserts[0] = 0
+            for w in all_permutations(6):
+                amb, wt, key = _kp_generator(code(w, 6))
+                closer(amb).add([(wt, {key: ONE})])
+            counts.append(inserts[0])
+        pruned, full = counts
+        assert pruned <= 7904 < full
+
+    def test_annihilator_check_reads_each_diagram_once(self, monkeypatch):
+        read = []
+        real = modules._kp_columns
+        monkeypatch.setattr(modules, "_kp_columns", lambda lam: read.append(lam) or real(lam))
+        kpmod.clear_caches()
+        for w in all_permutations(4):
+            kp_module(code(w, 4))
+            annihilator_check(w, 4)
+        assert sorted(read) == sorted(code(w, 4) for w in all_permutations(4))
+        kpmod.clear_caches()
+
+    def test_generator_is_cached_once_and_cleared(self):
+        kpmod.clear_caches()
+        amb, wt, key = _kp_generator((0, 2, 1, 0))
+        assert wt == (0, 2, 1, 0) and key == amb.key(_kp_columns((0, 2, 1, 0)))
+        assert kp_module((0, 2, 1, 0)).generator == {0: ONE}
+        assert annihilator_check(perm_of((0, 2, 1, 0)), 4).ok
+        info = _kp_generator.cache_info()
+        assert (info.currsize, info.hits) == (1, 2)
+        kpmod.clear_caches()
+        assert _kp_generator.cache_info().currsize == 0
