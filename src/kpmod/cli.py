@@ -68,6 +68,19 @@ def _pair(s: str) -> tuple:
     return _weight(parts[0]), _weight(parts[1])
 
 
+def _codes_of_one_length(pair: tuple, flag: str) -> tuple:
+    """The two codes of ``pair``, refused before anything is built unless
+    they have one length, the number of variables of both."""
+    lam, mu = pair
+    if len(lam) != len(mu):
+        text = [",".join(map(str, c)) for c in pair]
+        raise ValueError(
+            f"{flag}: codes {text[0]} and {text[1]} have lengths {len(lam)} and {len(mu)}; "
+            "a pair needs codes of one length"
+        )
+    return pair
+
+
 def _perm(s: str) -> Permutation:
     return Permutation(_weight(s))
 
@@ -172,7 +185,7 @@ def _cmd_annihilator(args) -> int:
 
 def _cmd_expand(args) -> int:
     if args.product is not None:
-        lam, mu = args.product
+        lam, mu = _codes_of_one_length(args.product, "--product")
         poly = schubert_poly(lam) * schubert_poly(mu)
     elif args.poly is not None:
         poly = LaurentPoly.from_json(json.loads(args.poly))
@@ -218,7 +231,7 @@ def _cmd_u3(args) -> int:
 
 def _cmd_filtration(args) -> int:
     if args.tensor is not None:
-        lam, mu = args.tensor
+        lam, mu = _codes_of_one_length(args.tensor, "--tensor")
         rep = kp_filtration_extract(tensor_many([kp_module(lam), kp_module(mu)]))
     elif args.kp is not None:
         rep = kp_filtration_extract(kp_module(args.kp))
@@ -232,7 +245,7 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_tensor_exp(args) -> int:
-    lam, mu = args.pair
+    lam, mu = _codes_of_one_length(args.pair, "--pair")
     rep = tensor_experiment(lam, mu)
     text = (
         f"ok={rep.ok} extract={rep.extract.ok} criterion_equal={rep.criterion.equal} "

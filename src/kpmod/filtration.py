@@ -35,7 +35,7 @@ from .modules import (
     tensor_many,
     young_symmetrizer_image,
 )
-from .permutations import _presentation, rho, standard_key
+from .permutations import _presentation, _standard_key, rho
 from .schubert import _check_partition, expand_in_schubert, plethysm_eval, schubert_poly
 
 
@@ -48,14 +48,15 @@ def sort_weights(M: WeightModule) -> list:
     (descending ``standard_key`` at one shift shared by all), sorted once per
     module; each call returns a fresh list.  Requires a single total degree."""
     if M._levels is None:
-        ws = set(M.weights)
+        ws = M.weight_spaces()
         degrees = sorted({sum(w) for w in ws})
         if len(degrees) > 1:
             raise MixedDegreeError(
                 f"module mixes total degrees {degrees}; the standard order compares weights of one degree"
             )
-        shift = max(0, -min((x for w in ws for x in w), default=0))
-        M._levels = tuple(sorted(ws, key=lambda w: standard_key(w, shift), reverse=True))
+        shift = -min((x for w in ws for x in w), default=0)
+        key = _standard_key if shift <= 0 else lambda w: _standard_key(tuple(x + shift for x in w))
+        M._levels = tuple(sorted(ws, key=key, reverse=True))
     return list(M._levels)
 
 
@@ -164,16 +165,19 @@ def _twisted_dual_hom_dim(M: WeightModule, nu: tuple) -> int:
     the e_ij^{m_ij+1} (``_presentation``).  A map into the twisted dual is
     then a functional on M_nu vanishing on every
     e_ij^{m_ij+1} M_{nu - (m_ij+1)(eps_i - eps_j)}, so the dimension is
-    dim M_nu minus the rank of those images.
+    dim M_nu minus the rank of those images.  Once they span M_nu that is 0,
+    and no further image is computed: each would be dependent, and only the
+    rank is read.
     """
     spaces = M.weight_spaces()
+    size = len(spaces[nu])
     images = Echelon()
     for pair, m in _cached_presentation(tuple(a - b for a, b in zip(rho(M.n), nu))):
         for t in spaces.get(_raised(nu, pair, -m - 1), ()):
             v = M.apply_power(pair, {t: ONE}, m + 1)
-            if v:
-                images.insert(v)
-    return len(spaces[nu]) - images.rank
+            if v and images.insert(v) is not None and images.rank == size:
+                return 0
+    return size - images.rank
 
 
 def char_criterion(M: WeightModule) -> CriterionReport:

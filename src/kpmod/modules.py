@@ -85,10 +85,12 @@ class _Action:
             vec = self.apply(pair, vec)
         return vec
 
-    def simple_images(self, vec: dict, top: int) -> list:
+    def simple_images(self, vec: dict, want: int) -> list:
         """Images of a sparse vector under the ``simple_pairs``, in order;
-        those of e_{b,b+1} for b > top are left empty."""
-        return [self.apply(pair, vec) if pair[0] <= top else {} for pair in _pairs(self.n)[0]]
+        ``want`` holds bit n - b for each e_{b,b+1} to take, and the images
+        of the others are left empty."""
+        n = self.n
+        return [self.apply(pair, vec) if want >> n - pair[0] & 1 else {} for pair in _pairs(n)[0]]
 
     def simple_pairs(self) -> tuple:
         return _pairs(self.n)[0]
@@ -102,6 +104,15 @@ def _pairs(n: int) -> tuple:
     """(simple pairs (i, i + 1), raising pairs (i, j), i < j) of n, built once."""
     raising = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     return tuple(p for p in raising if p[1] == p[0] + 1), raising
+
+
+@lru_cache(maxsize=None)
+def _simple_bits(n: int) -> tuple:
+    """A set of simple e_{b,b+1} as one field of rows, bit n - b for row b,
+    the way ``simple_images`` reads it: (the bit of each simple pair, the
+    field of e_1 .. e_{a+1} for each simple e_a), built once per n."""
+    bits = tuple(1 << n - a for a, _ in _pairs(n)[0])
+    return bits, tuple(sum(bits[:a + 1]) for a in range(1, len(bits) + 1))
 
 
 class WeightModule(_Action):
@@ -381,6 +392,16 @@ class SubmoduleCloser:
     induction.  So the span after each ``add``, and with it the rows,
     pivots and added ranks, is unchanged; for n = 3 nothing is skipped.
 
+    A full weight space takes nothing.  Over an enumerated ``WeightModule``
+    the closure reads dim M_mu off ``weight_spaces()``, 0 at a weight M
+    lacks; once the echelon at mu has that rank, no vector is reduced into
+    it and no simple image landing there is computed (``simple_images`` is
+    not asked for it).  Every vector of M_mu is then in the span, so such an
+    insert would be dependent and add no rank, row or queue entry: every
+    rank, row and pivot is unchanged.  The diagram ambient and the Schur
+    image's tensor of powers are not enumerated and have no sizes, so
+    nothing is full there.
+
     KP_MAX_DIM caps the closure rank, whatever the ambient; an enumerated
     ambient was checked when its basis was built."""
 
@@ -390,15 +411,38 @@ class SubmoduleCloser:
         self.rank = 0
         self.what = what
         self.cap = max_dim()
+        self.bits, self.nexts = _simple_bits(M.n)
+        spaces = M.weight_spaces() if isinstance(M, WeightModule) else {}
+        self.sizes = {wt: len(ts) for wt, ts in spaces.items()}  # dim M_mu, where it is known
+        self.blocked: dict = {}  # weight -> the bits of the simple pairs whose images land in a full space
+        pairs = M.simple_pairs()
+        for wt in spaces:
+            lacks = sum(bit for bit, pair in zip(self.bits, pairs) if _raised(wt, pair) not in spaces)
+            if lacks:
+                self.blocked[wt] = lacks
 
-    def _insert(self, wt: tuple, vec: dict, top: int, queue: list, added: dict) -> None:
-        ech = self.echelons.setdefault(wt, Echelon())
+    def _insert(self, wt: tuple, vec: dict, want: int, queue: list, added: dict) -> None:
+        ech = self.echelons.get(wt)
+        if ech is None:  # a weight met first (seeds lie in M, so its space is not empty)
+            ech = self.echelons[wt] = Echelon()
+        elif len(ech.rows) == self.sizes.get(wt):
+            return
         if ech.insert(vec) is not None:
             self.rank += 1
             if self.rank > self.cap:
                 raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
             added[wt] = added.get(wt, 0) + 1
-            queue.append((wt, vec, top))
+            queue.append((wt, vec, want))
+            if self.sizes and len(ech.rows) == self.sizes.get(wt):
+                self._fill(wt)
+
+    def _fill(self, wt: tuple) -> None:
+        """Block e_{b,b+1} at each weight of M it raises to the now full wt."""
+        blocked = self.blocked
+        for bit, pair in zip(self.bits, self.module.simple_pairs()):
+            below = _raised(wt, pair, -1)
+            if below in self.sizes:
+                blocked[below] = blocked.get(below, 0) | bit
 
     def add(self, vecs) -> dict:
         """Close the span of vecs together with the current subspace.
@@ -407,15 +451,15 @@ class SubmoduleCloser:
         the weight space of its weight.  Returns {weight: rank added there};
         summed over calls, these ranks are the character of the closure."""
         added: dict = {}
-        queue: list = []  # (weight, vector, the highest simple index to take)
-        last = self.module.n - 1
+        queue: list = []  # (weight, vector, the rows of the simple images to take)
+        every = sum(self.bits)
         for wt, v in vecs:
-            self._insert(wt, v, last, queue, added)
-        pairs = self.module.simple_pairs()
-        tops = [min(a + 1, last) for a, _ in pairs]
+            self._insert(wt, v, every, queue, added)
+        pairs, nexts, blocked = self.module.simple_pairs(), self.nexts, self.blocked
         while queue:
-            wt, v, top = queue.pop()
-            for pair, nxt, img in zip(pairs, tops, self.module.simple_images(v, top)):
+            wt, v, want = queue.pop()
+            want &= ~blocked.get(wt, 0)
+            for pair, nxt, img in zip(pairs, nexts, self.module.simple_images(v, want)):
                 if img:
                     self._insert(_raised(wt, pair), img, nxt, queue, added)
         return added
@@ -484,7 +528,8 @@ class _DiagramAmbient(_Action):
     field, ``key & A_i & ~(key << (j - i))`` has one bit per column holding
     j but not i, and the sign is the parity of its rows between i and j.
     ``_move`` makes every move: ``apply`` on A_i with d = j - i, and
-    ``simple_images`` on A_1 | ... | A_top with d = 1 (every sign +1).
+    ``simple_images`` on the A_b of the rows b in ``want``, one field
+    copied into every column, with d = 1 (every sign +1).
 
     ``classes`` labels each column; columns of one label are equal in the
     generator, so every vector met is symmetric under permuting them and is
@@ -496,13 +541,12 @@ class _DiagramAmbient(_Action):
     u; its image is re-sorted into the least key c', where it occurs once
     per column of the class holding w in c'."""
 
-    __slots__ = ("n", "_pairs", "_simple", "_single", "_fold")
+    __slots__ = ("n", "_every", "_pairs", "_single", "_fold")
 
     def __init__(self, classes: tuple, n: int):
         self.n = n
-        every = sum(1 << n * c for c in range(len(classes)))  # bit 0 of every field
+        every = self._every = sum(1 << n * c for c in range(len(classes)))  # bit 0 of every field
         self._pairs = {(i, j): (every << n - i, j - i) for i, j in self.raising_pairs()}  # A_i, j - i
-        self._simple = [every * ((1 << n) - (1 << n - b)) for b in range(n)]  # A_1 | ... | A_b
         shifts: dict = {}  # label -> the shifts of its fields, in column order
         for c, label in enumerate(classes):
             shifts.setdefault(label, []).append(n * (len(classes) - 1 - c))
@@ -569,9 +613,9 @@ class _DiagramAmbient(_Action):
         self._move(vec, a, d, [out] * (self.n - 1))  # every bit of A_i lands at row i
         return out
 
-    def simple_images(self, vec: dict, top: int) -> list:
+    def simple_images(self, vec: dict, want: int) -> list:
         images = [{} for _ in range(self.n - 1)]
-        self._move(vec, self._simple[top], 1, images)
+        self._move(vec, self._every * want, 1, images)
         return images
 
 

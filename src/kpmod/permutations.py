@@ -349,8 +349,7 @@ def standard_key(lam, shift: int) -> tuple:
     compare like identity-padded ones: a prefix continues with the identity
     tail, the smallest continuation.
 
-    Computed without building the permutation: the window of
-    :func:`_code_window` is inverted and the fixed-point tail dropped.
+    Computed without building the permutation (``_standard_key``).
 
     >>> sorted([(0, 2), (1, 1), (2, 0)], key=lambda w: standard_key(w, 0), reverse=True)
     [(1, 1), (2, 0), (0, 2)]
@@ -359,10 +358,15 @@ def standard_key(lam, shift: int) -> tuple:
     lam = tuple(x + shift for x in int_tuple(lam, "standard_key weight"))
     if min(lam, default=0) < 0:
         raise ValueError(f"code entries must be nonnegative: {lam}")
+    return _standard_key(lam)
+
+
+def _standard_key(lam: tuple) -> tuple:
+    """``standard_key`` of a checked, shifted weight, a nonnegative int
+    tuple: the window of :func:`_code_window` inverted by sorting its
+    positions by value, with the fixed-point tail dropped."""
     win = _code_window(lam)
-    inv = [0] * len(win)
-    for i, v in enumerate(win, start=1):
-        inv[v - 1] = i
+    inv = sorted(range(1, len(win) + 1), key=[0, *win].__getitem__)
     while inv and inv[-1] == len(inv):
         inv.pop()
     return tuple(inv)
@@ -396,8 +400,8 @@ def compare(lam, mu, order: str = "standard") -> str:
     if sum(lam) != sum(mu):
         return INCOMPARABLE
     shift = max(0, -min(min(lam), min(mu)))
-    a = standard_key(lam, shift)
-    b = standard_key(mu, shift)
+    a = _standard_key(tuple(x + shift for x in lam))
+    b = _standard_key(tuple(x + shift for x in mu))
     if order == "prime":
         width = max(len(a), len(b))
         a = (a + tuple(range(len(a) + 1, width + 1)))[::-1]
@@ -422,12 +426,16 @@ def weight_window(lam) -> list:
     total = sum(lam)
     hi = total - (n - 1) * lo
     shift = max(0, -lo)
-    top = standard_key(lam, shift)
+
+    def key(nu):
+        return _standard_key(tuple(x + shift for x in nu))
+
+    top = key(lam)
     out = []
     for nu in itertools.product(range(lo, hi + 1), repeat=n):
-        if sum(nu) == total and standard_key(nu, shift) >= top:
+        if sum(nu) == total and key(nu) >= top:
             out.append(nu)
-    return sorted(out, key=lambda nu: standard_key(nu, shift), reverse=True)
+    return sorted(out, key=key, reverse=True)
 
 
 def rho(n: int) -> tuple:

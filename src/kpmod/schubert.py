@@ -116,10 +116,12 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
 
 def _at_weight(build, lam: tuple) -> LaurentPoly:
     """x^{-k*1} times build's polynomial of the code lam + k*1, for the least
-    k >= 0 that makes it nonnegative; lam is a nonempty tuple of ints."""
-    k = max(0, -min(lam))
-    p = build(tuple(x + k for x in lam))
-    return p.shift((-k,) * len(lam)) if k else p
+    k >= 0 that makes it nonnegative; lam is a nonempty tuple of ints, and
+    a nonnegative one is handed to build as it is."""
+    k = -min(lam)
+    if k <= 0:
+        return build(lam)
+    return build(tuple(x + k for x in lam)).shift((-k,) * len(lam))
 
 
 # one tuple object per exponent value held by either memo below: a memo

@@ -161,12 +161,22 @@ def repeated_columns(tally: Tally, upto: int = 5, top: int = 6) -> None:
         tally.require(ok, f"mismatch: demazure_module{(0, a, a + b)}")
 
 
-def pruned_closure(tally: Tally, n: int = 6, extractions: int = 200, seed: int = 31) -> None:
-    """The closure that skips commuting images against the one that takes
-    every simple image (same added ranks per call, same rows after it): on
-    the generator of every S_n KP module, and on the weight spaces the
-    extractor's tower adds, largest weight first, for ``extractions`` seeded
-    tensor products of two S_{n-1} KP modules."""
+def tower(M) -> list:
+    """The batches of (weight, basis vector) seeds the extractor's tower adds
+    to one closure of M: each weight space, largest weight first."""
+    spaces = M.weight_spaces()
+    return [[(nu, {i: ONE}) for i in spaces[nu]] for nu in reversed(sort_weights(M))]
+
+
+def pruned_closure(
+    tally: Tally, n: int = 6, extractions: int = 200, seed: int = 31, schur_n: int = 4, size: int = 3
+) -> None:
+    """The closure that skips commuting images and full weight spaces
+    against the one that takes every simple image and reduces it (same
+    added ranks per call, same rows after it): on the generator of every
+    S_n KP module; on the extractor's tower for ``extractions`` seeded
+    tensor products of two S_{n-1} KP modules; and on the tower of every
+    Schur image with |sigma| <= size of every S_schur_n KP module."""
     for w in all_permutations(n):
         amb, wt, key = _kp_generator(code(w, n))
         tally.require(closers_agree(amb, [[(wt, {key: ONE})]]), f"mismatch: {code(w, n)}")
@@ -175,9 +185,13 @@ def pruned_closure(tally: Tally, n: int = 6, extractions: int = 200, seed: int =
     for _ in range(extractions):
         lam, mu = rng.choice(codes), rng.choice(codes)
         M = tensor_many([kp_module(lam), kp_module(mu)])
-        spaces = M.weight_spaces()
-        batches = [[(nu, {i: ONE}) for i in spaces[nu]] for nu in reversed(sort_weights(M))]
-        tally.require(closers_agree(M, batches), f"mismatch: {lam} (x) {mu}")
+        tally.require(closers_agree(M, tower(M)), f"mismatch: {lam} (x) {mu}")
+    shapes = [s for k in range(1, size + 1) for s in partitions(k, k)]
+    for w in all_permutations(schur_n):
+        S = kp_module(code(w, schur_n))
+        for sigma in shapes:
+            img = young_symmetrizer_image(S, sigma)
+            tally.require(closers_agree(img, tower(img)), f"mismatch: {sigma} {code(w, schur_n)}")
 
 
 COMPARISONS = (

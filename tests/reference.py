@@ -41,8 +41,12 @@ S^b(K^3) built eagerly from ``reference_symmetric_power``, and
 ``reference_sl3_report`` runs a rank-3 check on it, against which the tests
 check the checks run on the orbit sums of a ``_DiagramAmbient``.
 ``ReferenceCloser`` takes all n - 1 simple images of every vector it
-queues, against which the tests check ``SubmoduleCloser``, which skips the
-images that commuting operators already reach.
+queues and reduces each into its weight space, against which the tests
+check ``SubmoduleCloser``, which skips the images that commuting operators
+already reach and those that land in a full weight space.
+``reference_standard_key`` inverts the code's window in a loop over its
+positions, against which the tests check ``standard_key``, which sorts the
+positions by value.
 """
 
 from __future__ import annotations
@@ -140,22 +144,51 @@ class ReferenceEchelon:
         return coeffs
 
 
-class ReferenceCloser(SubmoduleCloser):
-    """``SubmoduleCloser`` whose ``add`` takes all n - 1 simple images of
-    every vector it queues."""
+def reference_standard_key(lam, shift: int) -> tuple:
+    """The standard-order key of an int weight at a shift that makes it
+    nonnegative: the inverse window of perm(lam + shift*1), filled position
+    by position, with the fixed-point tail dropped."""
+    win = _code_window(tuple(x + shift for x in lam))
+    inv = [0] * len(win)
+    for i, v in enumerate(win, start=1):
+        inv[v - 1] = i
+    while inv and inv[-1] == len(inv):
+        inv.pop()
+    return tuple(inv)
+
+
+class ReferenceCloser:
+    """Submodule closure that takes all n - 1 simple images of every vector
+    it queues and reduces every one into its weight space, full or not."""
+
+    def __init__(self, M, what: str = "submodule closure"):
+        self.module = M
+        self.echelons: dict = {}
+        self.rank = 0
+        self.what = what
+        self.cap = max_dim()
+
+    def _insert(self, wt: tuple, vec: dict, queue: list, added: dict) -> None:
+        ech = self.echelons.setdefault(wt, Echelon())
+        if ech.insert(vec) is not None:
+            self.rank += 1
+            if self.rank > self.cap:
+                raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
+            added[wt] = added.get(wt, 0) + 1
+            queue.append((wt, vec))
 
     def add(self, vecs) -> dict:
         added: dict = {}
         queue: list = []
-        last = self.module.n - 1
         for wt, v in vecs:
-            self._insert(wt, v, last, queue, added)
+            self._insert(wt, v, queue, added)
         pairs = self.module.simple_pairs()
+        every = sum(1 << self.module.n - a for a, _ in pairs)
         while queue:
-            wt, v, _ = queue.pop()
-            for pair, img in zip(pairs, self.module.simple_images(v, last)):
+            wt, v = queue.pop()
+            for pair, img in zip(pairs, self.module.simple_images(v, every)):
                 if img:
-                    self._insert(_raised(wt, pair), img, last, queue, added)
+                    self._insert(_raised(wt, pair), img, queue, added)
         return added
 
 

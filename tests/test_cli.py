@@ -172,6 +172,31 @@ class TestFiltrationCommands:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each built both members, then said "mixed ranks in a tensor
+            # product" or "mixed variable counts"
+            ["tensor-exp", "--pair", "1,0:1,0,0"],
+            ["filtration", "--tensor", "1,0:1,0,0"],
+            ["expand", "--product", "1,0:1,0,0"],
+        ],
+    )
+    def test_codes_of_two_lengths_are_refused_before_building(self, capsys, monkeypatch, argv):
+        def built(*args):
+            raise AssertionError(f"built {args}")
+
+        for name in ("kp_module", "schubert_poly", "tensor_experiment"):
+            monkeypatch.setattr(cli, name, built)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert (
+            f"error: {argv[1]}: codes 1,0 and 1,0,0 have lengths 2 and 3; a pair needs codes of one length"
+            in captured.err
+        )
+
     def test_failure_without_expect_ok_is_reported_not_fatal(self, capsys):
         rc, out = run(capsys, "filtration", "--one-dim", "0,1")
         assert rc == 0

@@ -24,7 +24,7 @@ from differential import (
         (plethysm_expansion, {"n": 4}),
         (schur_images, {"n": 4, "size": 3}),
         (repeated_columns, {"upto": 2, "top": 3}),
-        (pruned_closure, {"n": 4, "extractions": 5}),
+        (pruned_closure, {"n": 4, "extractions": 5, "schur_n": 3}),
     ],
     ids=[
         "diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns",

@@ -57,8 +57,8 @@ class TestSortWeights:
     def test_sorted_once_per_module_and_returned_fresh(self, monkeypatch):
         M = tensor_many([kp_module((0, 1)), kp_module((0, 1))])
         keyed = []
-        key = filtration.standard_key
-        monkeypatch.setattr(filtration, "standard_key", lambda w, shift: keyed.append(w) or key(w, shift))
+        key = filtration._standard_key
+        monkeypatch.setattr(filtration, "_standard_key", lambda w: keyed.append(w) or key(w))
         first = sort_weights(M)
         first.reverse()
         assert sort_weights(M) == [(1, 1), (2, 0), (0, 2)]
@@ -136,6 +136,35 @@ class TestExtractor:
         for nu, d in rep.factors:
             total = total + schubert_poly(nu) * d
         assert total == M.character()
+
+
+class TestFullWeightSpaces:
+    """A full weight space takes nothing: over every S_4 tensor pair, no
+    ``Echelon.insert`` of the extractor's tower or of the criterion runs on
+    an echelon whose rank is already dim M_mu of its vectors' weight."""
+
+    def test_every_s4_pair_inserts_into_no_full_space(self, monkeypatch):
+        codes = [code(w, 4) for w in all_permutations(4)]
+        products = [tensor_many([kp_module(a), kp_module(b)]) for a in codes for b in codes]
+        real = Echelon.insert
+        ambient, inserts, full = [None], [0], []
+
+        def insert(self, vec):
+            M = ambient[0]
+            if M is not None:
+                inserts[0] += 1
+                wt = M.weight_of(vec)
+                if self.rank == len(M.weight_spaces()[wt]):
+                    full.append(wt)
+            return real(self, vec)
+
+        monkeypatch.setattr(Echelon, "insert", insert)
+        for M in products:
+            ambient[0] = M
+            kp_filtration_extract(M)
+            char_criterion(M)
+        ambient[0] = None
+        assert inserts[0] > 2000 and not full, full[:5]
 
 
 class TestCriterion:

@@ -51,6 +51,7 @@ from kpmod.permutations import (
     rho,
 )
 from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
+import reference
 from differential import sl3_calls
 from reference import (
     ModuleMap,
@@ -765,8 +766,8 @@ class RadixView:
         image = self.amb.apply(pair, {self.bits(k): c for k, c in vec.items()})
         return {self.radix(k): c for k, c in image.items()}
 
-    def simple_images(self, vec: dict, top: int) -> list:
-        images = self.amb.simple_images({self.bits(k): c for k, c in vec.items()}, top)
+    def simple_images(self, vec: dict, want: int) -> list:
+        images = self.amb.simple_images({self.bits(k): c for k, c in vec.items()}, want)
         return [{self.radix(k): c for k, c in image.items()} for image in images]
 
     def column(self, pair, radix: int) -> dict:
@@ -780,8 +781,8 @@ class RadixView:
 
 class SimpleImagesView:
     """``simple_images`` of an action read one simple pair at a time; the
-    images up to e_{i,i+1} alone, as a pruned closure asks for them, are
-    those of the full call, the rest empty."""
+    images of the rows up to i, or of row i alone, as a closure asks for
+    them, are those of the full call, the rest empty."""
 
     def __init__(self, action):
         self.action = action
@@ -790,10 +791,13 @@ class SimpleImagesView:
         return self.action.simple_pairs()
 
     def apply(self, pair, vec: dict) -> dict:
-        last, top = self.action.n - 1, pair[0]
-        images = self.action.simple_images(vec, last)
-        assert len(images) == last
-        assert self.action.simple_images(vec, top) == images[:top] + [{}] * (last - top)
+        n, top = self.action.n, pair[0]
+        images = self.action.simple_images(vec, (1 << n) - 2)  # rows 1..n-1, bit n - b for row b
+        assert len(images) == n - 1
+        assert self.action.simple_images(vec, (1 << n) - (1 << n - top)) == images[:top] + [{}] * (n - 1 - top)
+        alone = [{}] * (n - 1)
+        alone[top - 1] = images[top - 1]
+        assert self.action.simple_images(vec, 1 << n - top) == alone
         return images[top - 1]
 
 
@@ -952,7 +956,8 @@ class TestOrbitSums:
 
                 for p in amb.raising_pairs():
                     assert amb.apply(p, stored) == read(full.apply(p, sym)), (columns, p)
-                assert amb.simple_images(stored, n - 1) == [read(v) for v in full.simple_images(sym, n - 1)]
+                every = (1 << n) - 2
+                assert amb.simple_images(stored, every) == [read(v) for v in full.simple_images(sym, every)]
                 tested += 1
         assert tested > 100
 
@@ -1401,6 +1406,7 @@ class TestPrunedClosure:
                 return super().insert(vec)
 
         monkeypatch.setattr(modules, "Echelon", Counting)
+        monkeypatch.setattr(reference, "Echelon", Counting)
         counts = []
         for closer in (SubmoduleCloser, ReferenceCloser):
             inserts[0] = 0

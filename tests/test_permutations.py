@@ -31,7 +31,7 @@ from kpmod.permutations import (
     weight_window,
 )
 from kpmod.schubert import schubert_poly, vandermonde
-from reference import inversion_data
+from reference import inversion_data, reference_standard_key
 
 
 def brute_code(w, n):
@@ -353,6 +353,16 @@ class TestStandardKey:
             shift = max(0, -min(lam, default=0)) + rng.randint(0, 3)
             expected = perm_of(tuple(x + shift for x in lam)).inverse().window
             assert standard_key(lam, shift) == expected, (lam, shift)
+
+    def test_matches_the_reference_loop(self):
+        # the key sorts the window's positions by value; the reference fills
+        # the inverse position by position
+        rng = random.Random(32)
+        for _ in range(20000):
+            n = rng.randint(0, 7)
+            lam = tuple(rng.randint(-5, 6) for _ in range(n))
+            shift = max(0, -min(lam, default=0)) + rng.randint(0, 3)
+            assert standard_key(lam, shift) == reference_standard_key(lam, shift), (lam, shift)
 
     def test_negative_shifted_entry_is_rejected(self):
         with pytest.raises(ValueError, match=r"code entries must be nonnegative: \(2, -1\)"):

@@ -7,6 +7,7 @@ from kpmod import schubert
 from kpmod.laurent import LaurentPoly
 from kpmod.permutations import all_permutations, code, dominates, perm_of, rho, transition
 from kpmod.schubert import (
+    _at_weight,
     cauchy_window_check,
     divided_difference,
     dominance_interval,
@@ -193,6 +194,18 @@ class TestSchubertPoly:
         lam = (-1, 1)
         shifted = schubert_poly((0, 2)).shift((-1, -1))
         assert schubert_poly(lam) == shifted
+
+    def test_a_nonnegative_code_is_handed_on_as_it_is(self):
+        # a negative one is lifted to the least nonnegative code first
+        seen = []
+
+        def build(lam):
+            seen.append(lam)
+            return schubert_poly(lam)
+
+        lam = (1, 0, 2)
+        assert _at_weight(build, lam) == schubert_poly(lam) and seen.pop() is lam
+        assert _at_weight(build, (-1, 1)) == schubert_poly((-1, 1)) and seen.pop() == (0, 2)
 
     def test_leading_term_and_dominance(self):
         for w in all_permutations(4):

@@ -74,3 +74,18 @@ def test_each_closure_loop_is_written_once():
     # as the orbit-sum step is said in one place
     assert loops_over("modules.py", "_DiagramAmbient", "vec.items()") == ["_move"]
     assert loops_over("linalg.py", "Echelon", "sorted(self.rows)") == ["reduce"]
+
+
+def test_closure_queue_loop_is_written_once():
+    # the full-weight-space rule masks the images a popped vector asks for;
+    # it does not fork the queue loop for enumerated modules
+    tree = ast.parse((SRC / "modules.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SubmoduleCloser")
+    loops = [
+        f.name
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.While) and ast.unparse(node.test) == "queue"
+    ]
+    assert loops == ["add"]
