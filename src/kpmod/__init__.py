@@ -70,7 +70,7 @@ def clear_caches() -> None:
     generators, the diagram ambients of KP, Demazure and rank-3 modules,
     criterion exponent tables, Vandermonde products, the staircase's and the
     transition's Schubert polynomials, and the pool of exponent tuples those
-    two share); results stay equal."""
+    two share with the weights of closed modules); results stay equal."""
     for memo in (
         modules._kp_cached,
         modules._kp_generator,

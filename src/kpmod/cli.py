@@ -20,6 +20,7 @@ import signal
 import sys
 
 from .filtration import (
+    _codes_of_one_length,
     kp_filtration_extract,
     schur_functor_experiment,
     tensor_experiment,
@@ -38,10 +39,10 @@ from .modules import (
 )
 from .permutations import (
     Permutation,
+    _m_table,
     all_permutations,
     code,
     contains_2143,
-    m_table,
     perm_of,
     transition,
 )
@@ -66,19 +67,6 @@ def _pair(s: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"expected two weights separated by ':', got {s!r}")
     return _weight(parts[0]), _weight(parts[1])
-
-
-def _codes_of_one_length(pair: tuple, flag: str) -> tuple:
-    """The two codes of ``pair``, refused before anything is built unless
-    they have one length, the number of variables of both."""
-    lam, mu = pair
-    if len(lam) != len(mu):
-        text = [",".join(map(str, c)) for c in pair]
-        raise ValueError(
-            f"{flag}: codes {text[0]} and {text[1]} have lengths {len(lam)} and {len(mu)}; "
-            "a pair needs codes of one length"
-        )
-    return pair
 
 
 def _perm(s: str) -> Permutation:
@@ -145,7 +133,9 @@ def _cmd_transition(args) -> int:
 
 def _cmd_mtable(args) -> int:
     lam = _input_code(args)
-    t = m_table(perm_of(lam), len(lam))
+    if min(lam, default=0) < 0:  # a table is a permutation's: refused as perm_of refuses
+        raise ValueError(f"code entries must be nonnegative: {lam}")
+    t = _m_table(lam)
     payload = {
         "n": t.n,
         "entries": {f"{i},{j}": m for (i, j), m in sorted(t.entries.items())},

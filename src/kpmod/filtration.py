@@ -251,11 +251,26 @@ class TensorExperimentReport:
         }
 
 
+def _codes_of_one_length(pair: tuple, what: str) -> tuple:
+    """The two codes of ``pair``, refused before anything is built unless
+    they have one length, the number of variables of both; ``what``, a
+    function or a CLI flag, names them in the error."""
+    lam, mu = pair
+    if len(lam) != len(mu):
+        text = [",".join(map(str, c)) for c in pair]
+        raise ValueError(
+            f"{what}: codes {text[0]} and {text[1]} have lengths {len(lam)} and {len(mu)}; "
+            "a pair needs codes of one length"
+        )
+    return pair
+
+
 def tensor_experiment(lam, mu) -> TensorExperimentReport:
     """Filter the tensor product of two KP modules and cross-check the layer
     multiplicities against the Schubert expansion of the character product."""
     lam = int_tuple(lam, "tensor_experiment lam")
     mu = int_tuple(mu, "tensor_experiment mu")
+    _codes_of_one_length((lam, mu), "tensor_experiment")
     M = tensor_many([kp_module(lam), kp_module(mu)])
     ext = kp_filtration_extract(M)
     crit = char_criterion(M)

@@ -6,8 +6,10 @@ a Fraction enters only where an echelon pivot does not divide its row.  The
 Echelon class maintains an incrementally grown reduced row-echelon basis
 (pivot = smallest nonzero index, pivot entries normalized to 1 and
 eliminated from all other rows), which makes spans, membership tests, and
-coordinates deterministic.  One ascending reduction pass
-(``Echelon.reduce``) serves both ``insert`` and ``express``.
+coordinates deterministic.  One reduction pass (``reduce``) serves both
+``Echelon.insert`` and the closed modules of ``modules``, which keep the
+same two things an Echelon does: the rows, and a map from each pivot to its
+row's place.
 """
 
 from __future__ import annotations
@@ -35,36 +37,40 @@ def scaled(v: dict, c) -> dict:
     return {i: c * x for i, x in v.items()}
 
 
-class Echelon:
-    """Reduced echelon basis of a growing subspace."""
+def reduce(vec: dict, pivots: dict, rows, coords: dict | None = None) -> dict:
+    """Residual of vec modulo fully reduced rows (a fresh dict); ``pivots``
+    maps the pivot of each row to its place in ``rows``.
 
-    __slots__ = ("rows",)
+    No row has an entry at another's pivot, so the coordinate of vec at a
+    row is vec's own entry at that row's pivot: the pass subtracts those
+    rows, walking vec's pivots in ascending order, and records each
+    coordinate under the row's place in ``coords`` when that is given."""
+    v = dict(vec)
+    for p in sorted(vec.keys() & pivots.keys()):  # the set walks the smaller
+        t, c = pivots[p], vec[p]
+        if coords is not None:
+            coords[t] = c
+        axpy(v, -c, rows[t])
+    return v
+
+
+class Echelon:
+    """Reduced echelon basis of a growing subspace: ``rows`` in the order
+    they were added, and ``pivots``, each row's pivot -> its place there."""
+
+    __slots__ = ("rows", "pivots")
 
     def __init__(self):
-        self.rows: dict = {}  # pivot index -> row (row[pivot] == 1)
+        self.rows: list = []  # row[pivot] == 1
+        self.pivots: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict, coords: dict | None = None) -> dict:
-        """Residual of vec modulo the current span (a fresh dict).
-
-        The one reduction pass: the rows are fully reduced, so one ascending
-        pass suffices, and the multiplier met at pivot p is vec[p], the
-        coordinate there, recorded in ``coords`` when that is given."""
-        v = dict(vec)
-        for p in sorted(self.rows):
-            c = v.get(p)
-            if c:
-                if coords is not None:
-                    coords[p] = c
-                axpy(v, -c, self.rows[p])
-        return v
-
     def insert(self, vec: dict):
         """Add vec to the span; returns the new pivot, or None if dependent."""
-        v = self.reduce(vec)
+        v = reduce(vec, self.pivots, self.rows)
         if not v:
             return None
         p = min(v)
@@ -79,17 +85,10 @@ class Echelon:
             for i, c in v.items():
                 c *= inv
                 row[i] = c.numerator if c.denominator == 1 else c
-        for other in self.rows.values():
+        for other in self.rows:
             c = other.get(p)
             if c:
                 axpy(other, -c, row)
-        self.rows[p] = row
+        self.pivots[p] = len(self.rows)
+        self.rows.append(row)
         return p
-
-    def express(self, vec: dict) -> dict:
-        """Coordinates {pivot: coeff} of vec in the row basis, read by the
-        reduction pass.  Raises ValueError if vec is not in the span."""
-        coords: dict = {}
-        if self.reduce(vec, coords):
-            raise ValueError("vector is not in the span")
-        return coords

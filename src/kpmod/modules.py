@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly, _require_count, _require_int, int_tuple
-from .linalg import ONE, Echelon, axpy, scaled
+from .linalg import ONE, Echelon, axpy, reduce, scaled
 from .permutations import Permutation, _code_window, _m_table, _perm_window, code
-from .schubert import _check_partition, schubert_poly
+from .schubert import _check_partition, _exponent_pool, schubert_poly
 
 
 class ModuleTooLargeError(RuntimeError):
@@ -468,30 +468,33 @@ class SubmoduleCloser:
 def _close(M, seeds, what: str, generator=None) -> WeightModule:
     """The closure in M of ``seeds`` (as ``SubmoduleCloser.add`` takes them,
     ``what`` naming it in a size error) on its echelon rows, by weight and
-    pivot.  The image of a row of weight wt under e_ij is expressed in the
-    weight space of wt + eps_i - eps_j on demand (ValueError if it leaves the
+    pivot; it keeps the rows, each pivot's basis index (a key of M lies in
+    one weight space) and the weights, pooled with the Schubert memos'
+    exponents, and drops the closer.  A row's image under e_ij is expressed
+    by the one reduction pass on demand (ValueError if it leaves the
     closure).  ``generator``, a (weight, vector) pair in it, generates."""
     closer = SubmoduleCloser(M, what)
     closer.add(seeds)
-    basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
-    pos = {key: t for t, key in enumerate(basis)}
+    weights, rows, pivots = [], [], {}
+    for wt in sorted(closer.echelons):
+        ech = closer.echelons[wt]
+        wt = _exponent_pool.setdefault(wt, wt)
+        for p in sorted(ech.pivots):
+            pivots[p] = len(rows)
+            rows.append(ech.rows[ech.pivots[p]])
+            weights.append(wt)
 
-    def express(wt, vec):
-        if not vec:
-            return {}
-        try:
-            coords = closer.echelons[wt].express(vec)
-        except (KeyError, ValueError):
-            raise ValueError("subspace is not stable under the module action") from None
-        return {pos[(wt, p)]: c for p, c in coords.items()}
-
-    rows = [closer.echelons[wt].rows[p] for wt, p in basis]
+    def express(vec):
+        coords: dict = {}
+        if reduce(vec, pivots, rows, coords):
+            raise ValueError("subspace is not stable under the module action")
+        return coords
 
     def builder(pair, t):
-        return express(_raised(basis[t][0], pair), M.apply(pair, rows[t]))
+        return express(M.apply(pair, rows[t]))
 
-    gen = express(*generator) if generator else None
-    return WeightModule._of(M.n, [wt for wt, _ in basis], builder, gen)
+    gen = express(generator[1]) if generator else None
+    return WeightModule._of(M.n, weights, builder, gen)
 
 
 def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
@@ -738,7 +741,8 @@ def _kp_columns(lam: tuple) -> list:
 
 
 #: Most KP modules kept: above the distinct codes of one S_6 sweep (720),
-#: while a longer sweep (S_7 has 5,040) no longer holds every module.
+#: while a longer sweep (S_7 has 5,040) no longer holds every module.  A
+#: module keeps its pooled weights, rows and pivot map, and its columns.
 _KP_CACHE_SIZE = 1024
 
 

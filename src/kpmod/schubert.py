@@ -124,9 +124,10 @@ def _at_weight(build, lam: tuple) -> LaurentPoly:
     return build(tuple(x + k for x in lam)).shift((-k,) * len(lam))
 
 
-# one tuple object per exponent value held by either memo below: a memo
-# polynomial's keys are entries of this dict, so the thousands of terms that
-# share an exponent share its tuple; emptied by clear_caches with the memos
+# one tuple object per exponent value held by either memo below or by a closed
+# module's weights (modules._close): a memo polynomial's keys are entries of
+# this dict, so the thousands of terms and basis vectors that share an
+# exponent share its tuple; emptied by clear_caches with the memos
 _exponent_pool: dict = {}
 
 

@@ -2,9 +2,9 @@
 of this.  ``inversion_data`` lists the inversions of a ``Permutation``, and
 the tests read the KP diagram's columns from it against ``_kp_columns``,
 which reads them off the code's window.  ``ReferenceEchelon`` is the
-echelon whose ``express`` reduces vec row by row and collects the
-multipliers, against which the tests check the one that reads them off the
-pivots.  ``char_criterion`` reads
+echelon whose ``express`` reduces vec row by row over all its pivots and
+collects the multipliers, against which the tests check ``linalg.reduce``,
+which walks only the vector's own pivots and reads them off there.  ``char_criterion`` reads
 dim Hom(M, kp(rho - nu)^* (x) K_rho) off the annihilator presentation of
 kp(rho - nu), one rank computation inside M;
 ``hom_dim(M, dual_twist(kp_module(rho - nu)))`` computes the same number by
@@ -144,6 +144,12 @@ class ReferenceEchelon:
         return coeffs
 
 
+def echelon_rows(ech: Echelon) -> dict:
+    """The rows of an ``Echelon`` under their pivots, in the order added:
+    the form ``ReferenceEchelon.rows`` holds them in."""
+    return dict(zip(ech.pivots, ech.rows))
+
+
 def reference_standard_key(lam, shift: int) -> tuple:
     """The standard-order key of an int weight at a shift that makes it
     nonnegative: the inverse window of perm(lam + shift*1), filled position
@@ -200,7 +206,9 @@ def closers_agree(M, batches) -> bool:
     for batch in batches:
         if got.add(batch) != want.add(batch):
             return False
-        if {wt: e.rows for wt, e in got.echelons.items()} != {wt: e.rows for wt, e in want.echelons.items()}:
+        if {wt: echelon_rows(e) for wt, e in got.echelons.items()} != {
+            wt: echelon_rows(e) for wt, e in want.echelons.items()
+        }:
             return False
     return True
 
@@ -243,7 +251,7 @@ def solve_nullspace(equations, nvars: int) -> list:
     ech = Echelon()
     for eq in equations:
         ech.insert(eq)
-    pivots = ech.rows
+    pivots = echelon_rows(ech)
     sols = []
     for f in range(nvars):
         if f in pivots:

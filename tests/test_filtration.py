@@ -302,6 +302,18 @@ class TestTensorExperiment:
         with pytest.raises(ValueError, match="must be an integer"):
             tensor_experiment(lam, mu)
 
+    def test_codes_of_two_lengths_are_refused_before_building(self, monkeypatch):
+        # tensor_many refused them only once both modules were built, with
+        # "mixed ranks in a tensor product", which names neither code
+        built = []
+        monkeypatch.setattr(filtration, "kp_module", built.append)
+        with pytest.raises(
+            ValueError,
+            match="^tensor_experiment: codes 1,0 and 1,0,0 have lengths 2 and 3; a pair needs codes of one length$",
+        ):
+            tensor_experiment((1, 0), (1, 0, 0))
+        assert built == []
+
 
 class TestSchurFunctors:
     def test_symmetric_square_of_plane(self):
@@ -534,7 +546,7 @@ def projected_reference_image(M, sigma):
     reduced echelon basis must equal that of the new route byte for byte."""
     _, closer = reference_image_closure(M, sigma)
     L, pi = column_wedge_projection(M, sigma)
-    seeds = ((wt, pi(row)) for wt, ech in closer.echelons.items() for row in ech.rows.values())
+    seeds = ((wt, pi(row)) for wt, ech in closer.echelons.items() for row in ech.rows)
     return _close(L, seeds, "projected reference image")
 
 
@@ -617,7 +629,7 @@ class TestYoungSymmetrizerReference:
             L, pi = column_wedge_projection(M, sigma)
             for wt, ech in closer.echelons.items():
                 images = Echelon()
-                for row in ech.rows.values():
+                for row in ech.rows:
                     img = pi(row)
                     assert img and L.weight_of(img) == wt
                     assert images.insert(img) is not None, (M, sigma, wt)

@@ -6,15 +6,16 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 import kpmod
-from kpmod import filtration, modules
+from kpmod import filtration, modules, schubert
 from kpmod.laurent import LaurentPoly
-from kpmod.linalg import ONE, Echelon, axpy
+from kpmod.linalg import ONE, Echelon, axpy, reduce
 from kpmod.modules import (
     ModuleTooLargeError,
     SubmoduleCloser,
@@ -60,6 +61,7 @@ from reference import (
     ReferenceWedgeAmbient,
     closers_agree,
     dual_twist,
+    echelon_rows,
     hom_dim,
     hom_space,
     inversion_data,
@@ -354,6 +356,64 @@ class TestCyclicSubmodule:
             cyclic_submodule(vector_rep(2), {0: ONE, 1: ONE})
 
 
+def held_objects(root) -> list:
+    """Every object reachable from root through function closure cells,
+    bound methods, the items of lists, tuples, sets and dicts, and the slots
+    and attributes of kpmod objects."""
+    seen, found, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, types.MethodType):
+            stack.extend((obj.__self__, obj.__func__))
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("kpmod"):
+            names = [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+            stack.extend(getattr(obj, n) for n in names if hasattr(obj, n))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+class TestClosedModule:
+    """A closed module keeps its weights, its reduced rows in basis order
+    and each pivot's basis index; the closure's bookkeeping is dropped."""
+
+    @pytest.mark.parametrize(
+        "M, seed, outside",
+        [
+            # u_1 spans a line that every e_ij kills; u_3 has a weight it lacks
+            (vector_rep(3), ((1, 0, 0), {0: ONE}), ((0, 0, 1), {2: ONE})),
+            # u_1 (x) u_2 closes to span{u_1 (x) u_2, u_1 (x) u_1}; u_2 (x) u_1
+            # has the seed's weight and lies outside
+            (tensor_many([vector_rep(3)] * 2), ((1, 1, 0), {1: ONE}), ((1, 1, 0), {3: ONE})),
+        ],
+    )
+    def test_vector_outside_the_closure_is_refused(self, M, seed, outside):
+        with pytest.raises(ValueError, match="^subspace is not stable under the module action$"):
+            _close(M, [seed], "test closure", outside)
+
+    def test_builder_holds_no_closer(self):
+        kpmod.clear_caches()
+        S = kp_module((0, 1, 0, 2))  # 20 basis vectors over 16 weights
+        held = held_objects(S._builder)
+        assert not [o for o in held if isinstance(o, (SubmoduleCloser, Echelon))]
+        # a (weight, pivot) key of the basis
+        assert not [o for o in held if type(o) is tuple and len(o) == 2 and type(o[0]) is tuple]
+        assert all(schubert._exponent_pool[w] is w for w in S.weights)
+        assert len({id(w) for w in S.weights}) == len(set(S.weights)) < S.dim
+        kpmod.clear_caches()
+        assert not schubert._exponent_pool
+
+
 class TestKPModule:
     def test_2143(self):
         S = kp_module((1, 0, 1, 0))
@@ -606,10 +666,10 @@ class TestDiagramEngine:
             # the pivot key of its echelon row, and at the row's other keys
             closer = SubmoduleCloser(view.amb)
             closer.add([(gen_wt, {gen_key: ONE})])
-            basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].rows)]
+            basis = [(wt, p) for wt in sorted(closer.echelons) for p in sorted(closer.echelons[wt].pivots)]
             assert list(diagram_module(columns, n).weights) == [wt for wt, _ in basis]
             for wt, p in basis:
-                assert all(eager.weights[view.radix(key)] == wt for key in closer.echelons[wt].rows[p])
+                assert all(eager.weights[view.radix(key)] == wt for key in echelon_rows(closer.echelons[wt])[p])
             view.assert_order_kept()
 
     @pytest.mark.parametrize("m", [4, 5])
@@ -1209,9 +1269,9 @@ class TestClearCaches:
         assert out == "True 0\n"
 
 
-def typed_rows(ech) -> dict:
-    """The rows of an echelon with each entry's type, in key order."""
-    return {p: [(i, type(c), c) for i, c in row.items()] for p, row in ech.rows.items()}
+def typed_rows(rows: dict) -> dict:
+    """Echelon rows by pivot with each entry's type, in key order."""
+    return {p: [(i, type(c), c) for i, c in row.items()] for p, row in rows.items()}
 
 
 class TestIntegerEntries:
@@ -1231,7 +1291,7 @@ class TestIntegerEntries:
     def test_non_unit_pivot_stays_exact(self):
         ech = Echelon()
         assert ech.insert({0: 2, 1: 1}) == 0
-        row = ech.rows[0]
+        row = echelon_rows(ech)[0]
         assert row == {0: 1, 1: Fraction(1, 2)}
         assert type(row[0]) is int and type(row[1]) is Fraction
 
@@ -1239,8 +1299,8 @@ class TestIntegerEntries:
         ech = Echelon()
         ech.insert({1: 1, 2: -3})
         ech.insert({0: -1, 1: 2})
-        assert ech.rows == {0: {0: 1, 2: -6}, 1: {1: 1, 2: -3}}
-        assert all(type(c) is int for row in ech.rows.values() for c in row.values())
+        assert echelon_rows(ech) == {0: {0: 1, 2: -6}, 1: {1: 1, 2: -3}}
+        assert all(type(c) is int for row in ech.rows for c in row.values())
 
     @pytest.mark.parametrize("entries", ["int", "fraction"])
     def test_echelon_matches_the_reduction_route(self, entries):
@@ -1259,19 +1319,23 @@ class TestIntegerEntries:
             for _ in range(rng.randint(1, 10)):
                 v = vector(5)
                 assert new.insert(v) == ref.insert(v)
-            assert new.rank == ref.rank and new.rows == ref.rows
-            assert list(new.rows) == list(ref.rows)
+            assert new.rank == ref.rank and echelon_rows(new) == ref.rows
+            assert list(new.pivots) == list(ref.rows)
             spanned = {}
             for p in rng.sample(sorted(ref.rows), rng.randint(1, ref.rank)):
                 axpy(spanned, entry(), ref.rows[p])
+            order = list(new.pivots)
             for v in [spanned, vector(8), vector(3)]:
+                coords = {}
+                residual = reduce(v, new.pivots, new.rows, coords)
+                assert residual == ref.reduce(v) and list(residual) == list(ref.reduce(v))
+                got = {order[t]: c for t, c in coords.items()}
                 try:
                     want = ref.express(v)
-                except ValueError as err:
-                    with pytest.raises(ValueError, match=f"^{err}$"):
-                        new.express(v)
+                except ValueError:
+                    assert residual
                 else:
-                    got = new.express(v)
+                    assert not residual
                     assert got == want and list(got) == list(want)
                     assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
@@ -1291,8 +1355,8 @@ class TestIntegerEntries:
         new, ref = Echelon(), ReferenceEchelon()
         for v in vecs:
             assert new.insert(v) == ref.insert(v)
-            assert list(new.rows) == list(ref.rows)
-            assert typed_rows(new) == typed_rows(ref)
+            assert list(new.pivots) == list(ref.rows)
+            assert typed_rows(echelon_rows(new)) == typed_rows(ref.rows)
 
     def test_integer_pivot_division_on_seeded_rows(self):
         # half of the vectors are multiples of their first entry, so that
@@ -1306,9 +1370,11 @@ class TestIntegerEntries:
                 if rng.random() < 0.5:
                     v = {i: c * rng.choice([-6, -2, 3]) for i, c in v.items()}
                 p = new.insert(v)
-                assert p == ref.insert(v) and list(new.rows) == list(ref.rows)
-                assert typed_rows(new) == typed_rows(ref)
-                divided += p is not None and abs(v.get(p, 0)) > 1 and all(type(c) is int for c in new.rows[p].values())
+                assert p == ref.insert(v) and list(new.pivots) == list(ref.rows)
+                assert typed_rows(echelon_rows(new)) == typed_rows(ref.rows)
+                divided += p is not None and abs(v.get(p, 0)) > 1 and all(
+                    type(c) is int for c in echelon_rows(new)[p].values()
+                )
         assert divided > 50
 
     def test_proportional_with_a_fraction_ratio(self):

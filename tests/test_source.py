@@ -55,13 +55,16 @@ def test_criterion_reads_the_presentation_alone():
     ]
 
 
-def loops_over(path: str, cls_name: str, source: str) -> list:
-    """Methods of a class that hold a for loop over ``source``, as written."""
+def loops_over(path: str, cls_name, source: str) -> list:
+    """Methods of a class, or with ``cls_name`` None the module's own
+    functions, that hold a for loop over ``source``, as written."""
     tree = ast.parse((SRC / path).read_text())
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls_name)
+    scope = tree
+    if cls_name is not None:
+        scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls_name)
     return [
         f.name
-        for f in cls.body
+        for f in scope.body
         if isinstance(f, ast.FunctionDef)
         for node in ast.walk(f)
         if isinstance(node, ast.For) and ast.unparse(node.iter) == source
@@ -70,10 +73,14 @@ def loops_over(path: str, cls_name: str, source: str) -> list:
 
 def test_each_closure_loop_is_written_once():
     # every closure runs the bit-field moves (apply, simple_images) and the
-    # echelon reduction (insert, express): each is one loop, so a rule such
-    # as the orbit-sum step is said in one place
+    # echelon reduction (the closer's inserts, a closed module's columns):
+    # each is one loop, so a rule such as the orbit-sum step is said in one
+    # place, and Echelon and the closed modules share linalg.reduce
     assert loops_over("modules.py", "_DiagramAmbient", "vec.items()") == ["_move"]
-    assert loops_over("linalg.py", "Echelon", "sorted(self.rows)") == ["reduce"]
+    assert loops_over("linalg.py", None, "sorted(vec.keys() & pivots.keys())") == ["reduce"]
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    echelon = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Echelon")
+    assert not [node for node in ast.walk(echelon) if isinstance(node, ast.For) and "sorted" in ast.unparse(node.iter)]
 
 
 def test_closure_queue_loop_is_written_once():
