@@ -28,7 +28,7 @@ from .filtration import (
 from .laurent import LaurentPoly
 from .modules import (
     ModuleTooLargeError,
-    annihilator_check,
+    _annihilator_check,
     demazure_module,
     kp_module,
     max_dim,
@@ -163,7 +163,7 @@ def _cmd_kp_dim(args) -> int:
 
 def _cmd_annihilator(args) -> int:
     lam = _input_code(args)
-    rep = annihilator_check(perm_of(lam), len(lam))
+    rep = _annihilator_check(perm_of(lam), lam)  # perm_of refuses a negative code
     _emit(
         args,
         rep.to_json(),

@@ -760,8 +760,8 @@ def _kp_cached(lam: tuple, cap: int) -> WeightModule:
     # under one cap is never handed out under another.  A negative code
     # closes its lifted code's generator at that weight minus k.
     k = max(0, -min(lam))
-    amb, wt, key = _kp_generator(tuple(x + k for x in lam))
-    seed = (tuple(x - k for x in wt), {key: ONE})
+    amb, wt, key = _kp_generator(tuple(x + k for x in lam) if k else lam)
+    seed = (tuple(x - k for x in wt) if k else wt, {key: ONE})
     return _close(amb, [seed], f"kp_module{lam}", seed)
 
 
@@ -835,7 +835,11 @@ class AnnihilatorReport:
 
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     _perm_window(w, "annihilator_check")
-    lam = code(w, n)
+    return _annihilator_check(w, code(w, n))  # code validates membership
+
+
+def _annihilator_check(w: Permutation, lam: tuple) -> AnnihilatorReport:
+    """:func:`annihilator_check` of w = perm(lam), lam a nonnegative code."""
     table = _m_table(lam)
     amb, _, key = _kp_generator(lam)
     failed = []
@@ -851,7 +855,7 @@ def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     S = kp_module(lam)
     sval = schubert_poly(lam).eval_ones()
     return AnnihilatorReport(
-        w, n, table, tuple(failed), tuple(non_sharp), pruned_ok, S.dim, sval
+        w, len(lam), table, tuple(failed), tuple(non_sharp), pruned_ok, S.dim, sval
     )
 
 

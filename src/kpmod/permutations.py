@@ -380,6 +380,14 @@ def compare(lam, mu, order: str = "standard") -> str:
     same windows, padded to a common width, in reverse-lex order.  Both return
     ``incomparable`` exactly when the total degrees differ.
     ``dominance`` is the usual (partial) dominance order.
+
+    The keys are built only when the first entries they compare tie; those
+    are read off the shifted codes c, w = perm(c).  ``standard`` reads
+    w^-1(1), the first i with c_i = 0, else n + 1: a padded identity tail is
+    the smallest continuation, so it is the first entry of every key.
+    ``prime`` reads w^-1(W): each c_i > 0 counts smaller images at i + 1..N,
+    so N = max(i + c_i : c_i > 0), first reached at w^-1(N), and a shorter
+    window fixes W.
     """
     lam = int_tuple(lam, "compare lam")
     mu = int_tuple(mu, "compare mu")
@@ -400,8 +408,21 @@ def compare(lam, mu, order: str = "standard") -> str:
     if sum(lam) != sum(mu):
         return INCOMPARABLE
     shift = max(0, -min(min(lam), min(mu)))
-    a = _standard_key(tuple(x + shift for x in lam))
-    b = _standard_key(tuple(x + shift for x in mu))
+    if shift:
+        lam = tuple(x + shift for x in lam)
+        mu = tuple(x + shift for x in mu)
+    if order == "standard":  # 0-based places of 1 and of W, as above
+        pa = lam.index(0) if 0 in lam else len(lam)
+        pb = mu.index(0) if 0 in mu else len(mu)
+    else:
+        sa = [i + c if c else 0 for i, c in enumerate(lam)]
+        sb = [i + c if c else 0 for i, c in enumerate(mu)]
+        top = max(max(sa), max(sb))
+        pa = sa.index(top) if top in sa else top
+        pb = sb.index(top) if top in sb else top
+    if pa != pb:
+        return GREATER if pa < pb else LESS
+    a, b = _standard_key(lam), _standard_key(mu)
     if order == "prime":
         width = max(len(a), len(b))
         a = (a + tuple(range(len(a) + 1, width + 1)))[::-1]

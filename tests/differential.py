@@ -30,11 +30,14 @@ from kpmod.modules import (
     tensor_many,
     young_symmetrizer_image,
 )
-from kpmod.permutations import all_permutations, code
+from kpmod.permutations import all_permutations, code, compare
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from reference import (
+    TO_INT,
     closers_agree,
+    random_pair,
     reference_annihilator_check,
+    reference_cmp,
     reference_diagram_module,
     reference_expand_in_schubert,
     reference_plethysm_eval,
@@ -194,18 +197,32 @@ def pruned_closure(
             tally.require(closers_agree(img, tower(img)), f"mismatch: {sigma} {code(w, schur_n)}")
 
 
+def standard_order(tally: Tally, pairs: int = 50000, upto: int = 8, seed: int = 34) -> None:
+    """``compare``, which reads the first entry off the codes and builds the
+    keys only on a tie, against the padded inverse windows of the two
+    permutations, on ``pairs`` seeded same-degree pairs of length at most
+    ``upto`` with entries in -5..6, in the standard and the prime order."""
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        lam, mu = random_pair(rng, upto)
+        for order in ("standard", "prime"):
+            ok = TO_INT[compare(lam, mu, order)] == reference_cmp(lam, mu, order)
+            tally.require(ok, f"mismatch: compare{(lam, mu, order)}")
+
+
 COMPARISONS = (
-    diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure
+    diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure,
+    standard_order,
 )
 
 
 def main() -> int:
     tally = Tally()
-    for compare in COMPARISONS:
+    for comparison in COMPARISONS:
         before = tally.checked, tally.failed
-        compare(tally)
+        comparison(tally)
         checked, failed = tally.checked - before[0], tally.failed - before[1]
-        print(f"{compare.__name__}: {checked} checked, {failed} failed", flush=True)
+        print(f"{comparison.__name__}: {checked} checked, {failed} failed", flush=True)
     print(f"total: {tally.checked} checked, {tally.failed} failed")
     return 1 if tally.failed else 0
 

@@ -46,7 +46,11 @@ check ``SubmoduleCloser``, which skips the images that commuting operators
 already reach and those that land in a full weight space.
 ``reference_standard_key`` inverts the code's window in a loop over its
 positions, against which the tests check ``standard_key``, which sorts the
-positions by value.
+positions by value.  ``reference_cmp`` compares two weights by the inverse
+windows of their permutations, padded to a common width
+(``reference_windows``), against which the tests check ``compare``, which
+reads the first entry off the codes and builds the keys only on a tie;
+``random_slice`` and ``random_pair`` draw weights of one degree slice.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ from kpmod.modules import (
     tensor_many,
     vector_rep,
 )
-from kpmod.permutations import MTable, Permutation, _code_window, code, rho
+from kpmod.permutations import EQUAL, GREATER, LESS, MTable, Permutation, _code_window, code, perm_of, rho
 from kpmod.schubert import _check_partition, divided_difference, schubert_poly, vandermonde
 
 
@@ -161,6 +165,57 @@ def reference_standard_key(lam, shift: int) -> tuple:
     while inv and inv[-1] == len(inv):
         inv.pop()
     return tuple(inv)
+
+
+def reference_windows(lam, mu, order: str) -> tuple:
+    """The inverse windows of perm(lam + k) and perm(mu + k) at the pair's
+    own shift k, padded to a common width; reversed for the prime order."""
+    k = max(0, -min(min(lam), min(mu)))
+    a = perm_of(tuple(x + k for x in lam)).inverse()
+    b = perm_of(tuple(x + k for x in mu)).inverse()
+    width = max(a.size, b.size)
+    a, b = a.one_line(width), b.one_line(width)
+    return (a[::-1], b[::-1]) if order == "prime" else (a, b)
+
+
+#: ``compare``'s verdicts as the signs ``reference_cmp`` returns
+TO_INT = {LESS: -1, EQUAL: 0, GREATER: 1}
+
+
+def reference_cmp(lam, mu, order="standard"):
+    """The pairwise definition of the two total orders on a degree slice:
+    the windows of ``reference_windows`` compared lex, a smaller window
+    being a larger weight."""
+    if lam == mu:
+        return 0
+    a, b = reference_windows(lam, mu, order)
+    return 1 if a < b else -1
+
+
+def random_slice(rng):
+    """A set of distinct weights of one length and one total degree."""
+    n = rng.randint(1, 6)
+    total = rng.randint(-3, 6)
+    ws = set()
+    for _ in range(rng.randint(1, 10)):
+        w = [rng.randint(-3, 3) for _ in range(n - 1)]
+        last = total - sum(w)
+        if last >= -3:
+            ws.add(tuple(w) + (last,))
+    return sorted(ws)
+
+
+def random_pair(rng, upto: int, lo: int = -5, hi: int = 6) -> tuple:
+    """Two weights of one length n <= upto and one total degree, with
+    entries in lo..hi (mu is redrawn until its last entry is)."""
+    n = rng.randint(0, upto)
+    lam = tuple(rng.randint(lo, hi) for _ in range(n))
+    while True:
+        mu = [rng.randint(lo, hi) for _ in range(n)]
+        if n:
+            mu[-1] += sum(lam) - sum(mu)
+        if all(lo <= x <= hi for x in mu):
+            return lam, tuple(mu)
 
 
 class ReferenceCloser:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import kpmod
-from kpmod import cli, verify
+from kpmod import cli, modules, permutations, verify
 from kpmod.cli import main
 from kpmod.verify import SUITES, run_suite
 
@@ -115,6 +115,19 @@ class TestBasicCommands:
         rc, out = run(capsys, "annihilator", "--perm", "2,1,4,3", "-n", "4")
         assert rc == 0
         assert json.loads(out)["ok"]
+
+    def test_annihilator_code_makes_no_code_call(self, capsys, monkeypatch):
+        # the report's perm is built once from --code; annihilator_check
+        # computed the code of perm_of(code) again
+        want = kpmod.annihilator_check(kpmod.perm_of((1, 0, 1, 0)), 4).to_json()
+
+        def refused(w, n):
+            raise AssertionError("code() called")
+
+        for module in (cli, modules, permutations):
+            monkeypatch.setattr(module, "code", refused)
+        rc, out = run(capsys, "annihilator", "--code", "1,0,1,0")
+        assert (rc, json.loads(out)) == (0, want)
 
     def test_demazure_compare(self, capsys):
         rc, out = run(capsys, "demazure-compare", "--code", "1,0,1,0")

@@ -13,6 +13,7 @@ from differential import (
     pruned_closure,
     repeated_columns,
     schur_images,
+    standard_order,
 )
 
 
@@ -25,10 +26,11 @@ from differential import (
         (schur_images, {"n": 4, "size": 3}),
         (repeated_columns, {"upto": 2, "top": 3}),
         (pruned_closure, {"n": 4, "extractions": 5, "schur_n": 3}),
+        (standard_order, {"pairs": 500, "upto": 5}),
     ],
     ids=[
         "diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns",
-        "pruned_closure",
+        "pruned_closure", "standard_order",
     ],
 )
 def test_comparison_at_a_small_bound(compare, bound):
@@ -39,7 +41,8 @@ def test_comparison_at_a_small_bound(compare, bound):
 
 def test_every_comparison_is_tested():
     assert set(COMPARISONS) == {
-        diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure
+        diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure,
+        standard_order,
     }
 
 

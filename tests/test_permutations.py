@@ -19,6 +19,7 @@ from kpmod.permutations import (
     contains_2143,
     dominates,
     _code_window,
+    _standard_key,
     _transition_window,
     _window_code,
     longest_element,
@@ -31,7 +32,15 @@ from kpmod.permutations import (
     weight_window,
 )
 from kpmod.schubert import schubert_poly, vandermonde
-from reference import inversion_data, reference_standard_key
+from reference import (
+    TO_INT,
+    inversion_data,
+    random_pair,
+    random_slice,
+    reference_cmp,
+    reference_standard_key,
+    reference_windows,
+)
 
 
 def brute_code(w, n):
@@ -290,38 +299,7 @@ class TestOrders:
         assert dominates((0, 1), (1, 0)) is False
 
 
-def reference_cmp(lam, mu, order="standard"):
-    """The pairwise definition of the two total orders: inverse windows of
-    perm(lam + k) and perm(mu + k) at the pair's own shift k, padded to a
-    common width, compared lex (standard) or reverse-lex (prime)."""
-    if lam == mu:
-        return 0
-    k = max(0, -min(min(lam), min(mu)))
-    a = perm_of(tuple(x + k for x in lam)).inverse()
-    b = perm_of(tuple(x + k for x in mu)).inverse()
-    width = max(a.size, b.size)
-    a, b = a.one_line(width), b.one_line(width)
-    if order == "prime":
-        a, b = a[::-1], b[::-1]
-    return 1 if a < b else -1  # lam > mu iff its window is smaller
-
-
-def random_slice(rng):
-    """A set of distinct weights of one length and one total degree."""
-    n = rng.randint(1, 6)
-    total = rng.randint(-3, 6)
-    ws = set()
-    for _ in range(rng.randint(1, 10)):
-        w = [rng.randint(-3, 3) for _ in range(n - 1)]
-        last = total - sum(w)
-        if last >= -3:
-            ws.add(tuple(w) + (last,))
-    return sorted(ws)
-
-
 class TestReferenceOrder:
-    TO_INT = {LESS: -1, EQUAL: 0, GREATER: 1}
-
     def test_sorts_match_the_pairwise_definition(self):
         rng = random.Random(11)
         checked = 0
@@ -332,7 +310,7 @@ class TestReferenceOrder:
             checked += 1
             for order in ("standard", "prime"):
                 expected = sorted(ws, key=cmp_to_key(lambda a, b: reference_cmp(a, b, order)))
-                got = sorted(ws, key=cmp_to_key(lambda a, b: self.TO_INT[compare(a, b, order)]))
+                got = sorted(ws, key=cmp_to_key(lambda a, b: TO_INT[compare(a, b, order)]))
                 assert got == expected, (ws, order)
                 if order == "standard":
                     assert sort_weights(WeightModule(len(ws[0]), ws)) == expected, ws
@@ -340,6 +318,61 @@ class TestReferenceOrder:
                     assert sort_weights(WeightModule(len(ws[0]), shifted)) == [
                         tuple(x + 3 for x in w) for w in expected
                     ], ws
+
+
+class TestFirstEntry:
+    """``compare`` reads the first entry of each order's windows off the
+    shifted codes and builds the two keys only when those entries tie."""
+
+    def test_matches_the_pairwise_definition(self, monkeypatch):
+        built = []
+
+        def spy(lam):
+            built.append(lam)
+            return _standard_key(lam)
+
+        monkeypatch.setattr("kpmod.permutations._standard_key", spy)
+        rng = random.Random(34)
+        decided = {"standard": 0, "prime": 0}
+        ties = {"standard": 0, "prime": 0}
+        checked = 0
+        while checked < 20000:
+            lam, mu = random_pair(rng, 7)
+            if lam == mu:
+                continue
+            checked += 1
+            for order in ("standard", "prime"):
+                built.clear()
+                assert TO_INT[compare(lam, mu, order)] == reference_cmp(lam, mu, order), (lam, mu, order)
+                a, b = reference_windows(lam, mu, order)
+                tie = a[0] == b[0]
+                assert len(built) == (2 if tie else 0), (lam, mu, order)
+                (ties if tie else decided)[order] += 1
+        for order in ("standard", "prime"):
+            assert decided[order] >= 500 and ties[order] >= 500, (order, decided, ties)
+
+    #: order -> a pair whose first entries tie
+    TIES = {"standard": ((0, 2, 0), (0, 1, 1)), "prime": ((0, 1, 1), (1, 0, 1))}
+
+    @pytest.mark.parametrize(
+        "lam, mu, order, want",
+        [
+            ((1, 0), (0, 1), "standard", LESS),
+            ((2, 0, -1), (0, 0, 1), "standard", GREATER),
+            ((1, 0), (0, 1), "prime", LESS),
+            ((-1, 3, -2), (0, -2, 2), "prime", GREATER),
+            ((1, 0, 0, 0), (0, 1, 0, 0), "prime", LESS),  # windows shorter than n
+        ],
+    )
+    def test_differing_first_places_build_no_key(self, monkeypatch, lam, mu, order, want):
+        def refused(lam):
+            raise AssertionError("a key was built")
+
+        assert reference_cmp(lam, mu, order) == TO_INT[want]
+        monkeypatch.setattr("kpmod.permutations._standard_key", refused)
+        assert compare(lam, mu, order) == want
+        with pytest.raises(AssertionError, match="a key was built"):
+            compare(*self.TIES[order], order)
 
 
 class TestStandardKey:
