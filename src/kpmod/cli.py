@@ -39,8 +39,8 @@ from .modules import (
 )
 from .permutations import (
     Permutation,
+    _codes,
     _m_table,
-    all_permutations,
     code,
     contains_2143,
     perm_of,
@@ -132,10 +132,7 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_mtable(args) -> int:
-    lam = _input_code(args)
-    if min(lam, default=0) < 0:  # a table is a permutation's: refused as perm_of refuses
-        raise ValueError(f"code entries must be nonnegative: {lam}")
-    t = _m_table(lam)
+    t = _m_table(_input_code(args))
     payload = {
         "n": t.n,
         "entries": {f"{i},{j}": m for (i, j), m in sorted(t.entries.items())},
@@ -162,8 +159,7 @@ def _cmd_kp_dim(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
-    lam = _input_code(args)
-    rep = _annihilator_check(perm_of(lam), lam)  # perm_of refuses a negative code
+    rep = _annihilator_check(_input_code(args))  # _m_table refuses a negative code
     _emit(
         args,
         rep.to_json(),
@@ -257,15 +253,16 @@ def _cmd_plethysm_exp(args) -> int:
 
 def _cmd_demazure_compare(args) -> int:
     if args.code is not None:
-        pairs = [(perm_of(args.code), args.code)]
+        codes = [args.code]
     else:
         m = args.upto
         if m < 1:
             raise ValueError(f"--upto must be at least 1, got {m}")
-        pairs = [(w, code(w, m)) for w in all_permutations(m)]
+        codes = _codes(m)
     rows = []
     violations = 0
-    for w, lam in pairs:
+    for lam in codes:
+        w = perm_of(lam)  # the row prints it and reads its 2143 pattern
         S = kp_module(lam)
         D = demazure_module(lam)
         equal = S.character() == D.character()

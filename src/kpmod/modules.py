@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, _require_count, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, reduce, scaled
-from .permutations import Permutation, _code_window, _m_table, _perm_window, code
+from .permutations import Permutation, _code_window, _m_table, _perm_window, code, perm_of
 from .schubert import _check_partition, _exponent_pool, schubert_poly
 
 
@@ -785,15 +785,14 @@ def kp_module(lam) -> WeightModule:
 
 @dataclass(frozen=True)
 class AnnihilatorReport:
-    """Evidence that the e_ij^{m_ij+1} generate the annihilator of the
-    diagram generator: each such power kills it, the observed exponents are
-    sharp where m_ij >= 1, the pruned generator subset already annihilates,
-    and the module dimension matches the Schubert polynomial at 1.  The
-    pruned pairs are among all pairs, so ``pruned_ok`` fails only where
-    ``annihilated`` does: it does not test that they generate the same ideal."""
+    """What the check on kp(code)'s diagram generator shows: each e_ij^{m_ij+1}
+    kills it, so the left ideal I_lam they generate lies in its annihilator;
+    e_ij^{m_ij} does not kill it where m_ij >= 1; and the module dimension is
+    the Schubert polynomial at 1.  It does not show that I_lam is the whole
+    annihilator.  The pruned pairs are among all pairs, so ``pruned_ok`` fails
+    only where ``annihilated`` does.  The JSON's ``perm`` is perm(code)."""
 
-    perm: Permutation
-    n: int
+    code: tuple
     table: object
     failed_annihilation: tuple
     non_sharp: tuple
@@ -819,8 +818,8 @@ class AnnihilatorReport:
 
     def to_json(self) -> dict:
         return {
-            "perm": self.perm.to_json(),
-            "n": self.n,
+            "perm": perm_of(self.code).to_json(),
+            "n": len(self.code),
             "m": {f"{i},{j}": m for (i, j), m in sorted(self.table.entries.items())},
             "pruned": [list(p) for p in self.table.pruned],
             "annihilated": self.annihilated,
@@ -835,11 +834,11 @@ class AnnihilatorReport:
 
 def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     _perm_window(w, "annihilator_check")
-    return _annihilator_check(w, code(w, n))  # code validates membership
+    return _annihilator_check(code(w, n))  # code validates membership
 
 
-def _annihilator_check(w: Permutation, lam: tuple) -> AnnihilatorReport:
-    """:func:`annihilator_check` of w = perm(lam), lam a nonnegative code."""
+def _annihilator_check(lam: tuple) -> AnnihilatorReport:
+    """:func:`annihilator_check` of perm(lam), lam a nonnegative code."""
     table = _m_table(lam)
     amb, _, key = _kp_generator(lam)
     failed = []
@@ -854,9 +853,7 @@ def _annihilator_check(w: Permutation, lam: tuple) -> AnnihilatorReport:
     pruned_ok = all(p not in failed_set for p in table.pruned)
     S = kp_module(lam)
     sval = schubert_poly(lam).eval_ones()
-    return AnnihilatorReport(
-        w, len(lam), table, tuple(failed), tuple(non_sharp), pruned_ok, S.dim, sval
-    )
+    return AnnihilatorReport(lam, table, tuple(failed), tuple(non_sharp), pruned_ok, S.dim, sval)
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions."""
-        win = self.window
-        return sum(
-            1
-            for i in range(len(win))
-            for j in range(i + 1, len(win))
-            if win[i] > win[j]
-        )
+        return _inversions(self.window)
 
     def sign(self) -> int:
         return -1 if self.length() % 2 else 1
@@ -106,26 +100,21 @@ class Permutation:
         return list(self.window)
 
 
-def transposition(i: int, j: int) -> Permutation:
-    """The permutation t_ij exchanging i and j (i < j)."""
-    _require_int(i, "transposition i")
-    _require_int(j, "transposition j")
-    if not 1 <= i < j:
-        raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
-    images = list(range(1, j + 1))
-    images[i - 1], images[j - 1] = j, i
-    return Permutation(images)
-
-
-def longest_element(m: int) -> Permutation:
-    _require_count(m, "longest_element m")
-    return Permutation(range(m, 0, -1))
+def _inversions(win) -> int:
+    """Number of inversions of a one-line window (any identity tail allowed)."""
+    return sum(1 for i, x in enumerate(win) for y in win[i + 1:] if y < x)
 
 
 def all_permutations(m: int):
     """All elements of S_m (as finite-support permutations)."""
     for images in itertools.permutations(range(1, m + 1)):
         yield Permutation(images)
+
+
+def _codes(m: int):
+    """The codes of S_m, in the order in which :func:`all_permutations`
+    yields their permutations: the Lehmer code keeps lexicographic order."""
+    return itertools.product(*(range(m - i) for i in range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +214,10 @@ def m_table(w: Permutation, n: int) -> MTable:
 
 
 def _m_table(lam) -> MTable:
-    """:func:`_presentation` as an :class:`MTable`; raising order is sorted."""
+    """:func:`_presentation` as an :class:`MTable`; raising order is sorted.
+    A table is a permutation's: a negative code is refused, as perm_of does."""
+    if min(lam, default=0) < 0:
+        raise ValueError(f"code entries must be nonnegative: {lam}")
     entries = dict(_presentation(lam))
     pruned = []
     for (i, j), m in entries.items():

@@ -51,6 +51,8 @@ windows of their permutations, padded to a common width
 (``reference_windows``), against which the tests check ``compare``, which
 reads the first entry off the codes and builds the keys only on a tie;
 ``random_slice`` and ``random_pair`` draw weights of one degree slice.
+``transposition`` and ``longest_element`` build the permutations t_ij and
+w_0 of S_m for the tests; the library walks codes and needs neither.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from kpmod import modules
-from kpmod.laurent import LaurentPoly, _require_int, _require_poly
+from kpmod.laurent import LaurentPoly, _require_count, _require_int, _require_poly
 from kpmod.linalg import ONE, Echelon, axpy
 from kpmod.modules import (
     AnnihilatorReport,
@@ -294,6 +296,22 @@ def inversion_data(w: Permutation) -> InversionData:
         cols[j] = cols.get(j, 0) + 1
     ell = len(inv)
     return InversionData(frozenset(inv), frozenset(rothe), ell, (-1) ** (ell % 2), cols)
+
+
+def transposition(i: int, j: int) -> Permutation:
+    """The permutation t_ij exchanging i and j (i < j)."""
+    _require_int(i, "transposition i")
+    _require_int(j, "transposition j")
+    if not 1 <= i < j:
+        raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
+    images = list(range(1, j + 1))
+    images[i - 1], images[j - 1] = j, i
+    return Permutation(images)
+
+
+def longest_element(m: int) -> Permutation:
+    _require_count(m, "longest_element m")
+    return Permutation(range(m, 0, -1))
 
 
 def solve_nullspace(equations, nvars: int) -> list:
@@ -661,7 +679,7 @@ def reference_annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     pruned_ok = all(p not in set(failed) for p in table.pruned)
     dim = reference_diagram_module(columns, n).dim
     sval = schubert_poly(lam).eval_ones()
-    return AnnihilatorReport(w, n, table, tuple(failed), tuple(non_sharp), pruned_ok, dim, sval)
+    return AnnihilatorReport(lam, table, tuple(failed), tuple(non_sharp), pruned_ok, dim, sval)
 
 
 def reference_young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:

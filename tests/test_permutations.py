@@ -19,27 +19,28 @@ from kpmod.permutations import (
     contains_2143,
     dominates,
     _code_window,
+    _codes,
     _standard_key,
     _transition_window,
     _window_code,
-    longest_element,
     m_table,
     perm_of,
     rho,
     standard_key,
     transition,
-    transposition,
     weight_window,
 )
 from kpmod.schubert import schubert_poly, vandermonde
 from reference import (
     TO_INT,
     inversion_data,
+    longest_element,
     random_pair,
     random_slice,
     reference_cmp,
     reference_standard_key,
     reference_windows,
+    transposition,
 )
 
 
@@ -68,6 +69,11 @@ class TestCodes:
             n = rng.randint(1, 5)
             lam = tuple(rng.randint(0, 4) for _ in range(n))
             assert code(perm_of(lam), n) == lam
+
+    def test_codes_come_in_the_order_of_all_permutations(self):
+        # the sweeps walk _codes(m) and print their rows in this order
+        for m in range(1, 7):
+            assert list(_codes(m)) == [code(w, m) for w in all_permutations(m)]
 
     def test_code_window_round_trip(self):
         # _window_code counts the code off the window, not off the code

@@ -17,14 +17,25 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements in src: {found}"
 
 
-def test_schubert_layer_builds_no_permutation():
-    # the staircase reads the code's window and the plethysm runs the
-    # branching rule: neither needs a Permutation, a sign or all of S_ell
-    tree = ast.parse((SRC / "schubert.py").read_text())
+def names_in(path: str) -> set:
+    """Every name a module imports, reads or looks up as an attribute."""
+    tree = ast.parse((SRC / path).read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not names & {"Permutation", "perm_of", "longest_element", "permutations", "sign"}
+    return names
+
+
+def test_schubert_layer_builds_no_permutation():
+    # the staircase reads the code's window and the plethysm runs the
+    # branching rule: neither needs a Permutation, a sign or all of S_ell
+    assert not names_in("schubert.py") & {"Permutation", "perm_of", "longest_element", "permutations", "sign"}
+
+
+def test_verify_sweeps_build_no_permutation():
+    # the sweeps over S_m walk _codes(m) and read windows off each code:
+    # none builds a Permutation only to turn it back into a code
+    assert not names_in("verify.py") & {"Permutation", "all_permutations", "perm_of", "code", "transition"}
 
 
 def test_filtration_imports_only_the_criterion_privately_from_modules():
