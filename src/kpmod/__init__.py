@@ -66,14 +66,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the process-wide memos (KP modules and their diagram
-    generators, the diagram ambients of KP, Demazure and rank-3 modules,
-    criterion exponent tables, Vandermonde products, the staircase's and the
-    transition's Schubert polynomials, and the pool of exponent tuples those
-    two share with the weights of closed modules); results stay equal."""
+    """Empty the process-wide memos (KP modules, one entry per code with its
+    diagram ambient and generator key, the diagram ambients of KP, Demazure
+    and rank-3 modules, criterion exponent tables, Vandermonde products, the
+    staircase's and the transition's Schubert polynomials, and the pool of
+    exponent tuples those two share with the weights of closed modules);
+    results stay equal."""
     for memo in (
         modules._kp_cached,
-        modules._kp_generator,
         filtration._cached_presentation,
         modules._diagram_ambient,
         schubert.vandermonde,

@@ -28,7 +28,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .laurent import LaurentPoly, _require_count, _require_int, int_tuple
 from .linalg import ONE, Echelon, axpy, reduce, scaled
@@ -136,12 +136,12 @@ class WeightModule(_Action):
         for w in weights:
             if len(w) != n:
                 raise ValueError(f"WeightModule weight {w} has length {len(w)}, not n = {n}")
-        self._set(n, weights, builder, generator)
+        self._set(n, weights, builder, dict(generator) if generator is not None else None)
 
     @classmethod
     def _of(cls, n: int, weights, builder=None, generator=None) -> "WeightModule":
-        """A module on weights already clean: length-n int tuples summed
-        from checked ones.  No validation; only derived modules come here."""
+        """Derived modules only: weights already clean (length-n int tuples
+        summed from checked ones), the generator kept as given, no checks."""
         res = cls.__new__(cls)
         res._set(n, tuple(weights), builder, generator)
         return res
@@ -151,7 +151,7 @@ class WeightModule(_Action):
         self._cols: dict = {}  # pair -> {basis index: column}, a pair's dict made on first use
         self._moves: dict = {}
         self._builder = builder
-        self.generator = dict(generator) if generator is not None else None
+        self.generator = generator
         self._wspaces = None
         self._levels = None  # the sorted distinct weights, for sort_weights
 
@@ -465,14 +465,27 @@ class SubmoduleCloser:
         return added
 
 
+def _express(vec: dict, pivots: dict, rows: list) -> dict:
+    """Coordinates of vec on a closed module's rows; ValueError if vec is not in their span."""
+    coords: dict = {}
+    if reduce(vec, pivots, rows, coords):
+        raise ValueError("subspace is not stable under the module action")
+    return coords
+
+
+def _closed_column(M, rows: list, pivots: dict, pair, t: int) -> dict:
+    """A closed module's column: row t's image under e_pair in M, on the rows."""
+    return _express(M.apply(pair, rows[t]), pivots, rows)
+
+
 def _close(M, seeds, what: str, generator=None) -> WeightModule:
     """The closure in M of ``seeds`` (as ``SubmoduleCloser.add`` takes them,
     ``what`` naming it in a size error) on its echelon rows, by weight and
     pivot; it keeps the rows, each pivot's basis index (a key of M lies in
     one weight space) and the weights, pooled with the Schubert memos'
-    exponents, and drops the closer.  A row's image under e_ij is expressed
-    by the one reduction pass on demand (ValueError if it leaves the
-    closure).  ``generator``, a (weight, vector) pair in it, generates."""
+    exponents, and drops the closer.  ``_closed_column`` bound to that data
+    expresses a row's image under e_ij on demand (ValueError if it leaves
+    the closure).  ``generator``, a (weight, vector) pair in it, generates."""
     closer = SubmoduleCloser(M, what)
     closer.add(seeds)
     weights, rows, pivots = [], [], {}
@@ -483,18 +496,8 @@ def _close(M, seeds, what: str, generator=None) -> WeightModule:
             pivots[p] = len(rows)
             rows.append(ech.rows[ech.pivots[p]])
             weights.append(wt)
-
-    def express(vec):
-        coords: dict = {}
-        if reduce(vec, pivots, rows, coords):
-            raise ValueError("subspace is not stable under the module action")
-        return coords
-
-    def builder(pair, t):
-        return express(M.apply(pair, rows[t]))
-
-    gen = express(generator[1]) if generator else None
-    return WeightModule._of(M.n, weights, builder, gen)
+    gen = _express(generator[1], pivots, rows) if generator else None
+    return WeightModule._of(M.n, weights, partial(_closed_column, M, rows, pivots), gen)
 
 
 def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
@@ -747,22 +750,16 @@ _KP_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_KP_CACHE_SIZE)
-def _kp_generator(lam: tuple) -> tuple:
-    """(ambient, weight, key) of a nonnegative code's diagram generator, for
-    ``kp_module`` and ``annihilator_check``: each makes its own {key: ONE}."""
-    amb, (wt, (key,)) = _diagram_generator(_kp_columns(lam), len(lam))
-    return amb, wt, key
-
-
-@lru_cache(maxsize=_KP_CACHE_SIZE)
-def _kp_cached(lam: tuple, cap: int) -> WeightModule:
-    # cap, the KP_MAX_DIM in force, is part of the key only: a module built
-    # under one cap is never handed out under another.  A negative code
-    # closes its lifted code's generator at that weight minus k.
+def _kp_cached(lam: tuple, cap: int) -> tuple:
+    """(kp_module(lam), its diagram ambient, the generator's key there).  cap,
+    the KP_MAX_DIM in force, is part of the key only: a module built under
+    one cap is never handed out under another.  A negative code closes its
+    lifted code's generator at that weight minus k."""
     k = max(0, -min(lam))
-    amb, wt, key = _kp_generator(tuple(x + k for x in lam) if k else lam)
-    seed = (tuple(x - k for x in wt) if k else wt, {key: ONE})
-    return _close(amb, [seed], f"kp_module{lam}", seed)
+    amb, (wt, gen) = _diagram_generator(_kp_columns(tuple(x + k for x in lam) if k else lam), len(lam))
+    seed = (tuple(x - k for x in wt) if k else wt, gen)
+    (key,) = gen
+    return _close(amb, [seed], f"kp_module{lam}", seed), amb, key
 
 
 def kp_module(lam) -> WeightModule:
@@ -777,7 +774,7 @@ def kp_module(lam) -> WeightModule:
     lam = int_tuple(lam, "kp_module code")
     if not lam:
         raise ValueError("kp_module needs a nonempty code, got ()")
-    return _kp_cached(lam, max_dim())
+    return _kp_cached(lam, max_dim())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +837,7 @@ def annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
 def _annihilator_check(lam: tuple) -> AnnihilatorReport:
     """:func:`annihilator_check` of perm(lam), lam a nonnegative code."""
     table = _m_table(lam)
-    amb, _, key = _kp_generator(lam)
+    S, amb, key = _kp_cached(lam, max_dim())
     failed = []
     non_sharp = []
     for (i, j), m in table.entries.items():
@@ -851,7 +848,6 @@ def _annihilator_check(lam: tuple) -> AnnihilatorReport:
             failed.append((i, j))
     failed_set = set(failed)
     pruned_ok = all(p not in failed_set for p in table.pruned)
-    S = kp_module(lam)
     sval = schubert_poly(lam).eval_ones()
     return AnnihilatorReport(lam, table, tuple(failed), tuple(non_sharp), pruned_ok, S.dim, sval)
 

@@ -3,7 +3,7 @@
 Builds ``kp_module`` on every code of S_6 (720 of them), takes its
 ``character()`` and runs ``annihilator_check`` on its permutation, then
 prints the bytes still allocated: the memos, the modules they keep and the
-Schubert polynomials.  Exits nonzero when that is above the bound, 5.0 MB.
+Schubert polynomials.  Exits nonzero when that is above the bound, 4.0 MB.
 
     PYTHONPATH=src python tests/footprint.py
 """
@@ -18,7 +18,7 @@ from kpmod import annihilator_check, clear_caches, code, kp_module
 from kpmod.permutations import all_permutations
 
 N = 6
-BOUND = 5_000_000
+BOUND = 4_000_000
 
 
 def held_after_sweep(n: int = N) -> int:

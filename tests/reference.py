@@ -51,6 +51,8 @@ windows of their permutations, padded to a common width
 (``reference_windows``), against which the tests check ``compare``, which
 reads the first entry off the codes and builds the keys only on a tie;
 ``random_slice`` and ``random_pair`` draw weights of one degree slice.
+``kp_generator`` is a nonnegative code's diagram ambient and generator,
+which the tests close with either closer.
 ``transposition`` and ``longest_element`` build the permutations t_ij and
 w_0 of S_m for the tests; the library walks codes and needs neither.
 """
@@ -72,6 +74,7 @@ from kpmod.modules import (
     SubmoduleCloser,
     WeightModule,
     _close,
+    _diagram_generator,
     _index,
     _kp_columns,
     _power,
@@ -617,6 +620,12 @@ def mixed_radix_key(key: int, lengths, n: int) -> int:
         combos = list(itertools.combinations(range(n), k))
         out = out * len(combos) + combos.index(rows)
     return out
+
+
+def kp_generator(lam: tuple) -> tuple:
+    """The ``_DiagramAmbient`` of a nonnegative code's KP diagram and its
+    column-wedge generator, a (weight, vector) pair with a fresh dict."""
+    return _diagram_generator(_kp_columns(lam), len(lam))
 
 
 def _reference_generator(columns, n: int) -> tuple:

@@ -310,6 +310,25 @@ class TestVerify:
             "order is shift-invariant": True,
         }
 
+    def test_orders_row_fails_on_a_cyclic_compare(self, monkeypatch):
+        # rock-paper-scissors on a residue mod 3 of the weight: antisymmetric
+        # and total on every slice, so the pairs pass; only the triples see
+        # that it is not transitive
+        real = verify.compare
+
+        def cyclic(lam, mu, order="standard"):
+            c = real(lam, mu, order)
+            turn = sum(i * (x - y) for i, (x, y) in enumerate(zip(lam, mu))) % 3
+            if c == permutations.INCOMPARABLE or not turn:
+                return c
+            return permutations.LESS if turn == 1 else permutations.GREATER
+
+        monkeypatch.setattr(verify, "compare", cyclic)
+        totality = "degree slices are totally ordered"
+        assert not {r.name: r.ok for r in run_suite("orders")}[totality]
+        monkeypatch.setattr(verify, "_ORDER_TRIPLES", 0)
+        assert {r.name: r.ok for r in run_suite("orders")}[totality]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         rc = main(["verify", "--suite", "nope"])
         assert rc == 2

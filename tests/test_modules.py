@@ -8,7 +8,7 @@ import subprocess
 import sys
 import types
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -25,7 +25,6 @@ from kpmod.modules import (
     _diagram_ambient,
     _diagram_generator,
     _kp_columns,
-    _kp_generator,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
@@ -65,6 +64,7 @@ from reference import (
     hom_dim,
     hom_space,
     inversion_data,
+    kp_generator,
     mixed_radix_key,
     reference_annihilator_check,
     reference_diagram_module,
@@ -358,8 +358,8 @@ class TestCyclicSubmodule:
 
 def held_objects(root) -> list:
     """Every object reachable from root through function closure cells,
-    bound methods, the items of lists, tuples, sets and dicts, and the slots
-    and attributes of kpmod objects."""
+    bound methods, partials, the items of lists, tuples, sets and dicts, and
+    the slots and attributes of kpmod objects."""
     seen, found, stack = set(), [], [root]
     while stack:
         obj = stack.pop()
@@ -371,6 +371,8 @@ def held_objects(root) -> list:
             stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
         elif isinstance(obj, types.MethodType):
             stack.extend((obj.__self__, obj.__func__))
+        elif isinstance(obj, partial):
+            stack.extend((obj.func, *obj.args, *obj.keywords.values()))
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
         elif isinstance(obj, dict):
@@ -412,6 +414,13 @@ class TestClosedModule:
         assert len({id(w) for w in S.weights}) == len(set(S.weights)) < S.dim
         kpmod.clear_caches()
         assert not schubert._exponent_pool
+
+    def test_builder_holds_no_function(self):
+        # a closed module is data: its builder binds the ambient, the rows
+        # and the pivot map to the one module-level column rule
+        S = kp_module((0, 1, 0, 2))
+        assert S._builder.func is modules._closed_column and not S._builder.keywords
+        assert not [o for o in held_objects(S._builder.args) if callable(o)]
 
 
 class TestKPModule:
@@ -1477,8 +1486,8 @@ class TestPrunedClosure:
         for closer in (SubmoduleCloser, ReferenceCloser):
             inserts[0] = 0
             for w in all_permutations(6):
-                amb, wt, key = _kp_generator(code(w, 6))
-                closer(amb).add([(wt, {key: ONE})])
+                amb, gen = kp_generator(code(w, 6))
+                closer(amb).add([gen])
             counts.append(inserts[0])
         pruned, full = counts
         assert pruned <= 7904 < full
@@ -1494,13 +1503,13 @@ class TestPrunedClosure:
         assert sorted(read) == sorted(code(w, 4) for w in all_permutations(4))
         kpmod.clear_caches()
 
-    def test_generator_is_cached_once_and_cleared(self):
+    def test_one_memo_entry_serves_module_and_annihilator_check(self):
         kpmod.clear_caches()
-        amb, wt, key = _kp_generator((0, 2, 1, 0))
-        assert wt == (0, 2, 1, 0) and key == amb.key(_kp_columns((0, 2, 1, 0)))
         assert kp_module((0, 2, 1, 0)).generator == {0: ONE}
         assert annihilator_check(perm_of((0, 2, 1, 0)), 4).ok
-        info = _kp_generator.cache_info()
-        assert (info.currsize, info.hits) == (1, 2)
+        info = modules._kp_cached.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        S, amb, key = modules._kp_cached((0, 2, 1, 0), modules.max_dim())
+        assert S is kp_module((0, 2, 1, 0)) and key == amb.key(_kp_columns((0, 2, 1, 0)))
         kpmod.clear_caches()
-        assert _kp_generator.cache_info().currsize == 0
+        assert modules._kp_cached.cache_info().currsize == 0
