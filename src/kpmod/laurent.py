@@ -22,9 +22,10 @@ Python ints are unbounded, so the packing stays exact for any exponents; the
 packed keys only replace the tuples that the double loop would build, and
 the terms come out as in that loop: same coefficients, same order.  The dual
 pairing reads the few coefficients it needs straight off the packed keys
-(``_product_coeffs``) without decoding the product.  That is exact only
-inside the box: an exponent outside it can pack to the key of one inside,
-so it reads 0 without a lookup.
+(``_product_coeffs``) without decoding the product, offset by k * sum(R)
+when it reads at e + k*1.  That is exact only inside the box: an exponent
+outside it can pack to the key of one inside, so it reads 0 without a
+lookup.
 """
 
 from __future__ import annotations
@@ -160,23 +161,28 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def _product_coeffs(self, other: "LaurentPoly", exps) -> list:
-        """The coefficients of self * other at the exponents ``exps``, in
-        order, read off the packed product without decoding it.
+    def _product_coeffs(self, other: "LaurentPoly", exps, k: int = 0) -> list:
+        """The coefficients of self * other at the exponents e + k*1 for e in
+        ``exps``, in order, read off the packed product without decoding it.
 
         Packing is injective only on the box [lo, hi] of the product's
         exponents, so an exponent outside it reads 0 rather than the key it
-        packs to.
+        packs to.  e + k*1 lies in the box when e lies in [lo - k, hi - k],
+        and packs to the key of e plus k * sum(R).
         """
         self._require_same(other)
         a, b = self.terms, other.terms
         if len(a) < 2 or len(b) < 2:
             terms = (self * other).terms
-            return [terms.get(e, 0) for e in exps]
+            return [terms.get(tuple(x + k for x in e) if k else e, 0) for e in exps]
         out, radix, lo, hi = _packed_product(self.n, a, b)
+        if k:
+            lo = [x - k for x in lo]
+            hi = [x - k for x in hi]
+        offset = k * sum(radix)
         get = out.get
         return [
-            get(sum(map(mul, e, radix)), 0) if all(map(le, lo, e)) and all(map(le, e, hi)) else 0
+            get(sum(map(mul, e, radix)) + offset, 0) if all(map(le, lo, e)) and all(map(le, e, hi)) else 0
             for e in exps
         ]
 

@@ -10,16 +10,19 @@ Lehmer codes of permutations that are increasing beyond position ``n``.
 Everything here is a pure function over immutable values.  A code and a
 window convert both ways on plain tuples (``_code_window``,
 ``_window_code``), and the transition step works on windows
-(``_transition_window``), so the Schubert transition recursion and the KP
-diagrams build no ``Permutation``; the public functions wrap the same
-helpers.  One routine, ``_presentation``, reads the annihilator exponents
-m_ij of kp(lam) with their pairs, for any integer weight: ``m_table``,
-``annihilator_check`` and the character criterion all read it.
+(``_transition_window``) and hands the Schubert transition recursion its
+children's codes taken off the parent's (``_transition_codes``), so that
+recursion and the KP diagrams build no ``Permutation``; the public
+functions wrap the same helpers.  One routine, ``_presentation``, reads the
+annihilator exponents m_ij of kp(lam) with their pairs, for any integer
+weight: ``m_table``, ``annihilator_check`` and the character criterion all
+read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .laurent import _require_count, _require_int, int_tuple
@@ -160,13 +163,13 @@ def _window_code(win, n: int) -> tuple:
                     f"{Permutation(win)!r} is not increasing beyond position {n}: "
                     f"code entry {i + 1} equals {c}"
                 )
+    # the earlier entries, sorted: x's place among them counts the smaller ones
+    seen: list = []
     out = []
-    for i, x in enumerate(win[:n]):
-        c = x - 1
-        for y in win[:i]:
-            if y < x:
-                c -= 1
-        out.append(c)
+    for x in win[:n]:
+        p = bisect_left(seen, x)
+        out.append(x - 1 - p)
+        seen.insert(p, x)
     out.extend([0] * (n - len(out)))
     return tuple(out)
 
@@ -307,6 +310,33 @@ def _transition_window(win) -> tuple:
             branches.append((i, tuple(b)))
     branches.reverse()
     return j, k, tuple(v), tuple(branches)
+
+
+def _transition_codes(lam: tuple) -> tuple:
+    """:func:`transition` of perm(lam), lam a nonzero nonnegative code, on
+    codes: ``(j, code of v, (code of w^(a), ...))``, each of length len(lam).
+
+    The children's codes are taken off lam (Lascoux and Schutzenberger,
+    *Lett. Math. Phys.* 10, 1985): v = w t_jk lowers entry j by one,
+    code(v) = code(w) - e_j, and a branch v t_ij, where no v(r) with
+    i < r < j lies between v(i) < v(j), moves its differences to entries i
+    and j alone: code(v t_ij) = code(v) + (1 + c) e_i - c e_j, with
+    c = #{r > j : v(i) < v(r) < v(j)}.
+    """
+    j, _, v, branches = _transition_window(_code_window(lam))
+    vcode = list(lam)
+    vcode[j - 1] -= 1
+    vj = v[j - 1]
+    tail = v[j:]
+    children = []
+    for i, _ in branches:
+        vi = v[i - 1]
+        c = sum(1 for x in tail if vi < x < vj)
+        child = vcode[:]
+        child[i - 1] += 1 + c
+        child[j - 1] -= c
+        children.append(tuple(child))
+    return j, tuple(vcode), tuple(children)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 
 from .laurent import LaurentPoly, _require_count, _require_int, _require_poly, int_tuple
-from .permutations import _code_window, _transition_window, _window_code, rho
+from .permutations import _code_window, _transition_codes, rho
 
 
 def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -98,8 +98,12 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
     independent of the shift k.  Both methods agree exactly; ``staircase``
     climbs from perm(lam) by first ascents to a permutation it has built, or
     to the longest element, and divides back down, S_w = d_i S_{w s_i},
-    keeping each polynomial it builds; ``transition`` recurses on the
-    maximal-descent identity with memoization.
+    keeping each polynomial it builds; ``transition`` runs the
+    maximal-descent identity S_w = x_j S_v + sum_a S_{v t_{i_a j}} on an
+    explicit stack, keeping each polynomial it builds, and takes each
+    child's code off its parent's: code(v) = code(w) - e_j and
+    code(v t_ij) = code(v) + (1 + c) e_i - c e_j, with
+    c = #{r > j : v(i) < v(r) < v(j)}.
 
     >>> schubert_poly((1, 0, 1, 0)).text()
     'x1^2 + x1*x2 + x1*x3'
@@ -115,13 +119,26 @@ def schubert_poly(lam, method: str = "transition") -> LaurentPoly:
 
 
 def _at_weight(build, lam: tuple) -> LaurentPoly:
-    """x^{-k*1} times build's polynomial of the code lam + k*1, for the least
-    k >= 0 that makes it nonnegative; lam is a nonempty tuple of ints, and
-    a nonnegative one is handed to build as it is."""
-    k = -min(lam)
-    if k <= 0:
-        return build(lam)
-    return build(tuple(x + k for x in lam)).shift((-k,) * len(lam))
+    """x^{-k*1} times build's polynomial of the lift lam + k*1
+    (:func:`_lifted`)."""
+    k, poly = _lifted(build, lam)
+    return poly.shift((-k,) * len(lam)) if k else poly
+
+
+def _lifted(build, lam: tuple) -> tuple:
+    """(k, build's polynomial of the code lam + k*1), for the least k >= 0
+    that makes it nonnegative; lam is a nonempty tuple of ints, and a
+    nonnegative one is handed to build as it is.  S_lam is x^{-k*1} times
+    that polynomial."""
+    k = max(0, -min(lam))
+    return k, build(tuple(x + k for x in lam) if k else lam)
+
+
+def _lifted_coeff(lam: tuple, exp: tuple) -> int:
+    """[x^exp] S_lam, read off the transition memo as [x^{exp + k*1}]
+    S_{lam + k*1}, with no shifted copy."""
+    k, poly = _lifted(_schubert_transition, lam)
+    return poly.terms.get(tuple(x + k for x in exp) if k else exp, 0)
 
 
 # one tuple object per exponent value held by either memo below or by a closed
@@ -157,6 +174,8 @@ def _schubert_staircase(lam: tuple) -> LaurentPoly:
         terms = divided_difference(i, poly).terms
         pooled = dict(zip(map(pool, terms, terms), terms.values()))
         poly = _staircase_memo[cur] = LaurentPoly._of(m, pooled)
+    if m == len(lam):
+        return poly
     # a permutation increasing beyond n has a polynomial in x_1..x_n only
     return poly.restrict(len(lam))
 
@@ -181,8 +200,7 @@ def _schubert_transition(lam: tuple) -> LaurentPoly:
             _transition_memo[cur] = LaurentPoly._of(n, {pool(cur, cur): 1})
             continue
         if step is None:
-            j, _, v, branches = _transition_window(_code_window(cur))
-            step = j, _window_code(v, n), [_window_code(b, n) for _, b in branches]
+            step = _transition_codes(cur)
             stack.append((cur, step))
             stack.extend((c, None) for c in (step[1], *step[2]) if c not in _transition_memo)
             continue
@@ -268,14 +286,19 @@ def dual_pairing(f: LaurentPoly, mu) -> int:
     sgn(w) * (f * S_{rho-mu})[w rho] over its n! exponents.  Those n!
     coefficients are read off the packed product of f with S_{rho-mu}
     without decoding it (``LaurentPoly._product_coeffs``); an exponent
-    outside the product's exponent box reads 0.
+    outside the product's exponent box reads 0.  At a Laurent weight
+    rho - mu the product is taken with the lift S_{rho-mu+k*1}, and each
+    coefficient is read at w rho + k*1.
     """
     _require_poly(f, "dual_pairing polynomial")
     mu = int_tuple(mu, "dual_pairing weight")
     if len(mu) != f.n:
         raise ValueError("weight length must match the variable count")
+    if not mu:
+        raise ValueError("empty weight vector")
     alternant = vandermonde(f.n).terms
-    coeffs = f._product_coeffs(schubert_poly(tuple(a - b for a, b in zip(rho(f.n), mu))), alternant)
+    k, lift = _lifted(_schubert_transition, tuple(a - b for a, b in zip(rho(f.n), mu)))
+    coeffs = f._product_coeffs(lift, alternant, k)
     return sum(map(mul, alternant.values(), coeffs))
 
 
@@ -292,7 +315,15 @@ def kostant_dim(delta) -> int:
     >>> kostant_dim((1, 0, -1))
     2
     """
-    delta = int_tuple(delta, "kostant_dim weight")
+    # validated before the cache: True and 1.0 equal and hash like 1, so a
+    # cached int weight would otherwise answer them
+    return _kostant_count(int_tuple(delta, "kostant_dim weight"))
+
+
+# the distinct deltas of a Cauchy sweep are few and each is asked for many
+# times; emptied by clear_caches
+@lru_cache(maxsize=1024)
+def _kostant_count(delta: tuple) -> int:
     n = len(delta)
     if sum(delta) != 0:
         return 0
@@ -382,11 +413,10 @@ def cauchy_window_check(mu, nu) -> CauchyReport:
     rmu = tuple(a - b for a, b in zip(r, mu))
     lhs = 0
     for kappa in window:
-        rka = tuple(a - b for a, b in zip(r, kappa))
-        left = schubert_poly(rka).coeff(rmu)
+        left = _lifted_coeff(tuple(a - b for a, b in zip(r, kappa)), rmu)
         if not left:
             continue
-        lhs += left * schubert_poly(kappa).coeff(nu)
+        lhs += left * _lifted_coeff(kappa, nu)
     rhs = kostant_dim(tuple(a - b for a, b in zip(nu, mu)))
     return CauchyReport(mu, nu, tuple(window), lhs, rhs, lhs == rhs)
 

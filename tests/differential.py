@@ -29,12 +29,13 @@ from kpmod.modules import (
     tensor_many,
     young_symmetrizer_image,
 )
-from kpmod.permutations import all_permutations, code, compare
+from kpmod.permutations import _codes, _transition_codes, _window_code, all_permutations, code, compare
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from reference import (
     TO_INT,
     closers_agree,
     kp_generator,
+    outcome,
     random_pair,
     reference_annihilator_check,
     reference_cmp,
@@ -43,6 +44,8 @@ from reference import (
     reference_plethysm_eval,
     reference_sl3_module,
     reference_sl3_report,
+    reference_transition_codes,
+    reference_window_code,
     reference_young_symmetrizer_image,
 )
 
@@ -210,9 +213,35 @@ def standard_order(tally: Tally, pairs: int = 50000, upto: int = 8, seed: int = 
             tally.require(ok, f"mismatch: compare{(lam, mu, order)}")
 
 
+def lehmer_codes(tally: Tally, m: int = 7) -> None:
+    """``_window_code``, which finds each entry's smaller earlier entries by
+    bisection, against the loop of ``reference_window_code`` on every
+    one-line window of S_m, as it is and with an identity tail, at every
+    width from 1 to m + 2, errors and their messages included: one check per
+    window."""
+    widths = range(1, m + 3)
+    for images in itertools.permutations(range(1, m + 1)):
+        ok = all(
+            outcome(_window_code, win, n) == outcome(reference_window_code, win, n)
+            for win in (images, images + (m + 1, m + 2))
+            for n in widths
+        )
+        tally.require(ok, f"mismatch: _window_code on {images}")
+
+
+def child_codes(tally: Tally, m: int = 7) -> None:
+    """``_transition_codes``, which takes each child's code off its
+    parent's, against the codes ``reference_transition_codes`` counts off
+    the children's windows, on every nonzero code of S_m: one check per
+    transition step, covering v and every branch."""
+    for lam in _codes(m):
+        if any(lam):
+            tally.require(_transition_codes(lam) == reference_transition_codes(lam), f"mismatch: {lam}")
+
+
 COMPARISONS = (
     diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure,
-    standard_order,
+    standard_order, lehmer_codes, child_codes,
 )
 
 

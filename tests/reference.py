@@ -12,7 +12,12 @@ building the twisted dual and solving the equivariance equations for the
 whole Hom space.  ``reference_dual_pairing`` builds the whole dual element
 S_{rho-mu}(x^{-1}) * prod (x_i - x_j) and sums its coefficients against f,
 against which the tests check ``dual_pairing``, which reads one product
-f * S_{rho-mu} at the alternant's exponents.  ``reference_divided_difference``
+f * S_{rho-mu} at the alternant's exponents.
+``reference_shifted_dual_pairing`` and ``reference_cauchy_window_check``
+read a Laurent weight's Schubert polynomial off the shifted copy
+x^{-k*1} S_{lam+k*1} that ``schubert_poly`` builds, against which the
+tests check ``dual_pairing`` and ``cauchy_window_check``, which read the
+lift S_{lam+k*1} at exponents raised by k.  ``reference_divided_difference``
 emits the geometric sum of every term of f, its mirror's included, against
 which the tests check ``divided_difference``, which works on f - s_i f.
 ``reference_plethysm_eval`` expands the Jacobi-Trudi determinant in the
@@ -32,6 +37,11 @@ keys of ``_DiagramAmbient``; ``mixed_radix_key`` translates one key into
 the other.  ``reference_m_table`` reads the m_ij off a permutation's
 minimal window, against which the tests check ``_presentation``, which
 reads them off the untrimmed window of a code lifted to be nonnegative.
+``reference_window_code`` counts each code entry's smaller earlier entries
+in a loop, against which the tests check ``_window_code``, which finds
+them by bisection; ``reference_transition_codes`` counts each child code
+of a transition step off its window, against which the tests check
+``_transition_codes``, which takes them off the parent's code.
 ``reference_young_symmetrizer_image`` closes the Schur-functor image in a
 ``ReferenceWedgeAmbient`` over M, which ranks each column's
 combination in closed form, against which the tests check
@@ -89,8 +99,27 @@ from kpmod.modules import (
     tensor_many,
     vector_rep,
 )
-from kpmod.permutations import EQUAL, GREATER, LESS, MTable, Permutation, _code_window, code, perm_of, rho
-from kpmod.schubert import _check_partition, divided_difference, schubert_poly, vandermonde
+from kpmod.permutations import (
+    EQUAL,
+    GREATER,
+    LESS,
+    MTable,
+    Permutation,
+    _code_window,
+    _transition_window,
+    code,
+    perm_of,
+    rho,
+)
+from kpmod.schubert import (
+    CauchyReport,
+    _check_partition,
+    divided_difference,
+    dominance_interval,
+    kostant_dim,
+    schubert_poly,
+    vandermonde,
+)
 
 
 class ReferenceEchelon:
@@ -460,6 +489,31 @@ def reference_dual_pairing(f, mu) -> int:
     return sum(c * g.terms.get(exp, 0) for exp, c in f.terms.items())
 
 
+def reference_shifted_dual_pairing(f, mu) -> int:
+    """``dual_pairing`` multiplying f by S_{rho-mu} itself, the shifted copy
+    x^{-k*1} S_{rho-mu+k*1} that ``schubert_poly`` builds at a Laurent
+    weight, and reading the product at the alternant's exponents."""
+    alternant = vandermonde(f.n).terms
+    coeffs = f._product_coeffs(schubert_poly(tuple(a - b for a, b in zip(rho(f.n), mu))), alternant)
+    return sum(map(operator.mul, alternant.values(), coeffs))
+
+
+def reference_cauchy_window_check(mu, nu) -> CauchyReport:
+    """``cauchy_window_check`` reading both factors of each window term off
+    the polynomials ``schubert_poly`` builds, shifted copies at Laurent
+    weights included."""
+    window = dominance_interval(mu, nu)
+    r = rho(len(mu))
+    rmu = tuple(a - b for a, b in zip(r, mu))
+    lhs = 0
+    for kappa in window:
+        left = schubert_poly(tuple(a - b for a, b in zip(r, kappa))).coeff(rmu)
+        if left:
+            lhs += left * schubert_poly(kappa).coeff(nu)
+    rhs = kostant_dim(tuple(a - b for a, b in zip(nu, mu)))
+    return CauchyReport(tuple(mu), tuple(nu), tuple(window), lhs, rhs, lhs == rhs)
+
+
 def reference_divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
     """The i-th divided difference (f - s_i f)/(x_i - x_{i+1}), exactly.
 
@@ -639,6 +693,45 @@ def reference_diagram_module(columns, n: int) -> WeightModule:
     ``ReferenceWedgeAmbient``."""
     amb, gen = _reference_generator(columns, n)
     return _close(amb, [gen], "reference_diagram_module", gen)
+
+
+def outcome(f, *args):
+    """f(*args), or ("ValueError", its message) if it raises one."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def reference_window_code(win, n: int) -> tuple:
+    """``_window_code`` counting the smaller earlier entries of each one in a
+    loop over the prefix: quadratic in n."""
+    tail = list(win[n:])
+    if tail != sorted(tail):
+        for i, x in enumerate(tail, start=n):
+            c = len([y for y in win[i + 1:] if y < x])
+            if c:
+                raise ValueError(
+                    f"{Permutation(win)!r} is not increasing beyond position {n}: "
+                    f"code entry {i + 1} equals {c}"
+                )
+    out = []
+    for i, x in enumerate(win[:n]):
+        c = x - 1
+        for y in win[:i]:
+            if y < x:
+                c -= 1
+        out.append(c)
+    out.extend([0] * (n - len(out)))
+    return tuple(out)
+
+
+def reference_transition_codes(lam: tuple) -> tuple:
+    """``_transition_codes`` with every child's code counted off its window
+    by ``reference_window_code``."""
+    j, _, v, branches = _transition_window(_code_window(lam))
+    n = len(lam)
+    return j, reference_window_code(v, n), tuple(reference_window_code(b, n) for _, b in branches)
 
 
 def reference_m_table(win, n: int) -> MTable:

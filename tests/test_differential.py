@@ -7,7 +7,9 @@ import differential
 from differential import (
     COMPARISONS,
     Tally,
+    child_codes,
     diagram_modules,
+    lehmer_codes,
     plethysm_expansion,
     plethysm_jacobi_trudi,
     pruned_closure,
@@ -27,10 +29,12 @@ from differential import (
         (repeated_columns, {"upto": 2, "top": 3}),
         (pruned_closure, {"n": 4, "extractions": 5, "schur_n": 3}),
         (standard_order, {"pairs": 500, "upto": 5}),
+        (lehmer_codes, {"m": 4}),
+        (child_codes, {"m": 4}),
     ],
     ids=[
         "diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns",
-        "pruned_closure", "standard_order",
+        "pruned_closure", "standard_order", "lehmer_codes", "child_codes",
     ],
 )
 def test_comparison_at_a_small_bound(compare, bound):
@@ -42,7 +46,7 @@ def test_comparison_at_a_small_bound(compare, bound):
 def test_every_comparison_is_tested():
     assert set(COMPARISONS) == {
         diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure,
-        standard_order,
+        standard_order, lehmer_codes, child_codes,
     }
 
 

@@ -50,7 +50,7 @@ from kpmod.permutations import (
     perm_of,
     rho,
 )
-from kpmod.schubert import divided_difference, dual_pairing, schubert_poly
+from kpmod.schubert import divided_difference, dual_pairing, kostant_dim, schubert_poly
 import reference
 from differential import sl3_calls
 from reference import (
@@ -1232,6 +1232,7 @@ class TestClearCaches:
                 [dumps(kp_module(lam)) for lam in [(1, 0, 1, 0), (-1, 0, 1), (0, 2, 1, 0)]],
                 [schubert_poly((1, 3, 0, 1), m).to_json() for m in ("transition", "staircase")],
                 dual_pairing(schubert_poly((0, 1, 2)), (0, 1, 2)),
+                kostant_dim((2, 0, -1, -1)),
                 demazure_module((0, 2, 1)).character(),
                 filtration.char_criterion(
                     tensor_many([kp_module((1, 0, 1)), kp_module((0, 1, 0))])
@@ -1240,6 +1241,7 @@ class TestClearCaches:
 
         before = snapshot()
         assert filtration._cached_presentation.cache_info().currsize > 0
+        assert schubert._kostant_count.cache_info().currsize > 0
         kpmod.clear_caches()
         assert kpmod.modules._kp_cached.cache_info().currsize == 0
         assert filtration._cached_presentation.cache_info().currsize == 0
@@ -1247,6 +1249,7 @@ class TestClearCaches:
         assert not schubert._staircase_memo
         assert not schubert._exponent_pool
         assert schubert.vandermonde.cache_info().currsize == 0
+        assert schubert._kostant_count.cache_info().currsize == 0
         assert snapshot() == before
 
     def test_clear_drops_every_move_table(self):

@@ -21,6 +21,7 @@ from kpmod.permutations import (
     _code_window,
     _codes,
     _standard_key,
+    _transition_codes,
     _transition_window,
     _window_code,
     m_table,
@@ -35,10 +36,13 @@ from reference import (
     TO_INT,
     inversion_data,
     longest_element,
+    outcome,
     random_pair,
     random_slice,
     reference_cmp,
     reference_standard_key,
+    reference_transition_codes,
+    reference_window_code,
     reference_windows,
     transposition,
 )
@@ -498,13 +502,6 @@ def reference_transition(w):
     return j, k, v, branches
 
 
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
 def check_against_reference(w, widths):
     # the recursion hands the helpers windows with an identity tail
     padded = w.window + tuple(range(w.size + 1, w.size + 3))
@@ -555,6 +552,47 @@ class TestWindowRoutes:
             for lam in itertools.product(range(7), repeat=length):
                 if sum(lam) <= 6:
                     assert schubert_poly(lam) == schubert_poly(lam, "staircase"), lam
+
+
+class TestCodesAgainstReference:
+    """``_window_code`` finds each entry's smaller earlier entries by
+    bisection, and ``_transition_codes`` takes each child's code off its
+    parent's; the references count both on windows in loops."""
+
+    def test_every_window_of_s1_to_s6(self):
+        # each one-line window as it is and with an identity tail, at every
+        # width, errors and their messages included
+        errors = 0
+        for m in range(1, 7):
+            for images in itertools.permutations(range(1, m + 1)):
+                for win in (images, images + (m + 1, m + 2)):
+                    for n in range(1, m + 3):
+                        want = outcome(reference_window_code, win, n)
+                        assert outcome(_window_code, win, n) == want, (win, n)
+                        errors += want[0] == "ValueError"
+        assert errors > 0
+
+    def test_not_increasing_error_keeps_its_message(self):
+        want = (
+            "ValueError",
+            "Permutation([1, 4, 3, 2]) is not increasing beyond position 2: code entry 3 equals 1",
+        )
+        for win in ((1, 4, 3, 2), (1, 4, 3, 2, 5, 6)):
+            assert outcome(_window_code, win, 2) == outcome(reference_window_code, win, 2) == want
+
+    def test_child_codes_on_every_branch_of_s2_to_s6(self):
+        branches = 0
+        for m in range(2, 7):
+            for lam in _codes(m):
+                if not any(lam):
+                    continue
+                # the code as it is and padded by zeros: the window's tail
+                # past the code counts toward c = #{r > j : v(i) < v(r) < v(j)}
+                for padded in (lam, lam + (0, 0)):
+                    got = _transition_codes(padded)
+                    assert got == reference_transition_codes(padded), padded
+                branches += len(got[2])
+        assert branches == 712
 
 
 class TestIntegerArguments:

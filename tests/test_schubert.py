@@ -19,10 +19,12 @@ from kpmod.schubert import (
     vandermonde,
 )
 from reference import (
+    reference_cauchy_window_check,
     reference_divided_difference,
     reference_dual_pairing,
     reference_expand_in_schubert,
     reference_plethysm_eval,
+    reference_shifted_dual_pairing,
     reference_staircase,
 )
 
@@ -255,8 +257,8 @@ class TestSchubertPoly:
         # 4,611 of the 5,040 codes of S_7 are not weakly decreasing, and each
         # is stepped once: a node whose children were pending keeps its step
         calls = []
-        step = schubert._transition_window
-        monkeypatch.setattr(schubert, "_transition_window", lambda win: calls.append(win) or step(win))
+        step = schubert._transition_codes
+        monkeypatch.setattr(schubert, "_transition_codes", lambda lam: calls.append(lam) or step(lam))
         monkeypatch.setattr(schubert, "_transition_memo", {})
         for w in all_permutations(7):
             schubert_poly(code(w, 7))
@@ -378,6 +380,14 @@ class TestStaircaseAgainstReference:
                 schubert_poly(code(w, n), "staircase")
         assert len(calls) == 5033
 
+    def test_a_memo_hit_is_the_memo_polynomial(self):
+        # the window of (1, 0, 1, 0), [2, 1, 4, 3], has len(lam) entries: the
+        # polynomial needs no restrict, so the memo's own is handed back
+        lam = (1, 0, 1, 0)
+        first = schubert_poly(lam, "staircase")
+        assert schubert_poly(lam, "staircase") is first
+        assert first is schubert._staircase_memo[(2, 1, 4, 3)]
+
     def test_long_chain_is_a_loop(self):
         # 1,770 divided differences down from w0 of S_61, more levels than
         # Python's default recursion limit allows: the climb must be a loop
@@ -489,6 +499,11 @@ class TestDualPairing:
         with pytest.raises(ValueError, match=r"dual_pairing weight .*must be an integer"):
             dual_pairing(schubert_poly((1, 0, 0)), mu)
 
+    def test_empty_weight(self):
+        # in no variables there is no S_{rho-mu} to pair with
+        with pytest.raises(ValueError, match=r"^empty weight vector$"):
+            dual_pairing(LaurentPoly.one(0), ())
+
 
 class TestDualPairingAgainstReference:
     """``dual_pairing`` reads one product at the alternant's exponents; the
@@ -592,6 +607,77 @@ class TestKostant:
         # (1.9, 0, -1) was counted as (1, 0, -1): 2
         with pytest.raises(ValueError, match=r"kostant_dim weight .*must be an integer"):
             kostant_dim(delta)
+
+    def test_rejects_non_integer_weight_after_the_int_weight_is_cached(self):
+        # (True, 0, -1) and (1.0, 0, -1) equal and hash like (1, 0, -1)
+        assert kostant_dim((1, 0, -1)) == 2
+        for delta in [(True, 0, -1), (1.0, 0, -1)]:
+            with pytest.raises(ValueError, match=r"kostant_dim weight .*must be an integer"):
+                kostant_dim(delta)
+
+    def test_counts_are_cached(self):
+        schubert._kostant_count.cache_clear()
+        for _ in range(3):
+            assert kostant_dim((2, 0, -1, -1)) == 7
+        info = schubert._kostant_count.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+class TestLiftedReads:
+    """``cauchy_window_check`` and ``dual_pairing`` read the Schubert
+    polynomial of a Laurent weight lam off its lift S_{lam+k*1}, at
+    exponents raised by k; the references read the shifted copy
+    x^{-k*1} S_{lam+k*1} that ``schubert_poly`` builds."""
+
+    @staticmethod
+    def dominated_pair(rng, n):
+        # nu = mu plus a few positive roots, so the window is not empty
+        mu = [rng.randint(-2, 2) for _ in range(n)]
+        nu = mu[:]
+        for _ in range(rng.randint(0, 3) if n > 1 else 0):
+            i, j = sorted(rng.sample(range(n), 2))
+            nu[i] += 1
+            nu[j] -= 1
+        return tuple(mu), tuple(nu)
+
+    def test_cauchy_window_on_laurent_weights(self):
+        rng = random.Random(37)
+        laurent = 0
+        for n in range(1, 6):
+            for _ in range(30):
+                mu, nu = self.dominated_pair(rng, n)
+                got = cauchy_window_check(mu, nu)
+                assert got == reference_cauchy_window_check(mu, nu), (mu, nu)
+                assert got.ok, (mu, nu)
+                r = rho(n)
+                laurent += any(min(min(k), min(a - b for a, b in zip(r, k))) < 0 for k in got.window)
+        assert laurent > 100
+
+    def test_dual_pairing_on_laurent_weights(self):
+        rng = random.Random(38)
+        laurent = nonzero = 0
+        for n in range(1, 6):
+            for _ in range(8):
+                mus = [tuple(rng.randint(-2, n + 1) for _ in range(n)) for _ in range(4)]
+                # S_mu in f makes the pairing at mu read a nonzero coefficient
+                f = random_poly(rng, n, nterms=rng.randint(1, 5)) + schubert_poly(mus[0]) * rng.randint(1, 3)
+                for mu in mus:
+                    got = dual_pairing(f, mu)
+                    assert got == reference_shifted_dual_pairing(f, mu), (f, mu)
+                    laurent += min(a - b for a, b in zip(rho(n), mu)) < 0
+                    nonzero += got != 0
+        assert laurent > 50 and nonzero > 20
+
+    def test_no_shifted_copy_is_built(self, monkeypatch):
+        # both read weights with negative entries: rho - kappa for the
+        # window's kappa = (1, 0, -1), and rho - mu = (3, -1, 0)
+        f = schubert_poly((-1, 2, 0)) * 2
+        shifts = []
+        shift = LaurentPoly.shift
+        monkeypatch.setattr(LaurentPoly, "shift", lambda p, d: shifts.append(d) or shift(p, d))
+        assert cauchy_window_check((-1, 0, 1), (1, 0, -1)).ok
+        assert dual_pairing(f, (-1, 2, 0)) == 2
+        assert shifts == []
 
 
 class TestCauchyWindow:
