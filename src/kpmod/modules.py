@@ -110,9 +110,12 @@ def _pairs(n: int) -> tuple:
 def _simple_bits(n: int) -> tuple:
     """A set of simple e_{b,b+1} as one field of rows, bit n - b for row b,
     the way ``simple_images`` reads it: (the bit of each simple pair, the
-    field of e_1 .. e_{a+1} for each simple e_a), built once per n."""
+    field of e_1 .. e_{a+1} for each simple e_a, and for each e_a that
+    table with e_a's own entry cut to e_1 .. e_a), built once per n."""
     bits = tuple(1 << n - a for a, _ in _pairs(n)[0])
-    return bits, tuple(sum(bits[:a + 1]) for a in range(1, len(bits) + 1))
+    nexts = tuple(sum(bits[:a + 1]) for a in range(1, len(bits) + 1))
+    twice = tuple(nexts[:a - 1] + (sum(bits[:a]),) + nexts[a:] for a in range(1, len(bits) + 1))
+    return bits, nexts, twice
 
 
 class WeightModule(_Action):
@@ -382,15 +385,29 @@ class SubmoduleCloser:
     wt + eps_i - eps_j, so the closure never looks up the weight of a basis
     key.
 
+    The closure assumes a genuine U(n+) action: the simple operators of M
+    satisfy the commutation relations e_a e_b = e_b e_a, |a - b| >= 2, and
+    the Serre relations [e_a, [e_a, e_b]] = 0, |a - b| = 1, as every gl_n
+    module does.  On a ``WeightModule`` whose matrices break them the span
+    may come out smaller than the closure.
+
     A seed takes all n - 1 simple images; a vector v = e_a u queued as an
-    image takes e_b v for b <= a + 1 only.  The skipped e_b v, b >= a + 2,
-    are in the span already, as e_a and e_b commute (words in commuting
-    letters have a Cartier-Foata normal form).  By induction on the height
-    of v (e_a raises it by one), and at one height on b ascending:
-    e_b v = e_a (e_b u); e_b u is in the span by induction, a sum of queued
-    vectors q of v's height; and each e_a q, a < b, is in it, also by
-    induction.  So the span after each ``add``, and with it the rows,
-    pivots and added ranks, is unchanged; for n = 3 nothing is skipped.
+    image takes e_b v for b <= a + 1 only, and for b <= a when u = e_a t
+    was itself queued as an e_a image.  The skipped e_b v are in the span
+    already.  By induction on the height of v (e_a raises it by one), and
+    at one height on b ascending, using that the span at each weight is
+    spanned by queued vectors:
+    - b >= a + 2 (commuting letters, which have a Cartier-Foata normal
+      form): e_b v = e_a (e_b u); e_b u is in the span by induction, a sum
+      of queued vectors q of v's height; and each e_a q, a < b, is in it,
+      also by induction.
+    - b = a + 1 after e_a twice (Serre): e_b v = 2 e_a (e_b u) - e_a e_a
+      (e_b t).  e_b u, the image of a vector below v's height, is a sum of
+      queued q of v's height, and each e_a q, a < b, is in the span; e_b t
+      is a sum of queued vectors below v's height, whose e_a images are in
+      the span, sums of queued q of v's height, and each e_a q is in it.
+    So the span after each ``add``, and with it the rows, pivots and added
+    ranks, is unchanged.
 
     A full weight space takes nothing.  Over an enumerated ``WeightModule``
     the closure reads dim M_mu off ``weight_spaces()``, 0 at a weight M
@@ -411,7 +428,7 @@ class SubmoduleCloser:
         self.rank = 0
         self.what = what
         self.cap = max_dim()
-        self.bits, self.nexts = _simple_bits(M.n)
+        self.bits, self.nexts, self.twice = _simple_bits(M.n)
         spaces = M.weight_spaces() if isinstance(M, WeightModule) else {}
         self.sizes = {wt: len(ts) for wt, ts in spaces.items()}  # dim M_mu, where it is known
         self.blocked: dict = {}  # weight -> the bits of the simple pairs whose images land in a full space
@@ -421,7 +438,7 @@ class SubmoduleCloser:
             if lacks:
                 self.blocked[wt] = lacks
 
-    def _insert(self, wt: tuple, vec: dict, want: int, queue: list, added: dict) -> None:
+    def _insert(self, wt: tuple, vec: dict, want: int, wants: tuple, queue: list, added: dict) -> None:
         ech = self.echelons.get(wt)
         if ech is None:  # a weight met first (seeds lie in M, so its space is not empty)
             ech = self.echelons[wt] = Echelon()
@@ -432,7 +449,7 @@ class SubmoduleCloser:
             if self.rank > self.cap:
                 raise _too_large(f"{self.what} at weight {wt}", "closure rank", self.rank, self.cap)
             added[wt] = added.get(wt, 0) + 1
-            queue.append((wt, vec, want))
+            queue.append((wt, vec, want, wants))
             if self.sizes and len(ech.rows) == self.sizes.get(wt):
                 self._fill(wt)
 
@@ -451,17 +468,19 @@ class SubmoduleCloser:
         the weight space of its weight.  Returns {weight: rank added there};
         summed over calls, these ranks are the character of the closure."""
         added: dict = {}
-        queue: list = []  # (weight, vector, the rows of the simple images to take)
-        every = sum(self.bits)
+        # (weight, vector, the rows of the simple images to take, and the
+        # rows each of those images takes in turn)
+        queue: list = []
+        every, nexts = sum(self.bits), self.nexts
         for wt, v in vecs:
-            self._insert(wt, v, every, queue, added)
-        pairs, nexts, blocked = self.module.simple_pairs(), self.nexts, self.blocked
+            self._insert(wt, v, every, nexts, queue, added)
+        pairs, twice, blocked = self.module.simple_pairs(), self.twice, self.blocked
         while queue:
-            wt, v, want = queue.pop()
+            wt, v, want, wants = queue.pop()
             want &= ~blocked.get(wt, 0)
-            for pair, nxt, img in zip(pairs, nexts, self.module.simple_images(v, want)):
+            for pair, nxt, after, img in zip(pairs, wants, twice, self.module.simple_images(v, want)):
                 if img:
-                    self._insert(_raised(wt, pair), img, nxt, queue, added)
+                    self._insert(_raised(wt, pair), img, nxt, after, queue, added)
         return added
 
 
@@ -506,7 +525,10 @@ def cyclic_submodule(M: WeightModule, vec: dict) -> WeightModule:
     weight space).  vec must be a weight vector on basis indices of M, or
     zero, with nonzero int or Fraction coefficients: ValueError otherwise.
     A closure rank above KP_MAX_DIM is a ModuleTooLargeError naming
-    "cyclic_submodule at weight ...".
+    "cyclic_submodule at weight ...".  M must carry a genuine U(n+) action,
+    its simple e_a satisfying the commutation and Serre relations
+    (``SubmoduleCloser``): where its matrices break them, the span may come
+    out smaller than the closure.
     """
     for i, c in vec.items():
         if type(i) is not int or not 0 <= i < M.dim:
@@ -734,13 +756,32 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
     return _close(amb, seeds(), what)
 
 
-def _kp_columns(lam: tuple) -> list:
-    """Row sets of the nonempty columns of the KP diagram of w = perm(lam),
-    for a nonnegative code: column j holds the rows i < j with w(i) > w(j),
-    read off the window of w without building it."""
-    win = _code_window(lam)
-    cols = ([i for i in range(1, j) if win[i - 1] > win[j - 1]] for j in range(2, len(win) + 1))
-    return [rows for rows in cols if rows]
+def _kp_generator(lam: tuple) -> tuple:
+    """``_diagram_generator`` of the KP diagram of the code lam, read off
+    the window of w = perm(lam + k), k = max(0, -min lam), in one pass: the
+    field of column j has bit n - r for each row r < j with w(r) > w(j),
+    the nonempty fields are the columns, equal fields one class, and their
+    complements fold into the key.  The weight is lam itself: row r of the
+    inversion diagram holds c_r of its columns, and the shift takes k off
+    each entry."""
+    n = len(lam)
+    k = max(0, -min(lam))
+    win = _code_window([x + k for x in lam] if k else lam)
+    full = (1 << n) - 1
+    first: dict = {}  # field -> the class of its first column
+    classes, key, rows = [], 0, []  # rows: w(1), w(2), .. of the rows before column j
+    for j, wj in enumerate(win):
+        field, bit = 0, 1 << n
+        for x in rows:
+            bit >>= 1
+            if x > wj:
+                field |= bit
+        if j < n:
+            rows.append(wj)
+        if field:
+            classes.append(first.setdefault(field, len(classes)))
+            key = key << n | full ^ field
+    return _diagram_ambient(tuple(classes), n), (lam, {key: ONE})
 
 
 #: Most KP modules kept: above the distinct codes of one S_6 sweep (720),
@@ -754,11 +795,9 @@ def _kp_cached(lam: tuple, cap: int) -> tuple:
     """(kp_module(lam), its diagram ambient, the generator's key there).  cap,
     the KP_MAX_DIM in force, is part of the key only: a module built under
     one cap is never handed out under another.  A negative code closes its
-    lifted code's generator at that weight minus k."""
-    k = max(0, -min(lam))
-    amb, (wt, gen) = _diagram_generator(_kp_columns(tuple(x + k for x in lam) if k else lam), len(lam))
-    seed = (tuple(x - k for x in wt) if k else wt, gen)
-    (key,) = gen
+    lifted code's generator at the weight lam (``_kp_generator``)."""
+    amb, seed = _kp_generator(lam)
+    (key,) = seed[1]
     return _close(amb, [seed], f"kp_module{lam}", seed), amb, key
 
 
@@ -914,8 +953,11 @@ _SL3_BOUND = 10
 def sl3_presentation_check(a: int, b: int) -> Sl3Report:
     """The generator of S^a(Lambda^2 K^3) (x) S^b(K^3) is annihilated by
     e_12^{a+1} and e_23^{b+1}, sharply, and its cyclic closure has the Weyl
-    dimension (a+1)(b+1)(a+b+2)/2 -- so the closure is the quotient of the
-    enveloping algebra of the strict upper triangle by exactly those powers."""
+    dimension (a+1)(b+1)(a+b+2)/2.  So the left ideal I of those powers lies
+    in the generator's annihilator, and the closure is a quotient of U(n+)/I
+    of the Weyl dimension.  It does not show the other inclusion, that I is
+    the whole annihilator, which needs dim U(n+)/I <= the Weyl dimension
+    (ROADMAP item 11)."""
     if not (0 <= a <= _SL3_BOUND and 0 <= b <= _SL3_BOUND):
         raise ValueError(f"parameters must lie in [0, {_SL3_BOUND}]")
     M, (wt, g) = _sl3_module(a, b)

@@ -218,41 +218,48 @@ def m_table(w: Permutation, n: int) -> MTable:
 
 def _m_table(lam) -> MTable:
     """:func:`_presentation` as an :class:`MTable`; raising order is sorted.
-    A table is a permutation's: a negative code is refused, as perm_of does."""
+    A table is a permutation's: a negative code is refused, as perm_of does.
+    The redundancy rule reads m_iq and m_qj off the raising order by index:
+    row i starts at starts[i] and holds m_ij at starts[i] + j - i - 1."""
     if min(lam, default=0) < 0:
         raise ValueError(f"code entries must be nonnegative: {lam}")
-    entries = dict(_presentation(lam))
+    table = _presentation(lam)
+    n = len(lam)
+    ms = [m for _, m in table]
+    starts = [(i - 1) * n - (i - 1) * i // 2 - i - 1 for i in range(n + 1)]
     pruned = []
-    for (i, j), m in entries.items():
+    for (i, j), m in table:
+        row = starts[i]
         for q in range(i + 1, j):
-            if m == entries[(i, q)] + entries[(q, j)]:
+            if m == ms[row + q] + ms[starts[q] + j]:
                 break
         else:
             pruned.append((i, j))
-    return MTable(len(lam), entries, tuple(pruned))
+    return MTable(n, dict(table), tuple(pruned))
 
 
 def _presentation(lam) -> tuple:
     """((i, j), m_ij) for i < j <= n = len(lam), in raising order (i, then
     j): kp(lam) is U(n+) modulo the left ideal of the e_ij^{m_ij+1}.  Any
-    integer weight reads the table of its lift lam + k(1, ..., 1),
+    integer weight reads the table of its lift c = lam + k(1, ..., 1),
     k = max(0, -min lam), which has the same module action and the same m.
-    The untrimmed window of the lift's code serves: a trailing fixed point
-    exceeds every earlier image, so never lies between w(i) < w(j)."""
+    With w = perm(c), m_ij = #{r > j : w(i) < w(r) < w(j)} is
+    c_j - c_i + #{i < r < j : w(r) < w(i)} where w(i) < w(j), and 0 where
+    not: the r > j below w(j) are those below w(i) and those between, and
+    c_i counts the r > i below w(i).  That last count runs along j."""
     k = max(0, -min(lam, default=0))
-    win = _code_window([x + k for x in lam])
+    c = [x + k for x in lam]
+    win = _code_window(c)
     n = len(lam)
     out = []
     for i in range(n):
-        wi = win[i]
+        wi, ci, below = win[i], c[i], 0
         for j in range(i + 1, n):
-            wj = win[j]
-            m = 0
-            if wi < wj:
-                for x in win[j + 1:]:
-                    if wi < x < wj:
-                        m += 1
-            out.append(((i + 1, j + 1), m))
+            if wi < win[j]:
+                out.append(((i + 1, j + 1), c[j] - ci + below))
+            else:
+                out.append(((i + 1, j + 1), 0))
+                below += 1
     return tuple(out)
 
 

@@ -19,7 +19,9 @@ import sys
 from kpmod.filtration import sort_weights
 from kpmod.linalg import ONE
 from kpmod.modules import (
-    _kp_columns,
+    _diagram_generator,
+    _kp_generator,
+    _sl3_module,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
@@ -29,11 +31,22 @@ from kpmod.modules import (
     tensor_many,
     young_symmetrizer_image,
 )
-from kpmod.permutations import _codes, _transition_codes, _window_code, all_permutations, code, compare
+from kpmod.permutations import (
+    _codes,
+    _m_table,
+    _presentation,
+    _transition_codes,
+    _window_code,
+    all_permutations,
+    code,
+    compare,
+    perm_of,
+)
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from reference import (
     TO_INT,
     closers_agree,
+    kp_columns,
     kp_generator,
     outcome,
     random_pair,
@@ -41,7 +54,9 @@ from reference import (
     reference_cmp,
     reference_diagram_module,
     reference_expand_in_schubert,
+    reference_m_table,
     reference_plethysm_eval,
+    reference_presentation,
     reference_sl3_module,
     reference_sl3_report,
     reference_transition_codes,
@@ -77,6 +92,12 @@ def partitions(k: int, top: int):
             yield (p,) + rest
 
 
+def key_columns(lam) -> list:
+    """Row sets of the columns of the key diagram of lam: column c holds
+    the rows i with lam_i >= c."""
+    return [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
+
+
 def diagram_modules(tally: Tally, upto: int = 6, top: int = 3) -> None:
     """Every KP module of S_1..S_upto, the S_upto annihilator reports and the
     Demazure modules of {0..top}^4, built on the bit-field keys, against the
@@ -84,15 +105,14 @@ def diagram_modules(tally: Tally, upto: int = 6, top: int = 3) -> None:
     for n in range(1, upto + 1):
         for w in all_permutations(n):
             lam = code(w, n)
-            want = reference_diagram_module(_kp_columns(lam), n)
+            want = reference_diagram_module(kp_columns(lam), n)
             tally.require(dumps(kp_module(lam)) == dumps(want), f"mismatch: {lam}")
     for w in all_permutations(upto):
         got = json.dumps(annihilator_check(w, upto).to_json(), sort_keys=True)
         want = json.dumps(reference_annihilator_check(w, upto).to_json(), sort_keys=True)
         tally.require(got == want, f"mismatch: {w}")
     for lam in itertools.product(range(top + 1), repeat=4):
-        columns = [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
-        want = reference_diagram_module(columns, 4)
+        want = reference_diagram_module(key_columns(lam), 4)
         tally.require(dumps(demazure_module(lam)) == dumps(want), f"mismatch: {lam}")
 
 
@@ -175,14 +195,23 @@ def tower(M) -> list:
 
 
 def pruned_closure(
-    tally: Tally, n: int = 6, extractions: int = 200, seed: int = 31, schur_n: int = 4, size: int = 3
+    tally: Tally,
+    n: int = 6,
+    extractions: int = 200,
+    seed: int = 31,
+    schur_n: int = 4,
+    size: int = 3,
+    sl3: int = 5,
+    top: int = 3,
 ) -> None:
-    """The closure that skips commuting images and full weight spaces
-    against the one that takes every simple image and reduces it (same
-    added ranks per call, same rows after it): on the generator of every
-    S_n KP module; on the extractor's tower for ``extractions`` seeded
-    tensor products of two S_{n-1} KP modules; and on the tower of every
-    Schur image with |sigma| <= size of every S_schur_n KP module."""
+    """The closure that skips commuting images, images the Serre relation
+    reaches and full weight spaces against the one that takes every simple
+    image and reduces it (same added ranks per call, same rows after it):
+    on the generator of every S_n KP module; on the extractor's tower for
+    ``extractions`` seeded tensor products of two S_{n-1} KP modules; on
+    the tower of every Schur image with |sigma| <= size of every S_schur_n
+    KP module; on the generator of every rank-3 module with a, b <= sl3;
+    and on the generator of every Demazure module of {0..top}^4."""
     for w in all_permutations(n):
         amb, gen = kp_generator(code(w, n))
         tally.require(closers_agree(amb, [[gen]]), f"mismatch: {code(w, n)}")
@@ -198,6 +227,12 @@ def pruned_closure(
         for sigma in shapes:
             img = young_symmetrizer_image(S, sigma)
             tally.require(closers_agree(img, tower(img)), f"mismatch: {sigma} {code(w, schur_n)}")
+    for a, b in itertools.product(range(sl3 + 1), repeat=2):
+        amb, gen = _sl3_module(a, b)
+        tally.require(closers_agree(amb, [[gen]]), f"mismatch: _sl3_module{(a, b)}")
+    for lam in itertools.product(range(top + 1), repeat=4):
+        amb, gen = _diagram_generator(key_columns(lam), 4)
+        tally.require(closers_agree(amb, [[gen]]), f"mismatch: demazure generator {lam}")
 
 
 def standard_order(tally: Tally, pairs: int = 50000, upto: int = 8, seed: int = 34) -> None:
@@ -239,9 +274,33 @@ def child_codes(tally: Tally, m: int = 7) -> None:
             tally.require(_transition_codes(lam) == reference_transition_codes(lam), f"mismatch: {lam}")
 
 
+def kp_generators(tally: Tally, m: int = 7) -> None:
+    """``_kp_generator``, which reads the generator's fields, classes, key
+    and weight off the code's window in one pass, against
+    ``_diagram_generator`` of the row lists of ``kp_columns`` on every code
+    of S_m: one check per code, the same cached ambient (the same classes)
+    and the same weight and generator vector."""
+    for lam in _codes(m):
+        amb, gen = _kp_generator(lam)
+        want_amb, want = kp_generator(lam)
+        tally.require(amb is want_amb and gen == want, f"mismatch: _kp_generator{lam}")
+
+
+def presentations(tally: Tally, m: int = 7) -> None:
+    """``_presentation``, whose m_ij run along j off the code, against the
+    count over the window's tail of ``reference_presentation``, and the
+    m-table, whose redundancy rule reads the raising order by index,
+    against ``reference_m_table`` on the minimal window, on every code of
+    S_m: one check per code."""
+    for lam in _codes(m):
+        ok = _presentation(lam) == reference_presentation(lam)
+        ok = ok and _m_table(lam) == reference_m_table(perm_of(lam).window, m)
+        tally.require(ok, f"mismatch: _presentation{lam}")
+
+
 COMPARISONS = (
     diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure,
-    standard_order, lehmer_codes, child_codes,
+    standard_order, lehmer_codes, child_codes, kp_generators, presentations,
 )
 
 

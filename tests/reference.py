@@ -1,7 +1,10 @@
 """Slower routes kept as references for the tests; the library calls none
 of this.  ``inversion_data`` lists the inversions of a ``Permutation``, and
-the tests read the KP diagram's columns from it against ``_kp_columns``,
-which reads them off the code's window.  ``ReferenceEchelon`` is the
+the tests read the KP diagram's columns from it against ``kp_columns``,
+which reads them off the code's window as row lists; ``kp_generator``
+hands those lists to ``_diagram_generator``, against which the tests check
+``_kp_generator``, which reads the generator's fields, classes, key and
+weight off the window in one pass.  ``ReferenceEchelon`` is the
 echelon whose ``express`` reduces vec row by row over all its pivots and
 collects the multipliers, against which the tests check ``linalg.reduce``,
 which walks only the vector's own pivots and reads them off there.  ``char_criterion`` reads
@@ -36,7 +39,10 @@ annihilate the diagram generator in it, against which the tests check
 keys of ``_DiagramAmbient``; ``mixed_radix_key`` translates one key into
 the other.  ``reference_m_table`` reads the m_ij off a permutation's
 minimal window, against which the tests check ``_presentation``, which
-reads them off the untrimmed window of a code lifted to be nonnegative.
+reads them off the untrimmed window of a code lifted to be nonnegative;
+``reference_presentation`` counts each m_ij over the tail of that window,
+against which the tests check ``_presentation``, which takes it off the
+lifted code and a count that runs along j.
 ``reference_window_code`` counts each code entry's smaller earlier entries
 in a loop, against which the tests check ``_window_code``, which finds
 them by bisection; ``reference_transition_codes`` counts each child code
@@ -53,7 +59,8 @@ check the checks run on the orbit sums of a ``_DiagramAmbient``.
 ``ReferenceCloser`` takes all n - 1 simple images of every vector it
 queues and reduces each into its weight space, against which the tests
 check ``SubmoduleCloser``, which skips the images that commuting operators
-already reach and those that land in a full weight space.
+or the Serre relations already reach and those that land in a full weight
+space.
 ``reference_standard_key`` inverts the code's window in a loop over its
 positions, against which the tests check ``standard_key``, which sorts the
 positions by value.  ``reference_cmp`` compares two weights by the inverse
@@ -61,8 +68,8 @@ windows of their permutations, padded to a common width
 (``reference_windows``), against which the tests check ``compare``, which
 reads the first entry off the codes and builds the keys only on a tie;
 ``random_slice`` and ``random_pair`` draw weights of one degree slice.
-``kp_generator`` is a nonnegative code's diagram ambient and generator,
-which the tests close with either closer.
+``kp_generator`` is a code's diagram ambient and generator, which the
+tests close with either closer.
 ``transposition`` and ``longest_element`` build the permutations t_ij and
 w_0 of S_m for the tests; the library walks codes and needs neither.
 """
@@ -86,7 +93,6 @@ from kpmod.modules import (
     _close,
     _diagram_generator,
     _index,
-    _kp_columns,
     _power,
     _raised,
     _Tensor,
@@ -676,10 +682,23 @@ def mixed_radix_key(key: int, lengths, n: int) -> int:
     return out
 
 
+def kp_columns(lam: tuple) -> list:
+    """Row sets of the nonempty columns of the KP diagram of w = perm(lam),
+    for a nonnegative code: column j holds the rows i < j with w(i) > w(j),
+    read off the window of w without building it."""
+    win = _code_window(lam)
+    cols = ([i for i in range(1, j) if win[i - 1] > win[j - 1]] for j in range(2, len(win) + 1))
+    return [rows for rows in cols if rows]
+
+
 def kp_generator(lam: tuple) -> tuple:
-    """The ``_DiagramAmbient`` of a nonnegative code's KP diagram and its
-    column-wedge generator, a (weight, vector) pair with a fresh dict."""
-    return _diagram_generator(_kp_columns(lam), len(lam))
+    """The ``_DiagramAmbient`` of a code's KP diagram and its column-wedge
+    generator, a (weight, vector) pair with a fresh dict, from the row lists
+    of ``kp_columns``: a negative code takes its lift lam + k(1, ..., 1)'s
+    columns, at the lift's weight minus k."""
+    k = max(0, -min(lam))
+    amb, (wt, gen) = _diagram_generator(kp_columns(tuple(x + k for x in lam)), len(lam))
+    return amb, (tuple(x - k for x in wt), gen)
 
 
 def _reference_generator(columns, n: int) -> tuple:
@@ -734,6 +753,26 @@ def reference_transition_codes(lam: tuple) -> tuple:
     return j, reference_window_code(v, n), tuple(reference_window_code(b, n) for _, b in branches)
 
 
+def reference_presentation(lam) -> tuple:
+    """``_presentation`` counting each m_ij over the tail of the untrimmed
+    window of the lift lam + k(1, ..., 1), k = max(0, -min lam)."""
+    k = max(0, -min(lam, default=0))
+    win = _code_window([x + k for x in lam])
+    n = len(lam)
+    out = []
+    for i in range(n):
+        wi = win[i]
+        for j in range(i + 1, n):
+            wj = win[j]
+            m = 0
+            if wi < wj:
+                for x in win[j + 1:]:
+                    if wi < x < wj:
+                        m += 1
+            out.append(((i + 1, j + 1), m))
+    return tuple(out)
+
+
 def reference_m_table(win, n: int) -> MTable:
     """``m_table`` of the window of a permutation increasing past n."""
     win = tuple(win) + tuple(range(len(win) + 1, n + 1))
@@ -768,7 +807,7 @@ def reference_annihilator_check(w: Permutation, n: int) -> AnnihilatorReport:
     ``reference_diagram_module``."""
     lam = code(w, n)
     table = reference_m_table(w.window, n)
-    columns = _kp_columns(lam)
+    columns = kp_columns(lam)
     amb, (_, gen) = _reference_generator(columns, n)
     failed = []
     non_sharp = []

@@ -9,9 +9,11 @@ from differential import (
     Tally,
     child_codes,
     diagram_modules,
+    kp_generators,
     lehmer_codes,
     plethysm_expansion,
     plethysm_jacobi_trudi,
+    presentations,
     pruned_closure,
     repeated_columns,
     schur_images,
@@ -27,14 +29,16 @@ from differential import (
         (plethysm_expansion, {"n": 4}),
         (schur_images, {"n": 4, "size": 3}),
         (repeated_columns, {"upto": 2, "top": 3}),
-        (pruned_closure, {"n": 4, "extractions": 5, "schur_n": 3}),
+        (pruned_closure, {"n": 4, "extractions": 5, "schur_n": 3, "sl3": 2, "top": 1}),
         (standard_order, {"pairs": 500, "upto": 5}),
         (lehmer_codes, {"m": 4}),
         (child_codes, {"m": 4}),
+        (kp_generators, {"m": 4}),
+        (presentations, {"m": 4}),
     ],
     ids=[
         "diagram_modules", "plethysm_jacobi_trudi", "plethysm_expansion", "schur_images", "repeated_columns",
-        "pruned_closure", "standard_order", "lehmer_codes", "child_codes",
+        "pruned_closure", "standard_order", "lehmer_codes", "child_codes", "kp_generators", "presentations",
     ],
 )
 def test_comparison_at_a_small_bound(compare, bound):
@@ -46,7 +50,7 @@ def test_comparison_at_a_small_bound(compare, bound):
 def test_every_comparison_is_tested():
     assert set(COMPARISONS) == {
         diagram_modules, plethysm_jacobi_trudi, plethysm_expansion, schur_images, repeated_columns, pruned_closure,
-        standard_order, lehmer_codes, child_codes,
+        standard_order, lehmer_codes, child_codes, kp_generators, presentations,
     }
 
 

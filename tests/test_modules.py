@@ -24,7 +24,7 @@ from kpmod.modules import (
     _close,
     _diagram_ambient,
     _diagram_generator,
-    _kp_columns,
+    _kp_generator,
     annihilator_check,
     cyclic_submodule,
     demazure_module,
@@ -64,6 +64,7 @@ from reference import (
     hom_dim,
     hom_space,
     inversion_data,
+    kp_columns,
     kp_generator,
     mixed_radix_key,
     reference_annihilator_check,
@@ -632,7 +633,20 @@ class TestDiagramEngine:
         rng = random.Random(1)
         codes += [tuple(rng.randint(0, 8 - i) for i in range(1, 9)) for _ in range(300)]
         for lam in codes:
-            assert _kp_columns(lam) == inversion_columns(lam), lam
+            assert kp_columns(lam) == inversion_columns(lam), lam
+
+    def test_generator_read_off_the_window(self):
+        # fields, classes and key against the row lists' generator: the
+        # ambient is cached by its classes, so the same one is the same
+        # classes; and the weight is the code, also where it is negative
+        codes = [code(w, m) for m in range(1, 7) for w in all_permutations(m)]
+        rng = random.Random(38)
+        codes += [tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 7))) for _ in range(500)]
+        assert sum(min(lam) < 0 for lam in codes) > 300
+        for lam in codes:
+            amb, (wt, gen) = _kp_generator(lam)
+            want_amb, want = kp_generator(lam)
+            assert amb is want_amb and (wt, gen) == want and wt == lam, lam
 
     def test_kp_matches_eager_route_on_all_s4_codes(self):
         for w in all_permutations(4):
@@ -956,12 +970,12 @@ class TestMixedRadixReference:
     def test_every_s5_code(self):
         for w in all_permutations(5):
             lam = code(w, 5)
-            self.assert_same(kp_module(lam), reference_diagram_module(_kp_columns(lam), 5))
+            self.assert_same(kp_module(lam), reference_diagram_module(kp_columns(lam), 5))
 
     def test_seeded_s6_slice(self):
         for w in random.Random(25).sample(list(all_permutations(6)), 60):
             lam = code(w, 6)
-            self.assert_same(kp_module(lam), reference_diagram_module(_kp_columns(lam), 6))
+            self.assert_same(kp_module(lam), reference_diagram_module(kp_columns(lam), 6))
             assert annihilator_check(w, 6).to_json() == reference_annihilator_check(w, 6).to_json()
 
     def test_demazure_box(self):
@@ -993,7 +1007,7 @@ class TestOrbitSums:
     @staticmethod
     def diagrams():
         for w in all_permutations(5):
-            yield _kp_columns(code(w, 5)), 5
+            yield kp_columns(code(w, 5)), 5
         for lam in itertools.product(range(3), repeat=4):
             yield [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)], 4
 
@@ -1404,7 +1418,8 @@ class TestIntegerEntries:
 
 class TestPrunedClosure:
     """``SubmoduleCloser`` skips e_b v for v = e_a u and b >= a + 2, which
-    commuting operators already reach; every closure a route makes, fed the
+    commuting operators already reach, and e_{a+1} v for v = e_a e_a t,
+    which the Serre relation reaches; every closure a route makes, fed the
     same batches, against ``ReferenceCloser``, which takes every simple
     image: the same added ranks per call and the same rows after it."""
 
@@ -1473,7 +1488,10 @@ class TestPrunedClosure:
         for M, batches in made:
             assert closers_agree(M, batches)
 
-    def test_s6_kp_sweep_makes_fewer_inserts(self, monkeypatch):
+    @staticmethod
+    def inserts(monkeypatch, generators) -> list:
+        """Echelon inserts of ``SubmoduleCloser`` and of ``ReferenceCloser``
+        closing each (ambient, generator) pair."""
         inserts = [0]
 
         class Counting(Echelon):
@@ -1488,17 +1506,25 @@ class TestPrunedClosure:
         counts = []
         for closer in (SubmoduleCloser, ReferenceCloser):
             inserts[0] = 0
-            for w in all_permutations(6):
-                amb, gen = kp_generator(code(w, 6))
+            for amb, gen in generators:
                 closer(amb).add([gen])
             counts.append(inserts[0])
-        pruned, full = counts
-        assert pruned <= 7904 < full
+        return counts
+
+    def test_s6_kp_sweep_makes_fewer_inserts(self, monkeypatch):
+        pruned, full = self.inserts(monkeypatch, [kp_generator(code(w, 6)) for w in all_permutations(6)])
+        assert pruned <= 7018 < full
+
+    def test_rank_3_closures_make_fewer_inserts(self, monkeypatch):
+        # n = 3 has no commuting pair: the Serre skip alone prunes here
+        grid = itertools.product(range(5), repeat=2)
+        pruned, full = self.inserts(monkeypatch, [modules._sl3_module(a, b) for a, b in grid])
+        assert pruned <= 1055 < full
 
     def test_annihilator_check_reads_each_diagram_once(self, monkeypatch):
         read = []
-        real = modules._kp_columns
-        monkeypatch.setattr(modules, "_kp_columns", lambda lam: read.append(lam) or real(lam))
+        real = modules._kp_generator
+        monkeypatch.setattr(modules, "_kp_generator", lambda lam: read.append(lam) or real(lam))
         kpmod.clear_caches()
         for w in all_permutations(4):
             kp_module(code(w, 4))
@@ -1513,6 +1539,6 @@ class TestPrunedClosure:
         info = modules._kp_cached.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         S, amb, key = modules._kp_cached((0, 2, 1, 0), modules.max_dim())
-        assert S is kp_module((0, 2, 1, 0)) and key == amb.key(_kp_columns((0, 2, 1, 0)))
+        assert S is kp_module((0, 2, 1, 0)) and key == amb.key(kp_columns((0, 2, 1, 0)))
         kpmod.clear_caches()
         assert modules._kp_cached.cache_info().currsize == 0

@@ -20,6 +20,7 @@ from kpmod.permutations import (
     dominates,
     _code_window,
     _codes,
+    _presentation,
     _standard_key,
     _transition_codes,
     _transition_window,
@@ -40,6 +41,7 @@ from reference import (
     random_pair,
     random_slice,
     reference_cmp,
+    reference_presentation,
     reference_standard_key,
     reference_transition_codes,
     reference_window_code,
@@ -189,6 +191,15 @@ class TestMTable:
             for (i, j), m in t.entries.items():
                 if w(i) > w(j):
                     assert m == 0
+
+    def test_presentation_matches_the_reference_loop(self):
+        # the running count against the count over the window's tail on
+        # every code of S_1..S_7, and on seeded weights with negative entries
+        rng = random.Random(38)
+        weights = [lam for m in range(1, 8) for lam in _codes(m)]
+        weights += [tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 8))) for _ in range(2000)]
+        for lam in weights:
+            assert _presentation(lam) == reference_presentation(lam), lam
 
     def test_triangle_inequality_s6(self):
         for w in all_permutations(6):
