@@ -9,11 +9,12 @@ which generate U(n+), starting from weight vectors that enter with their
 weights: e_ij sends weight wt to wt + eps_i - eps_j, so a closure follows
 its vectors' weights and never looks one up (``_close``).  Two ambients are
 never enumerated.  Kraskiewicz-Pragacz, Demazure (key) and the rank-3
-modules close from the column-wedge vector of a diagram (``diagram_module``)
-on one bit field of absent rows per column, equal columns kept as orbit
-sums.  Schur-functor images S^sigma(M) close from wedged row-symmetrized
-tuples (``young_symmetrizer_image``, in a ``_Tensor`` of the Lambda^k M,
-each wedge keyed through the basis index its power is built on).  Cyclic
+modules, and ``diagram_module``, close from the column-wedge vector of a
+diagram, which ``_diagram_generator`` builds from one n-bit field of rows
+per column, equal columns kept as orbit sums.  Schur-functor images
+S^sigma(M) close from wedged row-symmetrized tuples
+(``young_symmetrizer_image``, in a ``_Tensor`` of the Lambda^k M, each
+wedge keyed through the basis index its power is built on).  Cyclic
 submodules and annihilator checks of the diagram generator complete it.
 
 Modules are immutable once constructed (lazy column caches only fill in);
@@ -585,13 +586,6 @@ class _DiagramAmbient(_Action):
             for t, shift in enumerate(s):
                 self._fold[shift // n] = (shift, s[t - 1] if t else None, s)
 
-    def key(self, columns) -> int:
-        """Key of the column wedge of ``columns``, sets of rows 1..n."""
-        n, key = self.n, 0
-        for rows in columns:
-            key = key << n | ((1 << n) - 1) ^ sum(1 << n - r for r in rows)
-        return key
-
     def _orbit(self, key: int, img: int, pos: int, c):
         """(least key, coefficient) of the move of ``key`` to ``img``, with
         coefficient c, at bit pos of a repeated column: 0 where an earlier
@@ -651,36 +645,42 @@ class _DiagramAmbient(_Action):
 _diagram_ambient = lru_cache(maxsize=None)(_DiagramAmbient)
 
 
-def diagram_module(columns, n: int, *, what: str = "diagram_module") -> WeightModule:
+def diagram_module(columns, n: int) -> WeightModule:
     """Cyclic U(n+)-module generated by the column-wedge vector of a diagram:
     ``columns`` lists one set of rows (1..n) per column, and the generator
-    is the tensor of the wedges of their rows, in a ``_DiagramAmbient``.  The
-    closure starts from the generator's weight and never enumerates or
-    weighs the ambient.  KP_MAX_DIM caps the closure rank; ``what`` names
-    the construction in that error.
+    is the tensor of the wedges of their rows, in a ``_DiagramAmbient``
+    (``_diagram_generator`` of the columns' fields).  The closure starts
+    from the generator's weight, which counts the columns that hold each
+    row, and never enumerates or weighs the ambient.  KP_MAX_DIM caps the
+    closure rank.
 
     >>> diagram_module([[1], [3]], 4).dim     # kp_module((1, 0, 1, 0))
     3
     >>> diagram_module([[1, 3]], 4).dim       # demazure_module((1, 0, 1, 0))
     2
     """
-    _require_count(n, f"{what} n")
-    columns = [int_tuple(rows, f"{what} column") for rows in columns]
+    _require_count(n, "diagram_module n")
+    columns = [int_tuple(rows, "diagram_module column") for rows in columns]
     for rows in columns:
         if len(set(rows)) != len(rows) or not set(rows) <= set(range(1, n + 1)):
-            raise ValueError(f"{what}: column {list(rows)} is not a set of rows in 1..{n}")
-    amb, gen = _diagram_generator(columns, n)
-    return _close(amb, [gen], what, gen)
-
-
-def _diagram_generator(columns, n: int) -> tuple:
-    """The ``_DiagramAmbient`` of a diagram, its equal columns one class,
-    and its column-wedge generator, a (weight, vector) pair whose weight
-    counts the columns that hold each row."""
-    first: dict = {}
-    amb = _diagram_ambient(tuple(first.setdefault(frozenset(rows), c) for c, rows in enumerate(columns)), n)
+            raise ValueError(f"diagram_module: column {list(rows)} is not a set of rows in 1..{n}")
     wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
-    return amb, (wt, {amb.key(columns): ONE})
+    amb, gen = _diagram_generator([sum(1 << n - r for r in rows) for rows in columns], wt, n)
+    return _close(amb, [gen], "diagram_module", gen)
+
+
+def _diagram_generator(fields, wt: tuple, n: int) -> tuple:
+    """The ``_DiagramAmbient`` of a diagram given by one n-bit field per
+    column, bit n - r set for each row r the column holds, and its
+    column-wedge generator (wt, {key: 1}).  Equal fields are one class,
+    labelled by their first column; the key holds each field's complement,
+    column 0 the highest."""
+    first: dict = {}
+    classes, key, full = [], 0, (1 << n) - 1
+    for c, field in enumerate(fields):
+        classes.append(first.setdefault(field, c))
+        key = key << n | full ^ field
+    return _diagram_ambient(tuple(classes), n), (wt, {key: ONE})
 
 
 def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
@@ -757,19 +757,16 @@ def young_symmetrizer_image(M: WeightModule, sigma) -> WeightModule:
 
 
 def _kp_generator(lam: tuple) -> tuple:
-    """``_diagram_generator`` of the KP diagram of the code lam, read off
-    the window of w = perm(lam + k), k = max(0, -min lam), in one pass: the
-    field of column j has bit n - r for each row r < j with w(r) > w(j),
-    the nonempty fields are the columns, equal fields one class, and their
-    complements fold into the key.  The weight is lam itself: row r of the
-    inversion diagram holds c_r of its columns, and the shift takes k off
-    each entry."""
+    """``_diagram_generator`` of the KP diagram of the code lam, its fields
+    read off the window of w = perm(lam + k), k = max(0, -min lam), in one
+    pass: column j's field has bit n - r for each row r < j with
+    w(r) > w(j), and the nonempty fields are the columns.  The weight is
+    lam itself: row r of the inversion diagram holds c_r of its columns,
+    and the shift takes k off each entry."""
     n = len(lam)
     k = max(0, -min(lam))
     win = _code_window([x + k for x in lam] if k else lam)
-    full = (1 << n) - 1
-    first: dict = {}  # field -> the class of its first column
-    classes, key, rows = [], 0, []  # rows: w(1), w(2), .. of the rows before column j
+    fields, rows = [], []  # rows: w(1), w(2), .. of the rows before column j
     for j, wj in enumerate(win):
         field, bit = 0, 1 << n
         for x in rows:
@@ -779,9 +776,8 @@ def _kp_generator(lam: tuple) -> tuple:
         if j < n:
             rows.append(wj)
         if field:
-            classes.append(first.setdefault(field, len(classes)))
-            key = key << n | full ^ field
-    return _diagram_ambient(tuple(classes), n), (lam, {key: ONE})
+            fields.append(field)
+    return _diagram_generator(fields, lam, n)
 
 
 #: Most KP modules kept: above the distinct codes of one S_6 sweep (720),
@@ -898,19 +894,21 @@ def demazure_module(lam) -> WeightModule:
     """The Demazure (key) module of a nonnegative weight lam: the U(b)-closure
     of the extremal weight-lam vector in the irreducible gl_n module of
     highest weight lam+, the decreasing sort of lam.  That vector is the
-    column wedge of the key diagram, whose column c is {i : lam_i >= c}, so
-    this is ``diagram_module`` of that diagram, closed under raising
-    operators only.  Its character is the key polynomial pi_w x^{lam+}.
+    column wedge of the key diagram, whose column c holds the rows
+    {i : lam_i >= c}, so row i holds lam_i columns and the generator's
+    weight is lam.  The module closes that generator, built from the
+    columns' fields by ``_diagram_generator``, under raising operators
+    only.  Its character is the key polynomial pi_w x^{lam+}.
     """
     lam = int_tuple(lam, "demazure_module weight")
     if not lam:
         raise ValueError("demazure_module needs a nonempty weight, got ()")
     if any(x < 0 for x in lam):
         raise ValueError("Demazure construction needs a nonnegative weight")
-    columns = [
-        [i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam, default=0) + 1)
-    ]
-    return diagram_module(columns, len(lam), what=f"demazure_module{lam}")
+    n = len(lam)
+    fields = [sum(1 << n - i for i, x in enumerate(lam, 1) if x >= c) for c in range(1, max(lam) + 1)]
+    amb, gen = _diagram_generator(fields, lam, n)
+    return _close(amb, [gen], f"demazure_module{lam}", gen)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +939,7 @@ def _sl3_module(a: int, b: int):
     (u_2 ^ u_3)^a (x) u_3^b, a (weight, vector) pair with a fresh dict."""
     _require_int(a, "rank-3 module a")
     _require_int(b, "rank-3 module b")
-    return _diagram_generator([(2, 3)] * a + [(3,)] * b, 3)
+    return _diagram_generator([0b011] * a + [0b001] * b, (0, a, a + b), 3)
 
 
 E12, E13, E23 = (1, 2), (1, 3), (2, 3)

@@ -45,9 +45,11 @@ from kpmod.permutations import (
 from kpmod.schubert import expand_in_schubert, plethysm_eval, schubert_poly
 from reference import (
     TO_INT,
+    _reference_generator,
     closers_agree,
     kp_columns,
     kp_generator,
+    mixed_radix_key,
     outcome,
     random_pair,
     reference_annihilator_check,
@@ -62,6 +64,7 @@ from reference import (
     reference_transition_codes,
     reference_window_code,
     reference_young_symmetrizer_image,
+    row_fields,
 )
 
 
@@ -231,7 +234,7 @@ def pruned_closure(
         amb, gen = _sl3_module(a, b)
         tally.require(closers_agree(amb, [[gen]]), f"mismatch: _sl3_module{(a, b)}")
     for lam in itertools.product(range(top + 1), repeat=4):
-        amb, gen = _diagram_generator(key_columns(lam), 4)
+        amb, gen = _diagram_generator(row_fields(key_columns(lam), 4), lam, 4)
         tally.require(closers_agree(amb, [[gen]]), f"mismatch: demazure generator {lam}")
 
 
@@ -275,15 +278,21 @@ def child_codes(tally: Tally, m: int = 7) -> None:
 
 
 def kp_generators(tally: Tally, m: int = 7) -> None:
-    """``_kp_generator``, which reads the generator's fields, classes, key
-    and weight off the code's window in one pass, against
-    ``_diagram_generator`` of the row lists of ``kp_columns`` on every code
-    of S_m: one check per code, the same cached ambient (the same classes)
-    and the same weight and generator vector."""
+    """``_kp_generator``, which reads the generator's fields off the code's
+    window in one pass, against ``kp_generator``, which takes them off the
+    row lists of ``kp_columns``, on every code of S_m: one check per code,
+    the same cached ambient (the same classes) and the same weight and
+    generator vector; and that weight and the generator's key, read as a
+    mixed-radix key, those of ``_reference_generator`` on the row lists."""
     for lam in _codes(m):
         amb, gen = _kp_generator(lam)
         want_amb, want = kp_generator(lam)
-        tally.require(amb is want_amb and gen == want, f"mismatch: _kp_generator{lam}")
+        columns = kp_columns(lam)
+        ref_wt, ref_gen = _reference_generator(columns, m)[1]
+        (key,) = gen[1]
+        radix = mixed_radix_key(key, [len(rows) for rows in columns], m)
+        ok = amb is want_amb and gen == want and gen[0] == ref_wt and {radix: ONE} == ref_gen
+        tally.require(ok, f"mismatch: _kp_generator{lam}")
 
 
 def presentations(tally: Tally, m: int = 7) -> None:

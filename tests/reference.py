@@ -2,9 +2,9 @@
 of this.  ``inversion_data`` lists the inversions of a ``Permutation``, and
 the tests read the KP diagram's columns from it against ``kp_columns``,
 which reads them off the code's window as row lists; ``kp_generator``
-hands those lists to ``_diagram_generator``, against which the tests check
-``_kp_generator``, which reads the generator's fields, classes, key and
-weight off the window in one pass.  ``ReferenceEchelon`` is the
+hands their fields (``row_fields``) to ``_diagram_generator``, against
+which the tests check ``_kp_generator``, which reads the fields off the
+window in one pass.  ``ReferenceEchelon`` is the
 echelon whose ``express`` reduces vec row by row over all its pivots and
 collects the multipliers, against which the tests check ``linalg.reduce``,
 which walks only the vector's own pivots and reads them off there.  ``char_criterion`` reads
@@ -691,14 +691,22 @@ def kp_columns(lam: tuple) -> list:
     return [rows for rows in cols if rows]
 
 
+def row_fields(columns, n: int) -> list:
+    """The ``_diagram_generator`` fields of row lists: one n-bit int per
+    column, bit n - r set for each row r it holds."""
+    return [sum(1 << n - r for r in rows) for rows in columns]
+
+
 def kp_generator(lam: tuple) -> tuple:
     """The ``_DiagramAmbient`` of a code's KP diagram and its column-wedge
     generator, a (weight, vector) pair with a fresh dict, from the row lists
     of ``kp_columns``: a negative code takes its lift lam + k(1, ..., 1)'s
-    columns, at the lift's weight minus k."""
-    k = max(0, -min(lam))
-    amb, (wt, gen) = _diagram_generator(kp_columns(tuple(x + k for x in lam)), len(lam))
-    return amb, (tuple(x - k for x in wt), gen)
+    columns, at the weight that counts the columns holding each row, minus
+    k."""
+    n, k = len(lam), max(0, -min(lam))
+    columns = kp_columns(tuple(x + k for x in lam))
+    wt = tuple(sum(r in rows for rows in columns) - k for r in range(1, n + 1))
+    return _diagram_generator(row_fields(columns, n), wt, n)
 
 
 def _reference_generator(columns, n: int) -> tuple:

@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import types
@@ -58,6 +59,7 @@ from reference import (
     ReferenceCloser,
     ReferenceEchelon,
     ReferenceWedgeAmbient,
+    _reference_generator,
     closers_agree,
     dual_twist,
     echelon_rows,
@@ -71,6 +73,7 @@ from reference import (
     reference_diagram_module,
     reference_sl3_report,
     reference_symmetric_power,
+    row_fields,
 )
 
 
@@ -293,10 +296,7 @@ class TestConstructors:
         # the diagram ambient checks too, and so does the tensor action,
         # which reads the factors' move tables
         amb = _diagram_ambient((0, 1), 3)
-        key = amb.key([[1, 2], [3]])
-        ref_key = ReferenceWedgeAmbient([2, 1], 3).wedge([[0, 1], [2]])[0]
-        assert mixed_radix_key(key, [2, 1], 3) == ref_key
-        gen = {key: ONE}
+        gen = {diagram_key([[1, 2], [3]], 3): ONE}
         T = tensor_many([kp_module((0, 1, 0)), kp_module((1, 0, 1))])
         for act in (lambda: amb.apply((2, 1), gen), lambda: T.column((2, 1), 0)):
             with pytest.raises(KeyError, match=r"operator \(2, 1\) is not a raising pair of n = 3"):
@@ -624,6 +624,16 @@ def dumps(M):
     return json.dumps(M.to_json(), sort_keys=True)
 
 
+def diagram_key(columns, n):
+    """The generator key of a diagram's row lists, from ``_diagram_generator``
+    of their ``row_fields``, held to ``_reference_generator``'s through
+    ``mixed_radix_key``."""
+    (key,) = _diagram_generator(row_fields(columns, n), None, n)[1][1]
+    (ref,) = _reference_generator(columns, n)[1][1]
+    assert mixed_radix_key(key, [len(rows) for rows in columns], n) == ref
+    return key
+
+
 class TestDiagramEngine:
     """The lazily keyed engine against the eager tensor_many route."""
 
@@ -636,9 +646,10 @@ class TestDiagramEngine:
             assert kp_columns(lam) == inversion_columns(lam), lam
 
     def test_generator_read_off_the_window(self):
-        # fields, classes and key against the row lists' generator: the
-        # ambient is cached by its classes, so the same one is the same
-        # classes; and the weight is the code, also where it is negative
+        # the window's fields against the row lists' fields, both through
+        # _diagram_generator: the ambient is cached by its classes, so the
+        # same one is the same classes; and the weight is the code, also
+        # where it is negative
         codes = [code(w, m) for m in range(1, 7) for w in all_permutations(m)]
         rng = random.Random(38)
         codes += [tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 7))) for _ in range(500)]
@@ -668,7 +679,7 @@ class TestDiagramEngine:
             columns = inversion_columns(lam)
             lengths = [len(c) for c in columns]
             view = RadixView(_diagram_ambient(tuple(range(len(columns))), n), lengths)
-            gen_key = view.amb.key(columns)
+            gen_key = diagram_key(columns, n)
             gen = {view.radix(gen_key): ONE}
             ref = ReferenceWedgeAmbient(lengths, n)
             assert list(gen) == [ref.wedge([[r - 1 for r in c] for c in columns])[0]]
@@ -711,6 +722,12 @@ class TestDiagramEngine:
             diagram_module([[1, 4]], 3)
         with pytest.raises(ValueError, match="not a set of rows"):
             diagram_module([[2, 2]], 3)
+
+    @pytest.mark.parametrize("column", [[1, 1], [0], [4]], ids=["repeated row", "row 0", "row 4"])
+    def test_refuses_a_column_that_is_not_a_set_of_rows(self, column):
+        message = f"diagram_module: column {column} is not a set of rows in 1..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            diagram_module([[1], column], 3)
 
     def test_empty_diagram_is_the_trivial_module(self):
         assert dumps(diagram_module([], 3)) == dumps(one_dim((0, 0, 0)))
@@ -841,7 +858,7 @@ class RadixView:
             combos = list(itertools.combinations(range(1, self.n + 1), k))
             rest, digit = divmod(rest, len(combos))
             columns.append(combos[digit])
-        key = self.amb.key(columns[::-1])
+        key = diagram_key(columns[::-1], self.n)
         assert self.radix(key) == radix
         return key
 
@@ -898,7 +915,7 @@ class TestFusedTensorAction:
             columns = inversion_columns(lam)
             view = RadixView(_diagram_ambient(tuple(range(len(columns))), n), [len(c) for c in columns])
             ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
-            gen = view.radix(view.amb.key(columns))
+            gen = view.radix(diagram_key(columns, n))
             cancelled += check_against_reference(view, ref, [gen], rng)
             view.assert_order_kept()
         assert cancelled > 0
@@ -914,7 +931,7 @@ class TestFusedTensorAction:
             columns = inversion_columns(lam)
             view = RadixView(_diagram_ambient(tuple(range(len(columns))), n), [len(c) for c in columns])
             ref = ReferenceTensor([exterior_power(vector_rep(n), len(c)) for c in columns], n)
-            gen = view.radix(view.amb.key(columns))
+            gen = view.radix(diagram_key(columns, n))
             cancelled += check_against_reference(SimpleImagesView(view), ref, [gen], rng)
             view.assert_order_kept()
         assert cancelled > 0
@@ -926,8 +943,8 @@ class TestFusedTensorAction:
         cancelled = 0
         for lam, n in codes:
             columns = inversion_columns(lam)
-            amb = _diagram_generator(columns, n)[0]  # equal columns kept as orbit sums
-            cancelled += check_against_reference(SimpleImagesView(amb), amb, [amb.key(columns)], rng)
+            amb = _diagram_generator(row_fields(columns, n), lam, n)[0]  # equal columns kept as orbit sums
+            cancelled += check_against_reference(SimpleImagesView(amb), amb, [diagram_key(columns, n)], rng)
         assert cancelled > 0
 
     @pytest.mark.parametrize(
@@ -983,6 +1000,22 @@ class TestMixedRadixReference:
             columns = [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
             self.assert_same(demazure_module(lam), reference_diagram_module(columns, 4))
 
+    def test_seeded_random_diagrams(self):
+        # diagram_module is the one route from row sets to fields: the KP,
+        # Demazure and rank-3 modules hand _diagram_generator their fields
+        rng = random.Random(39)
+        empty = repeated = 0
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            columns = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(0, 5))]
+            if columns and rng.random() < 0.3:
+                columns.insert(rng.randrange(len(columns)), rng.choice(columns))
+                columns = columns[:5]
+            empty += [] in columns
+            repeated += len({tuple(sorted(rows)) for rows in columns}) < len(columns)
+            self.assert_same(diagram_module(columns, n), reference_diagram_module(columns, n))
+        assert empty >= 20 and repeated >= 20
+
 
 def orbit(key: int, classes: tuple, n: int) -> set:
     """The keys of a diagram ambient reached from ``key`` by permuting the
@@ -1021,7 +1054,7 @@ class TestOrbitSums:
                 continue
             amb, full = _diagram_ambient(classes, n), _diagram_ambient(tuple(range(len(classes))), n)
             # the keys within two raising steps of the generator, by orbit
-            pool = {amb.key(columns)}
+            pool = {diagram_key(columns, n)}
             for _ in range(2):
                 pool |= {k for key in pool for p in full.raising_pairs() for k in full.apply(p, {key: ONE})}
             least = sorted({min(orbit(k, classes, n)) for k in pool})
@@ -1050,9 +1083,12 @@ class TestOrbitSums:
         # classes of three and four columns (the {0..2}^4 box has two)
         for lam in [(0, 3, 4), (0, 4, 4, 5), (4, 0, 4, 1), (3, 3, 0, 3)]:
             columns = [[i for i, x in enumerate(lam, 1) if x >= c] for c in range(1, max(lam) + 1)]
-            amb, (wt, gen) = _diagram_generator(columns, len(lam))
+            n = len(lam)
             assert max(columns.count(rows) for rows in columns) >= 3
-            full = _diagram_ambient(tuple(range(len(columns))), len(lam))
+            wt = tuple(sum(r in rows for rows in columns) for r in range(1, n + 1))
+            assert wt == lam
+            gen = {diagram_key(columns, n): ONE}
+            full = _diagram_ambient(tuple(range(len(columns))), n)
             got = demazure_module(lam)
             want = _close(full, [(wt, gen)], "full", (wt, gen))
             assert dumps(got) == dumps(want) and got.generator == want.generator
@@ -1123,10 +1159,11 @@ class TestSl3:
 
         kpmod.clear_caches()
         amb, (wt, g) = _sl3_module(2, 1)
-        assert wt == (0, 2, 3) and g == {amb.key([(2, 3), (2, 3), (3,)]): ONE}
-        g[amb.key([(1, 3), (2, 3), (3,)])] = ONE  # a caller that mutates its generator
+        key = diagram_key([(2, 3), (2, 3), (3,)], 3)
+        assert wt == (0, 2, 3) and g == {key: ONE}
+        g[diagram_key([(1, 3), (2, 3), (3,)], 3)] = ONE  # a caller that mutates its generator
         amb2, (_, g2) = _sl3_module(2, 1)
-        assert amb2 is amb and g2 == {amb.key([(2, 3), (2, 3), (3,)]): ONE}
+        assert amb2 is amb and g2 == {key: ONE}
         assert sl3_presentation_check(2, 1).ok
         kpmod.clear_caches()
         assert _diagram_ambient.cache_info().currsize == 0
@@ -1539,6 +1576,6 @@ class TestPrunedClosure:
         info = modules._kp_cached.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         S, amb, key = modules._kp_cached((0, 2, 1, 0), modules.max_dim())
-        assert S is kp_module((0, 2, 1, 0)) and key == amb.key(kp_columns((0, 2, 1, 0)))
+        assert S is kp_module((0, 2, 1, 0)) and key == diagram_key(kp_columns((0, 2, 1, 0)), 4)
         kpmod.clear_caches()
         assert modules._kp_cached.cache_info().currsize == 0

@@ -107,3 +107,22 @@ def test_closure_queue_loop_is_written_once():
         if isinstance(node, ast.While) and ast.unparse(node.test) == "queue"
     ]
     assert loops == ["add"]
+
+
+def test_each_diagram_key_is_folded_once():
+    # the KP, Demazure, rank-3 and row-set diagrams all hand their column
+    # fields to _diagram_generator, which alone lays them out in a key; the
+    # ambient has no key method of its own and diagram_module no name knob
+    tree = ast.parse((SRC / "modules.py").read_text())
+    folds = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.BinOp) and ast.unparse(node) == "key << n"
+    }
+    assert folds == {"_diagram_generator"}
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    assert "key" not in {f.name for f in top["_DiagramAmbient"].body if isinstance(f, ast.FunctionDef)}
+    args = top["diagram_module"].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["columns", "n"]
